@@ -74,6 +74,7 @@ from .optimize import (
     farthest_point,
     greedy_lazy,
     greedy_naive,
+    padded_order,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .kernels import cosine_similarity, euclidean_distance
 from .models import logreg_fit
 from .objectives import DisparityMin, FacilityLocation
-from .optimize import BudgetSpec, farthest_point, greedy_lazy
+from .optimize import BudgetSpec, farthest_point, greedy_lazy, padded_order
 
 SELECTORS = ("fl", "dm", "us", "random")
 
@@ -111,12 +111,13 @@ def filter_uncertain(probs, unlabeled, beta_percent: float,
 
 def select_batch(fset: FilteredSet, features: FeatureMatrix, selector: str,
                  batch_size: int, rng: Optional[np.random.Generator] = None) -> list[int]:
-    """Choose at most batch_size elements of the filtered set.
+    """Choose min(batch_size, |set|) elements of the filtered set.
 
     fl runs lazy greedy facility location on a cosine kernel over the
     set, dm runs farthest-point on a euclidean kernel, us takes the head
     of the uncertainty ordering, random draws uniformly without
-    replacement from the supplied generator.
+    replacement from the supplied generator. A greedy that stops early on
+    zero gains is padded to the full batch by padded_order.
     """
     if batch_size < 1:
         raise ValidationError(f"batch size must be >= 1, got {batch_size}")
@@ -138,7 +139,7 @@ def select_batch(fset: FilteredSet, features: FeatureMatrix, selector: str,
     else:
         kernel = euclidean_distance(features, rows=F)
         sel = farthest_point(DisparityMin(kernel), BudgetSpec(batch_size))
-    return [int(F[i]) for i in sel.indices]
+    return [int(F[i]) for i in padded_order(sel, F.size, batch_size)]
 
 
 @dataclass(frozen=True)
@@ -230,10 +231,7 @@ def fass_round(state: ALState, ds: LabeledDataset, holdout: LabeledDataset,
     if state.unlabeled.size == 0:
         raise ValidationError("unlabeled pool is empty")
     this_round = state.round + 1
-    try:
-        model = logreg_fit(ds.subset(state.labeled), n_classes=ds.n_classes)
-    except Exception as exc:
-        raise RuntimeError(f"model fit failed in round {this_round}: {exc}") from exc
+    model = logreg_fit(ds.subset(state.labeled), n_classes=ds.n_classes)
     accuracy = model.accuracy(holdout)
     record = RoundRecord(this_round, int(state.labeled.size), accuracy)
     batch_size = min(ceil_pct(cfg.B_percent, ds.n), int(state.unlabeled.size))

@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .kernels import cosine_similarity, euclidean_distance
 from .models import KnnConfig, knn_accuracy
 from .objectives import DisparityMin, FacilityLocation
-from .optimize import BudgetSpec, farthest_point, greedy_lazy
+from .optimize import BudgetSpec, farthest_point, greedy_lazy, padded_order
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +74,8 @@ class CurveRecord:
 def selection_order(train: LabeledDataset, method: str) -> np.ndarray:
     """Full-budget greedy ordering of the training set for fl or dm.
 
-    If the greedy stops early on zero gains, the remaining indices are
-    appended in ascending order, which is exactly where a no-early-stop
-    greedy would put them (all remaining gains are zero, lowest index
-    wins).
+    If the greedy stops early on zero gains, the remaining indices follow
+    in ascending order (see padded_order).
     """
     budget = BudgetSpec(train.n)
     if method == "fl":
@@ -86,11 +84,7 @@ def selection_order(train: LabeledDataset, method: str) -> np.ndarray:
         sel = farthest_point(DisparityMin(euclidean_distance(train.features)), budget)
     else:
         raise ValidationError(f"no greedy ordering for method {method!r}")
-    order = np.array(sel.indices, dtype=np.int64)
-    if order.size < train.n:
-        rest = np.setdiff1d(np.arange(train.n, dtype=np.int64), order)
-        order = np.concatenate((order, rest))
-    return order
+    return padded_order(sel, train.n, train.n)
 
 
 def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,

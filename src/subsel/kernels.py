@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import accel
 from .dataset import FeatureMatrix
 from .errors import ValidationError
 
@@ -84,6 +83,19 @@ class DistanceKernel:
     dense: np.ndarray
 
 
+def _mirror_upper(a: np.ndarray, diagonal: float) -> np.ndarray:
+    """Read-only copy of a's upper triangle mirrored below, fixed diagonal.
+
+    Mirroring makes the kernel exactly symmetric whatever order BLAS
+    summed each pair in.
+    """
+    upper = np.triu(a, 1)
+    out = upper + upper.T
+    np.fill_diagonal(out, diagonal)
+    out.flags.writeable = False
+    return out
+
+
 def _select_rows(m: FeatureMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
     if rows is None:
         idx = np.arange(m.n, dtype=np.int64)
@@ -105,17 +117,20 @@ def cosine_similarity(m: FeatureMatrix, rows=None) -> SimilarityKernel:
         raise ValidationError(
             f"cosine similarity undefined for all-zero row {int(idx[zero[0]])}"
         )
-    sim = accel.pairwise_shifted_cosine(x, 1.0 / norms)
-    sim.flags.writeable = False
-    return SimilarityKernel(n=x.shape[0], dense=sim)
+    inv_norms = 1.0 / norms
+    gram = x @ x.T
+    sim = 0.5 * (1.0 + gram * np.outer(inv_norms, inv_norms))
+    np.clip(sim, 0.0, 1.0, out=sim)
+    return SimilarityKernel(n=x.shape[0], dense=_mirror_upper(sim, 1.0))
 
 
 def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
     """Dense euclidean distance kernel over the selected rows."""
     x, _ = _select_rows(m, rows)
-    dist = accel.pairwise_euclidean(x)
-    dist.flags.writeable = False
-    return DistanceKernel(n=x.shape[0], dense=dist)
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.clip(d2, 0.0, None, out=d2)
+    return DistanceKernel(n=x.shape[0], dense=_mirror_upper(np.sqrt(d2), 0.0))
 
 
 def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:

@@ -3,8 +3,8 @@
 kNN breaks distance ties toward the lower training index and vote ties
 toward the smallest class label, so predictions are fully deterministic.
 The regression is fit by full-batch gradient descent with step halving
-on any objective increase; parameters start at zero, which keeps the fit
-deterministic (the seed argument is threaded but currently inert).
+on any objective increase; parameters start at zero, so the fit is
+deterministic without a seed.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import accel
 from .dataset import LabeledDataset
 from .errors import ValidationError
 
 DEFAULT_L2 = 1e-2
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 2000
+_QUERY_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,19 @@ def knn_predict_batch(train: LabeledDataset, queries, cfg: KnnConfig = KnnConfig
             f"query dimension {q.shape} incompatible with d={train.features.d}"
         )
     x = train.features.values.astype(np.float64)
-    return accel.knn_labels(x, train.labels.labels, q, cfg.k, train.n_classes)
+    y = train.labels.labels
+    nq = q.shape[0]
+    preds = np.empty(nq, dtype=np.int64)
+    for start in range(0, nq, _QUERY_CHUNK):
+        stop = min(start + _QUERY_CHUNK, nq)
+        chunk = q[start:stop]
+        d2 = ((chunk[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        # stable sort keeps the lower training index first on distance ties
+        order = np.argsort(d2, axis=1, kind="stable")[:, :cfg.k]
+        for r in range(order.shape[0]):
+            counts = np.bincount(y[order[r]], minlength=train.n_classes)
+            preds[start + r] = int(counts.argmax())
+    return preds
 
 
 def knn_accuracy(train: LabeledDataset, holdout: LabeledDataset,
@@ -135,7 +147,7 @@ def softmax_gradients(weights, bias, X, y, l2: float):
 
 def logreg_fit(train: LabeledDataset, l2: float = DEFAULT_L2,
                tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-               seed: int = 0, n_classes: int | None = None) -> LogRegModel:
+               n_classes: int | None = None) -> LogRegModel:
     """Fit a multinomial logistic regression by damped gradient descent.
 
     The cross-entropy part takes plain gradient steps while the ridge
@@ -155,7 +167,6 @@ def logreg_fit(train: LabeledDataset, l2: float = DEFAULT_L2,
     C = train.n_classes if n_classes is None else n_classes
     if C < train.n_classes:
         raise ValidationError(f"n_classes={C} below observed label range {train.n_classes}")
-    _ = np.random.default_rng(seed)  # threaded for future use; zero init keeps it inert
     d = X.shape[1]
     W = np.zeros((C, d))
     b = np.zeros(C)

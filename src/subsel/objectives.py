@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from . import accel
 from .errors import ValidationError
 from .kernels import DistanceKernel, SimilarityKernel
 
@@ -28,6 +27,13 @@ def _check_subset(X, n: int) -> np.ndarray:
     if idx.size != np.unique(idx).size:
         raise ValidationError("selection indices must be distinct")
     return idx
+
+
+def _require_candidate(obj, e: int):
+    if not (0 <= e < obj.n):
+        raise ValidationError(f"index {e} out of range for n={obj.n}")
+    if obj.selected_mask[e]:
+        raise ValidationError(f"element {e} is already selected")
 
 
 def facility_location_value(kernel: SimilarityKernel, X) -> float:
@@ -73,17 +79,11 @@ class FacilityLocation:
             (self._col_ptr, self._entry_rows,
              self._entry_vals, self._entry_cols) = kernel.csc_arrays()
 
-    def _require_candidate(self, e: int):
-        if not (0 <= e < self.n):
-            raise ValidationError(f"index {e} out of range for n={self.n}")
-        if self.selected_mask[e]:
-            raise ValidationError(f"element {e} is already selected")
-
     def gain(self, e: int) -> float:
         """Marginal value of adding e: sum of max(0, s_ie - best_i); >= 0."""
-        self._require_candidate(e)
+        _require_candidate(self, e)
         if not self.kernel.is_sparse:
-            return float(accel.facility_gain_single(self.kernel.dense[:, e], self.best))
+            return float(np.maximum(self.kernel.dense[:, e] - self.best, 0.0).sum())
         lo, hi = self._col_ptr[e], self._col_ptr[e + 1]
         rows = self._entry_rows[lo:hi]
         vals = self._entry_vals[lo:hi]
@@ -94,12 +94,14 @@ class FacilityLocation:
     def gains_all(self) -> np.ndarray:
         """Gains for every candidate; already-selected slots read -1."""
         if not self.kernel.is_sparse:
-            return accel.facility_gains_dense(self.kernel.dense, self.best,
-                                              self.selected_mask)
-        return accel.facility_gains_sparse(self.n, self._col_ptr,
-                                           self._entry_rows, self._entry_vals,
-                                           self._entry_cols, self.best,
-                                           self.selected_mask)
+            gains = np.maximum(self.kernel.dense - self.best[:, None], 0.0).sum(axis=0)
+        else:
+            # implicit unit diagonal first, then scatter-add the stored entries
+            gains = np.maximum(1.0 - self.best, 0.0)
+            contrib = np.maximum(self._entry_vals - self.best[self._entry_rows], 0.0)
+            np.add.at(gains, self._entry_cols, contrib)
+        gains[self.selected_mask] = -1.0
+        return gains
 
     def add(self, e: int) -> float:
         """Select e, fold it into the per-element maxima, return the gain."""
@@ -135,15 +137,9 @@ class DisparityMin:
         self.mindist = np.full(self.n, INF)
         self.value = INF
 
-    def _require_candidate(self, e: int):
-        if not (0 <= e < self.n):
-            raise ValidationError(f"index {e} out of range for n={self.n}")
-        if self.selected_mask[e]:
-            raise ValidationError(f"element {e} is already selected")
-
     def gain(self, e: int) -> float:
         """Farthest-point score: distance from e to the selected set."""
-        self._require_candidate(e)
+        _require_candidate(self, e)
         return float(self.mindist[e])
 
     def gains_all(self) -> np.ndarray:

@@ -54,15 +54,13 @@ def _check_budget(obj, budget: BudgetSpec) -> int:
     return budget.b
 
 
-def greedy_naive(obj, budget: BudgetSpec) -> Selection:
-    """Add the argmax-gain element per step; lowest index wins ties.
+def _argmax_fill(obj, b: int, steps: list[float], evals: int) -> int:
+    """Add the argmax-gain element until |X| = b or the best gain is zero.
 
-    Stops at the budget or as soon as the best gain is zero; zero-gain
-    elements are never added.
+    Lowest index wins ties and zero-gain elements are never added. Appends
+    the objective value after each add to steps and returns evals plus
+    the number of gains scanned.
     """
-    b = _check_budget(obj, budget)
-    steps: list[float] = []
-    evals = 0
     while len(obj.selected) < b:
         gains = obj.gains_all()
         evals += obj.n - len(obj.selected)
@@ -71,6 +69,33 @@ def greedy_naive(obj, budget: BudgetSpec) -> Selection:
             break
         obj.add(e)
         steps.append(obj.value)
+    return evals
+
+
+def padded_order(sel: Selection, n: int, b: int) -> np.ndarray:
+    """The greedy's picks, then the unchosen indices of range(n) in
+    ascending order, b indices in all.
+
+    A greedy stops early only when every remaining gain is zero; a greedy
+    that kept going would then take the rest lowest index first, which is
+    the order appended here.
+    """
+    order = np.array(sel.indices, dtype=np.int64)
+    if order.size < b:
+        rest = np.setdiff1d(np.arange(n, dtype=np.int64), order)
+        order = np.concatenate((order, rest[:b - order.size]))
+    return order
+
+
+def greedy_naive(obj, budget: BudgetSpec) -> Selection:
+    """Add the argmax-gain element per step; lowest index wins ties.
+
+    Stops at the budget or as soon as the best gain is zero; zero-gain
+    elements are never added.
+    """
+    b = _check_budget(obj, budget)
+    steps: list[float] = []
+    evals = _argmax_fill(obj, b, steps, 0)
     return Selection(list(obj.selected), steps, obj.value if steps else 0.0,
                      gain_evals=evals)
 
@@ -138,14 +163,7 @@ def farthest_point(obj: DisparityMin, budget: BudgetSpec,
         obj.add(int(np.argmax(dist[medoid])))
         evals += obj.n
     steps = [INF] if len(obj.selected) == 1 else [INF, obj.value]
-    while len(obj.selected) < b:
-        gains = obj.gains_all()
-        evals += obj.n - len(obj.selected)
-        e = int(np.argmax(gains))
-        if gains[e] <= 0.0:
-            break
-        obj.add(e)
-        steps.append(obj.value)
+    evals = _argmax_fill(obj, b, steps, evals)
     return Selection(list(obj.selected), steps, obj.value, gain_evals=evals)
 
 

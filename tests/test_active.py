@@ -158,6 +158,15 @@ class TestSelectBatch:
         with pytest.raises(ValidationError):
             select_batch(fset, features, "random", 3)
 
+    @pytest.mark.parametrize("selector", ["fl", "dm"])
+    def test_greedy_selectors_fill_the_batch_on_duplicates(self, selector):
+        # five points, each twice: greedy gains reach zero before 8 picks
+        base = np.random.default_rng(56).standard_normal((5, 3))
+        features = FeatureMatrix(np.concatenate((base, base)))
+        chosen = select_batch(self._fset(np.arange(10)), features, selector, 8)
+        assert len(chosen) == 8 and len(set(chosen)) == 8
+        assert set(chosen) <= set(range(10))
+
     def test_unknown_selector_rejected(self):
         features = FeatureMatrix(np.zeros((2, 1)) + 1.0)
         with pytest.raises(ValidationError):

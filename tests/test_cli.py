@@ -137,3 +137,15 @@ class TestAlCommand:
                    "--batch-pct", "10", "--beta-pct", "40", "--rounds", "2",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    def test_single_class_labels_fail_with_an_error_line(self, synth_files, tmp_path,
+                                                        capsys):
+        features, labels = synth_files
+        labels.write_text("0\n" * 90, encoding="utf-8")
+        rc = main(["al", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--selectors", "fl",
+                   "--batch-pct", "10", "--beta-pct", "40", "--rounds", "2",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: logistic regression needs at least two classes")

@@ -159,6 +159,27 @@ class TestSparseConsumers:
                 rtol=0, atol=1e-12)
 
 
+class TestGainsAllSentinel:
+    @pytest.mark.parametrize("kappa", [None, 3])
+    def test_selected_slots_read_minus_one_for_fl(self, kappa):
+        kernel = random_similarity_kernel(np.random.default_rng(28), 8)
+        if kappa is not None:
+            kernel = sparsify_knn(kernel, kappa)
+        state = FacilityLocation(kernel)
+        for e in (5, 1):
+            state.add(e)
+        gains = state.gains_all()
+        assert gains[5] == -1.0 and gains[1] == -1.0
+        assert (gains[~state.selected_mask] >= 0.0).all()
+
+    def test_selected_slots_read_minus_one_for_dm(self, line_distance):
+        state = DisparityMin(line_distance)
+        state.add(2)
+        gains = state.gains_all()
+        assert gains[2] == -1.0
+        assert (gains[[0, 1]] >= 0.0).all()
+
+
 class TestDisparityMin:
     def test_eval_examples(self, line_distance):
         assert disparity_min_value(line_distance, [0, 2]) == 10.0

@@ -26,6 +26,10 @@ class TestNaiveGreedy:
         assert sel.indices == [1, 2]
         assert abs(sel.final_value - 2.9) < 1e-9
 
+    def test_gain_evals_count_every_scanned_candidate(self, hand_similarity):
+        sel = greedy_naive(FacilityLocation(hand_similarity), BudgetSpec(2))
+        assert sel.gain_evals == 3 + 2
+
     def test_full_budget_reaches_ground_set_value(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
@@ -93,6 +97,10 @@ class TestFarthestPoint:
         sel = farthest_point(DisparityMin(line_distance), BudgetSpec(3))
         assert sel.indices == [0, 2, 1]
         assert sel.final_value == 1.0
+
+    def test_gain_evals_count_the_pair_seed_and_each_scan(self, line_distance):
+        sel = farthest_point(DisparityMin(line_distance), BudgetSpec(3))
+        assert sel.gain_evals == 3 + 1  # all 3 pairs, then 1 candidate left
 
     def test_budget_one_returns_lowest_index_singleton(self, line_distance):
         sel = farthest_point(DisparityMin(line_distance), BudgetSpec(1))
