@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .active import ALConfig, UncertaintyMethod
 from .dataset import (
     SplitSpec,
+    atomic_open,
     gen_synthetic,
     load_dataset,
     save_features,
@@ -122,9 +122,8 @@ def _cmd_select(args) -> int:
         if args.knn_sparsify is not None:
             raise ValidationError("--knn-sparsify applies only to the fl objective")
         selection = farthest_point(DisparityMin(euclidean_distance(features)), budget)
-    Path(args.out).write_text(
-        "".join(f"{i}\n" for i in selection.indices), encoding="utf-8"
-    )
+    with atomic_open(args.out, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{i}\n" for i in selection.indices))
     print(f"selected {len(selection.indices)} of {features.n} "
           f"(objective value {selection.final_value:g}) -> {args.out}")
     return 0

@@ -4,14 +4,18 @@ Binary feature files carry a 26-byte header (magic ``SUBSELF1``, u16 LE
 version, u64 LE row count, u64 LE column count), a row-major float32 LE
 payload, and a trailing CRC32 of the payload. A ``.csv`` path selects the
 text fallback: comma-separated reals, one row per line, no header.
-Label files are plain text, one non-negative integer per line.
+Label files are plain text, one non-negative integer per line. Every
+writer goes through ``atomic_open``, so a failed write leaves the target
+as it was.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -165,6 +169,28 @@ class SplitSpec:
 
 
 # ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a sibling temporary file that replaces path when the block ends.
+
+    If the block raises, the temporary file is removed and path is left
+    untouched, so readers never see a half-written file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # feature file I/O
 # ---------------------------------------------------------------------------
 
@@ -173,22 +199,20 @@ def save_features(m: FeatureMatrix, path) -> None:
     path = Path(path)
     try:
         if path.suffix.lower() == ".csv":
-            _save_features_csv(m, path)
+            # shortest-repr float32 formatting parses back bit-exactly
+            with atomic_open(path, "w", encoding="utf-8") as fh:
+                for row in m.values:
+                    fh.write(",".join(np.format_float_positional(v, trim="0")
+                                      for v in row))
+                    fh.write("\n")
         else:
             payload = m.values.astype("<f4", copy=False).tobytes()
             header = _HEADER.pack(MAGIC, FORMAT_VERSION, m.n, m.d)
             crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-            path.write_bytes(header + payload + crc)
+            with atomic_open(path, "wb") as fh:
+                fh.write(header + payload + crc)
     except OSError as exc:
         raise OSError(f"cannot write feature file {path}: {exc}") from exc
-
-
-def _save_features_csv(m: FeatureMatrix, path: Path) -> None:
-    # shortest-repr float32 formatting parses back bit-exactly
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in m.values:
-            fh.write(",".join(np.format_float_positional(v, trim="0") for v in row))
-            fh.write("\n")
 
 
 def load_features(path) -> FeatureMatrix:
@@ -269,7 +293,8 @@ def load_labels(path) -> LabelVector:
 def save_labels(v: LabelVector, path) -> None:
     path = Path(path)
     try:
-        path.write_text("".join(f"{x}\n" for x in v.labels), encoding="utf-8")
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{x}\n" for x in v.labels))
     except OSError as exc:
         raise OSError(f"cannot write label file {path}: {exc}") from exc
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .active import ALConfig, run_al
-from .dataset import LabeledDataset, round_half_up
+from .dataset import LabeledDataset, atomic_open, round_half_up
 from .errors import ValidationError
 from .kernels import cosine_similarity, euclidean_distance
 from .models import KnnConfig, knn_accuracy
@@ -142,10 +142,13 @@ def run_goal2(train: LabeledDataset, holdout: LabeledDataset,
 
 
 def emit_csv(records: Iterable[CurveRecord], path) -> None:
-    """Write records sorted by (method, seed, x); output is byte-stable."""
+    """Write records sorted by (method, seed, x); output is byte-stable.
+
+    The file is replaced atomically: if any row fails, path is untouched.
+    """
     rows = sorted(records, key=lambda r: (r.method, r.seed, r.x))
     try:
-        with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in rows:
                 fh.write(f"{r.method},{r.seed},{r.x:g},{r.labeled_count},"

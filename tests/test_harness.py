@@ -151,6 +151,20 @@ class TestCsv:
         emit_csv(list(reversed(self._records())), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_write_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        from types import SimpleNamespace
+
+        path = tmp_path / "c.csv"
+        emit_csv(self._records(), path)
+        before = path.read_bytes()
+        # sorts between the fl and random rows, so the failure comes partway
+        bad = SimpleNamespace(method="fl", seed=0, x=20, labeled_count=9,
+                              accuracy=None)
+        with pytest.raises(TypeError):
+            emit_csv(self._records() + [bad], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
+
     def test_accuracy_range_enforced(self):
         with pytest.raises(ValidationError):
             CurveRecord("fl", 0, 10, 5, 1.5)

@@ -11,8 +11,10 @@ from subsel.dataset import (
 )
 from subsel.errors import ValidationError
 from subsel.models import (
+    DEFAULT_TOL,
     KnnConfig,
     LogRegModel,
+    _softmax_hvp,
     knn_accuracy,
     knn_predict,
     knn_predict_batch,
@@ -160,6 +162,76 @@ class TestLogReg:
         b = logreg_fit(ds)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
+
+
+def overlapping_classes(seed=50):
+    """Three Gaussian classes close enough that no fit separates them."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(90) % 3
+    values = rng.standard_normal((3, 4))[labels] * 0.5 + rng.standard_normal((90, 4))
+    return make_dataset(values, labels)
+
+
+class TestSoftmaxHvp:
+    def test_matches_central_differences_of_the_gradient(self):
+        rng = np.random.default_rng(51)
+        for _ in range(5):
+            n, d, C = int(rng.integers(5, 15)), int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            X = rng.standard_normal((n, d))
+            y = rng.integers(0, C, size=n)
+            W = rng.standard_normal((C, d))
+            b = rng.standard_normal(C)
+            V = rng.standard_normal((C, d))
+            c = rng.standard_normal(C)
+            l2 = 0.05
+            P = LogRegModel(weights=W, bias=b, l2=l2, n_trained=n).predict_proba_batch(X)
+            hv, hc = _softmax_hvp(P, X, V, c, l2)
+            h = 1e-5
+            up_W, up_b = softmax_gradients(W + h * V, b + h * c, X, y, l2)
+            down_W, down_b = softmax_gradients(W - h * V, b - h * c, X, y, l2)
+            exact = np.concatenate((hv.ravel(), hc))
+            fd = np.concatenate(((up_W - down_W).ravel(), up_b - down_b)) / (2 * h)
+            assert np.linalg.norm(exact - fd) <= 1e-5 * np.linalg.norm(fd)
+
+    def test_common_bias_shift_is_a_null_direction(self):
+        rng = np.random.default_rng(52)
+        X = rng.standard_normal((12, 3))
+        model = LogRegModel(weights=rng.standard_normal((4, 3)),
+                            bias=rng.standard_normal(4), l2=0.1, n_trained=12)
+        hv, hc = _softmax_hvp(model.predict_proba_batch(X), X, np.zeros((4, 3)),
+                              np.ones(4), 0.1)
+        assert np.abs(hv).max() <= 1e-14
+        assert np.abs(hc).max() <= 1e-14
+
+
+class TestNewtonFit:
+    @pytest.mark.parametrize("ds", [separable_clusters(), overlapping_classes()],
+                             ids=["separable", "overlapping"])
+    def test_fit_meets_the_tolerance_without_a_bias_shift(self, ds):
+        model = logreg_fit(ds)
+        X = ds.features.values.astype(np.float64)
+        gW, gb = softmax_gradients(model.weights, model.bias, X, ds.labels.labels,
+                                   model.l2)
+        assert model.converged
+        assert max(np.abs(gW).max(), np.abs(gb).max()) <= DEFAULT_TOL
+        # softmax is invariant to a common bias shift; the fit never takes one
+        assert abs(model.bias.sum()) <= 1e-9
+
+    def test_few_newton_steps_on_separable_clusters(self):
+        assert logreg_fit(separable_clusters()).n_iters <= 25
+
+    def test_unregularized_separable_fit_terminates(self):
+        model = logreg_fit(separable_clusters(), l2=0.0)
+        assert model.converged
+        assert (np.diff(model.objective_history) <= 0).all()
+
+    def test_absent_classes_get_vanishing_probability(self):
+        ds = separable_clusters()
+        model = logreg_fit(ds, n_classes=4)
+        assert model.converged
+        assert abs(model.bias.sum()) <= 1e-9
+        probs = model.predict_proba_batch(ds.features.values)
+        assert probs[:, 2:].max() < 1e-3
 
 
 class TestPredictProba:
