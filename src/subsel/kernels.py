@@ -6,6 +6,14 @@ is computed once and mirrored, which makes dense kernels exactly
 symmetric. ``sparsify_knn`` keeps the top-kappa off-diagonal entries per
 row; consumers treat dropped entries as similarity 0 and the diagonal
 as an implicit 1.
+
+A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
+and finishes it in place: each block of rows (see ``row_blocks``) has
+its upper-triangle part turned into similarities or distances, and
+``_mirror_upper`` then copies the upper triangle onto the lower one,
+block by block. Working memory beyond the result is O(block * n), and
+every entry goes through the same floating-point operations, in the
+same order, as the whole-matrix expressions they replace.
 """
 
 from __future__ import annotations
@@ -83,17 +91,38 @@ class DistanceKernel:
     dense: np.ndarray
 
 
+# Elements per row block: the blocked passes over n x n arrays keep their
+# temporaries at about this size (256 KiB of float64) instead of n x n.
+_BLOCK_ELEMS = 1 << 15
+
+
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """Consecutive [lo, hi) ranges covering range(n), ~_BLOCK_ELEMS / n rows each."""
+    step = max(1, _BLOCK_ELEMS // max(n, 1))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def is_symmetric(a: np.ndarray) -> bool:
+    """Whether the square array a equals its transpose exactly."""
+    return all(np.array_equal(a[lo:hi, lo:], a[lo:, lo:hi].T)
+               for lo, hi in row_blocks(a.shape[0]))
+
+
 def _mirror_upper(a: np.ndarray, diagonal: float) -> np.ndarray:
-    """Read-only copy of a's upper triangle mirrored below, fixed diagonal.
+    """Copy a's upper triangle onto its lower one in place, set the
+    diagonal, and return a made read-only.
 
     Mirroring makes the kernel exactly symmetric whatever order BLAS
     summed each pair in.
     """
-    upper = np.triu(a, 1)
-    out = upper + upper.T
-    np.fill_diagonal(out, diagonal)
-    out.flags.writeable = False
-    return out
+    for lo, hi in row_blocks(a.shape[0]):
+        a[lo:hi, :lo] = a[:lo, lo:hi].T
+        tile = a[lo:hi, lo:hi]
+        below = np.tri(hi - lo, k=-1, dtype=bool)
+        tile[below] = tile.T[below]
+    np.fill_diagonal(a, diagonal)
+    a.flags.writeable = False
+    return a
 
 
 def _select_rows(m: FeatureMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -118,9 +147,13 @@ def cosine_similarity(m: FeatureMatrix, rows=None) -> SimilarityKernel:
             f"cosine similarity undefined for all-zero row {int(idx[zero[0]])}"
         )
     inv_norms = 1.0 / norms
-    gram = x @ x.T
-    sim = 0.5 * (1.0 + gram * np.outer(inv_norms, inv_norms))
-    np.clip(sim, 0.0, 1.0, out=sim)
+    sim = x @ x.T
+    for lo, hi in row_blocks(x.shape[0]):
+        upper = sim[lo:hi, lo:]  # the lower triangle is mirrored over
+        upper *= np.outer(inv_norms[lo:hi], inv_norms[lo:])
+        upper += 1.0
+        upper *= 0.5
+        np.clip(upper, 0.0, 1.0, out=upper)
     return SimilarityKernel(n=x.shape[0], dense=_mirror_upper(sim, 1.0))
 
 
@@ -128,9 +161,15 @@ def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
     """Dense euclidean distance kernel over the selected rows."""
     x, _ = _select_rows(m, rows)
     sq = np.einsum("ij,ij->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.clip(d2, 0.0, None, out=d2)
-    return DistanceKernel(n=x.shape[0], dense=_mirror_upper(np.sqrt(d2), 0.0))
+    dist = x @ x.T
+    for lo, hi in row_blocks(x.shape[0]):
+        upper = dist[lo:hi, lo:]
+        # (sq_i + sq_j) - 2 g_ij, exactly: negation and commuting are exact
+        upper *= -2.0
+        upper += np.add.outer(sq[lo:hi], sq[lo:])
+        np.clip(upper, 0.0, None, out=upper)
+        np.sqrt(upper, out=upper)
+    return DistanceKernel(n=x.shape[0], dense=_mirror_upper(dist, 0.0))
 
 
 def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:
@@ -144,18 +183,30 @@ def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:
     n = kernel.n
     if not (1 <= kappa <= n - 1):
         raise ValidationError(f"kappa must be in [1, {n - 1}], got {kappa}")
-    cols = np.arange(n, dtype=np.int64)
     row_ptr = np.arange(0, (n + 1) * kappa, kappa, dtype=np.int64)
     col_idx = np.empty(n * kappa, dtype=np.int64)
     values = np.empty(n * kappa, dtype=np.float64)
-    for i in range(n):
-        off = np.concatenate((cols[:i], cols[i + 1:]))
-        vals = kernel.dense[i, off]
-        # descending value, ascending index among ties
-        order = np.lexsort((off, -vals))[:kappa]
-        keep = np.sort(off[order])
-        col_idx[i * kappa:(i + 1) * kappa] = keep
-        values[i * kappa:(i + 1) * kappa] = kernel.dense[i, keep]
+    for lo, hi in row_blocks(n):
+        block = kernel.dense[lo:hi].copy()
+        block[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+        # each row's kappa-th largest off-diagonal value; the -inf diagonal
+        # is never above it because kappa <= n - 1
+        cut = np.partition(block, n - kappa, axis=1)[:, n - kappa, None]
+        keep = block >= cut
+        if np.count_nonzero(keep) > (hi - lo) * kappa:
+            # rows with more than kappa entries at or above the cut (ties at
+            # the cut, or a -inf cut that takes in the diagonal): keep the
+            # entries above the cut, then tied ones by ascending column
+            over = np.flatnonzero(np.count_nonzero(keep, axis=1) > kappa)
+            rows, at = block[over], cut[over]
+            above = rows > at
+            tied = rows == at
+            tied[np.arange(over.size), lo + over] = False
+            room = kappa - np.count_nonzero(above, axis=1, keepdims=True)
+            keep[over] = above | (tied & (np.cumsum(tied, axis=1) <= room))
+        flat = np.flatnonzero(keep)  # row-major: columns ascend within a row
+        col_idx[lo * kappa:hi * kappa] = flat % n
+        values[lo * kappa:hi * kappa] = block.ravel()[flat]
     col_idx.flags.writeable = False
     values.flags.writeable = False
     return SimilarityKernel(n=n, row_ptr=row_ptr, col_idx=col_idx, values=values)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import DistanceKernel, SimilarityKernel
+from .kernels import DistanceKernel, SimilarityKernel, is_symmetric, row_blocks
 
 INF = math.inf
 
@@ -78,12 +78,17 @@ class FacilityLocation:
         if kernel.is_sparse:
             (self._col_ptr, self._entry_rows,
              self._entry_vals, self._entry_cols) = kernel.csc_arrays()
+        else:
+            # _by_candidate[e] is column e of the kernel: a contiguous row
+            # when the kernel is symmetric, else a strided transposed view
+            d = kernel.dense
+            self._by_candidate = d if is_symmetric(d) else d.T
 
     def gain(self, e: int) -> float:
         """Marginal value of adding e: sum of max(0, s_ie - best_i); >= 0."""
         _require_candidate(self, e)
         if not self.kernel.is_sparse:
-            return float(np.maximum(self.kernel.dense[:, e] - self.best, 0.0).sum())
+            return float(np.maximum(self._by_candidate[e] - self.best, 0.0).sum())
         lo, hi = self._col_ptr[e], self._col_ptr[e + 1]
         rows = self._entry_rows[lo:hi]
         vals = self._entry_vals[lo:hi]
@@ -94,7 +99,7 @@ class FacilityLocation:
     def gains_all(self) -> np.ndarray:
         """Gains for every candidate; already-selected slots read -1."""
         if not self.kernel.is_sparse:
-            gains = np.maximum(self.kernel.dense - self.best[:, None], 0.0).sum(axis=0)
+            gains = self._dense_gains()
         else:
             # implicit unit diagonal first, then scatter-add the stored entries
             gains = np.maximum(1.0 - self.best, 0.0)
@@ -103,11 +108,36 @@ class FacilityLocation:
         gains[self.selected_mask] = -1.0
         return gains
 
+    def _dense_gains(self) -> np.ndarray:
+        """sum_i max(0, s_ie - best_i) for every e, accumulated row by row.
+
+        The rows are added in ascending order, as numpy's axis-0 sum of
+        the whole n x n matrix of terms does, but one row block at a
+        time: each block's sum starts from the running total, carried in
+        the block buffer's first row.
+        """
+        dense, best = self.kernel.dense, self.best
+        blocks = row_blocks(self.n)
+        if not blocks:  # empty ground set
+            return np.zeros(0)
+        buf = np.empty((blocks[0][1] + 1, self.n))
+        gains = None
+        for lo, hi in blocks:
+            terms = buf[1:hi - lo + 1]
+            np.subtract(dense[lo:hi], best[lo:hi, None], out=terms)
+            np.maximum(terms, 0.0, out=terms)
+            if gains is None:
+                gains = terms.sum(axis=0)
+            else:
+                buf[0] = gains
+                gains = buf[:hi - lo + 1].sum(axis=0)
+        return gains
+
     def add(self, e: int) -> float:
         """Select e, fold it into the per-element maxima, return the gain."""
         g = self.gain(e)
         if not self.kernel.is_sparse:
-            np.maximum(self.best, self.kernel.dense[:, e], out=self.best)
+            np.maximum(self.best, self._by_candidate[e], out=self.best)
         else:
             lo, hi = self._col_ptr[e], self._col_ptr[e + 1]
             rows = self._entry_rows[lo:hi]

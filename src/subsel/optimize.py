@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, UnsupportedObjectiveError, ValidationError
+from .kernels import row_blocks
 from .objectives import INF, DisparityMin
 
 BRUTE_FORCE_CAP = 10 ** 6
@@ -152,9 +153,15 @@ def farthest_point(obj: DisparityMin, budget: BudgetSpec,
         return Selection([0], [INF], INF)
     dist = obj.kernel.dense
     if obj.n <= exact_pair_threshold:
-        masked = np.where(np.tri(obj.n, dtype=bool), -1.0, dist)
-        flat = int(np.argmax(masked))  # row-major first max = lexic. smallest pair
-        i, j = divmod(flat, obj.n)
+        # row-major first maximum of the strict upper triangle, one row
+        # block at a time: the lexicographically smallest pair on ties
+        top = None
+        for lo, hi in row_blocks(obj.n):
+            masked = np.where(np.tri(hi - lo, obj.n, lo, dtype=bool), -1.0, dist[lo:hi])
+            flat = int(np.argmax(masked))
+            if top is None or masked.flat[flat] > top:
+                top = masked.flat[flat]
+                i, j = lo + flat // obj.n, flat % obj.n
         obj.add(i)
         obj.add(j)
         evals += obj.n * (obj.n - 1) // 2

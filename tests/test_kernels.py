@@ -1,12 +1,104 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_features, random_similarity_kernel
+from subsel import kernels
 from subsel.dataset import FeatureMatrix
 from subsel.errors import ValidationError
-from subsel.kernels import cosine_similarity, euclidean_distance, sparsify_knn
+from subsel.kernels import (
+    SimilarityKernel,
+    cosine_similarity,
+    euclidean_distance,
+    is_symmetric,
+    sparsify_knn,
+)
 from subsel.objectives import FacilityLocation
 from subsel.optimize import BudgetSpec, greedy_naive
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+# Row-block sizes, in elements, for the blocked passes: one row per block,
+# a few rows per block, and the default.
+BLOCK_ELEMS = st.sampled_from([1, 7, 40, kernels._BLOCK_ELEMS])
+
+
+# Whole-matrix reference implementations: the blocked kernels must give
+# the same bytes.
+
+def reference_mirror_upper(a, diagonal):
+    upper = np.triu(a, 1)
+    out = upper + upper.T
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
+def reference_rows(m, rows):
+    idx = np.arange(m.n) if rows is None else np.asarray(rows, dtype=np.int64)
+    return m.values[idx].astype(np.float64)
+
+
+def reference_cosine(m, rows=None):
+    x = reference_rows(m, rows)
+    inv_norms = 1.0 / np.sqrt(np.einsum("ij,ij->i", x, x))
+    gram = x @ x.T
+    sim = 0.5 * (1.0 + gram * np.outer(inv_norms, inv_norms))
+    np.clip(sim, 0.0, 1.0, out=sim)
+    return reference_mirror_upper(sim, 1.0)
+
+
+def reference_euclidean(m, rows=None):
+    x = reference_rows(m, rows)
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.clip(d2, 0.0, None, out=d2)
+    return reference_mirror_upper(np.sqrt(d2), 0.0)
+
+
+def reference_sparsify(dense, kappa):
+    """Per-row top-kappa: descending value, ascending column among ties."""
+    n = dense.shape[0]
+    cols = np.arange(n, dtype=np.int64)
+    col_idx = np.empty(n * kappa, dtype=np.int64)
+    values = np.empty(n * kappa, dtype=np.float64)
+    for i in range(n):
+        off = np.concatenate((cols[:i], cols[i + 1:]))
+        order = np.lexsort((off, -dense[i, off]))[:kappa]
+        keep = np.sort(off[order])
+        col_idx[i * kappa:(i + 1) * kappa] = keep
+        values[i * kappa:(i + 1) * kappa] = dense[i, keep]
+    return col_idx, values
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def features_and_rows(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).standard_normal((n, d))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = values[0]  # an exact duplicate row
+    rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=40))
+    return FeatureMatrix(values), rows
+
+
+@st.composite
+def tied_kernels(draw):
+    """Small square kernels over a 3-4 value alphabet: ties everywhere."""
+    n = draw(st.integers(2, 12))
+    alphabet = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, -np.inf]),
+                             min_size=3, max_size=4, unique=True))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    dense = np.random.default_rng(seed).choice(alphabet, size=(n, n))
+    return SimilarityKernel(n=n, dense=dense)
 
 
 class TestCosine:
@@ -150,6 +242,81 @@ class TestSparsify:
         np.fill_diagonal(rebuilt, 1.0)
         assert np.array_equal(dense, rebuilt)
         assert (np.diff(col_ptr) == np.bincount(cols, minlength=8)).all()
+
+
+class TestBlockedBuildsMatchReference:
+    @PROPERTY
+    @given(features_and_rows(), BLOCK_ELEMS)
+    def test_cosine_is_byte_identical(self, case, block_elems):
+        m, rows = case
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            built = cosine_similarity(m, rows=rows).dense
+        assert same_bytes(built, reference_cosine(m, rows))
+
+    @PROPERTY
+    @given(features_and_rows(), BLOCK_ELEMS)
+    def test_euclidean_is_byte_identical(self, case, block_elems):
+        m, rows = case
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            built = euclidean_distance(m, rows=rows).dense
+        assert same_bytes(built, reference_euclidean(m, rows))
+
+    @PROPERTY
+    @given(tied_kernels(), BLOCK_ELEMS)
+    def test_sparsify_is_byte_identical_for_every_kappa(self, kernel, block_elems):
+        for kappa in range(1, kernel.n):
+            with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+                sparse = sparsify_knn(kernel, kappa)
+            col_idx, values = reference_sparsify(kernel.dense, kappa)
+            assert same_bytes(sparse.col_idx, col_idx)
+            assert same_bytes(sparse.values, values)
+            assert same_bytes(sparse.row_ptr,
+                              np.arange(0, (kernel.n + 1) * kappa, kappa, dtype=np.int64))
+
+    def test_sparsify_matches_reference_at_benchmark_scale(self):
+        m = random_features(np.random.default_rng(11), 700, 16)
+        dense = cosine_similarity(m).dense
+        for kappa in (1, 25, 699):
+            col_idx, values = reference_sparsify(dense, kappa)
+            sparse = sparsify_knn(SimilarityKernel(n=700, dense=dense), kappa)
+            assert same_bytes(sparse.col_idx, col_idx)
+            assert same_bytes(sparse.values, values)
+
+    def test_builds_match_reference_across_several_default_blocks(self):
+        m = random_features(np.random.default_rng(12), 600, 8)
+        assert len(kernels.row_blocks(600)) > 1
+        assert same_bytes(cosine_similarity(m).dense, reference_cosine(m))
+        assert same_bytes(euclidean_distance(m).dense, reference_euclidean(m))
+
+
+class TestIsSymmetric:
+    @pytest.mark.parametrize("block_elems", [1, 7, kernels._BLOCK_ELEMS])
+    def test_one_flipped_entry_anywhere_is_found(self, block_elems):
+        dense = random_similarity_kernel(np.random.default_rng(13), 9).dense
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            assert is_symmetric(dense)
+            for i, j in [(8, 0), (0, 8), (4, 3), (5, 6)]:
+                flipped = dense.copy()
+                flipped[i, j] = np.nextafter(flipped[i, j], 2.0)
+                assert not is_symmetric(flipped)
+
+
+def _peak_bytes(fn):
+    """Peak bytes newly allocated while fn runs (numpy reports to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("build", [cosine_similarity, euclidean_distance])
+    def test_dense_build_peaks_near_one_n_by_n_array(self, build):
+        n = 1000
+        m = random_features(np.random.default_rng(14), n, 16)
+        assert _peak_bytes(lambda: build(m)) <= 1.5 * 8 * n * n
 
 
 def test_row_selection_builds_subkernel():

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_distance_kernel, random_similarity_kernel
+from subsel import kernels
 from subsel.errors import ValidationError
 from subsel.kernels import SimilarityKernel, sparsify_knn
 from subsel.objectives import (
@@ -13,6 +18,7 @@ from subsel.objectives import (
     disparity_min_value,
     facility_location_value,
 )
+from subsel.optimize import BudgetSpec, greedy_lazy, greedy_naive
 
 
 def scratch_fl(dense, selected):
@@ -157,6 +163,125 @@ class TestSparseConsumers:
             np.testing.assert_allclose(
                 a.gains_all()[~a.selected_mask], b.gains_all()[~b.selected_mask],
                 rtol=0, atol=1e-12)
+
+
+def column_gain(dense, best, e):
+    """The gain of e read down column e of the kernel, whole-array form."""
+    return float(np.maximum(dense[:, e] - best, 0.0).sum())
+
+
+def column_gains_all(dense, best):
+    """All gains as one n x n sum over axis 0, whole-array form."""
+    return np.maximum(dense - best[:, None], 0.0).sum(axis=0)
+
+
+def asymmetric_kernels(rng, n):
+    """A random non-symmetric dense kernel and a densified top-kappa one."""
+    raw = rng.uniform(0.0, 1.0, size=(n, n))
+    np.fill_diagonal(raw, 1.0)
+    while True:  # a small top-kappa kernel can be symmetric by chance
+        topk = sparsify_knn(random_similarity_kernel(rng, n), max(1, n // 3)).to_dense()
+        if not np.array_equal(topk, topk.T):
+            break
+    return [SimilarityKernel(n=n, dense=raw), SimilarityKernel(n=n, dense=topk)]
+
+
+class TestDenseGainReads:
+    """gain(e) reads row e only when the kernel is exactly symmetric."""
+
+    @pytest.mark.parametrize("kind", [0, 1])
+    def test_gain_follows_columns_of_asymmetric_kernels(self, kind):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            n = int(rng.integers(3, 12))
+            kernel = asymmetric_kernels(rng, n)[kind]
+            assert not np.array_equal(kernel.dense, kernel.dense.T)
+            state = FacilityLocation(kernel)
+            for pick in rng.permutation(n)[:n // 2]:
+                for e in np.flatnonzero(~state.selected_mask):
+                    assert state.gain(int(e)) == column_gain(kernel.dense, state.best, e)
+                best = np.maximum(state.best, kernel.dense[:, pick])
+                state.add(int(pick))
+                assert np.array_equal(state.best, best)
+
+    @pytest.mark.parametrize("kind", [0, 1])
+    def test_lazy_matches_naive_on_asymmetric_kernels(self, kind):
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            n = int(rng.integers(3, 14))
+            kernel = asymmetric_kernels(rng, n)[kind]
+            b = int(rng.integers(1, n + 1))
+            lazy = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
+            naive = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
+            assert lazy.indices == naive.indices
+            assert lazy.step_values == naive.step_values
+
+    def test_symmetric_gain_is_byte_equal_to_the_column_read(self):
+        rng = np.random.default_rng(31)
+        kernel = random_similarity_kernel(rng, 40)
+        state = FacilityLocation(kernel)
+        for pick in (3, 17, 29):
+            for e in np.flatnonzero(~state.selected_mask):
+                assert state.gain(int(e)) == column_gain(kernel.dense, state.best, e)
+            state.add(pick)
+
+
+class TestDenseGainsAll:
+    @pytest.mark.parametrize("n", [7, 300, 2100])
+    def test_byte_equal_to_the_whole_matrix_sum(self, n):
+        # entries spread over 16 orders of magnitude make any change in
+        # summation order visible in the last bits
+        rng = np.random.default_rng(n)
+        dense = 10.0 ** rng.uniform(-16.0, 0.0, size=(n, n))
+        state = FacilityLocation(SimilarityKernel(n=n, dense=dense))
+        state.best = 10.0 ** rng.uniform(-16.0, 0.0, size=n)
+        assert state.gains_all().tobytes() == column_gains_all(dense, state.best).tobytes()
+
+    @pytest.mark.parametrize("block_elems", [1, 7, 40])
+    def test_byte_equal_with_small_row_blocks(self, block_elems):
+        rng = np.random.default_rng(32)
+        kernel = random_similarity_kernel(rng, 23)
+        state = FacilityLocation(kernel)
+        for pick in (4, 11):
+            state.add(pick)
+        expected = column_gains_all(kernel.dense, state.best)
+        expected[state.selected_mask] = -1.0
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            assert state.gains_all().tobytes() == expected.tobytes()
+
+    def test_empty_ground_set_gives_no_gains(self):
+        state = FacilityLocation(SimilarityKernel(n=0, dense=np.zeros((0, 0))))
+        assert state.gains_all().shape == (0,)
+
+    def test_peak_memory_stays_far_below_one_n_by_n_array(self):
+        n = 1000
+        state = FacilityLocation(random_similarity_kernel(np.random.default_rng(33), n))
+        state.add(0)
+        tracemalloc.start()
+        try:
+            state.gains_all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+def test_kappa_n_minus_one_sparse_gains_match_dense(n, seed):
+    rng = np.random.default_rng(seed)
+    dense_kernel = random_similarity_kernel(rng, n)
+    dense = FacilityLocation(dense_kernel)
+    sparse = FacilityLocation(sparsify_knn(dense_kernel, n - 1))
+    for pick in rng.permutation(n):
+        np.testing.assert_allclose(sparse.gains_all(), dense.gains_all(),
+                                   rtol=0, atol=1e-12)
+        for e in np.flatnonzero(~dense.selected_mask):
+            np.testing.assert_allclose(sparse.gain(int(e)), dense.gain(int(e)),
+                                       rtol=0, atol=1e-12)
+        sparse.add(int(pick))
+        dense.add(int(pick))
+        np.testing.assert_allclose(sparse.value, dense.value, rtol=0, atol=1e-12)
 
 
 class TestGainsAllSentinel:

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import random_distance_kernel, random_similarity_kernel
+from subsel import kernels
 from subsel.errors import CapacityError, UnsupportedObjectiveError, ValidationError
+from subsel.kernels import DistanceKernel
 from subsel.objectives import DisparityMin, FacilityLocation
 from subsel.optimize import (
     BudgetSpec,
@@ -115,6 +118,25 @@ class TestFarthestPoint:
         sel = farthest_point(DisparityMin(DistanceKernel(n=3, dense=dense)),
                              BudgetSpec(2))
         assert sel.indices == [0, 1]
+
+    @pytest.mark.parametrize("block_elems", [1, 7, 40, kernels._BLOCK_ELEMS])
+    def test_pair_seed_matches_the_whole_matrix_argmax(self, block_elems):
+        # the lexicographically smallest maximum pair, as the row-major
+        # first maximum of the strict upper triangle
+        rng = np.random.default_rng(35)
+        cases = []
+        for n in (2, 3, 9, 31, 300):
+            cases.append(random_distance_kernel(rng, n).dense)
+            tied = np.round(random_distance_kernel(rng, n).dense)  # many equal maxima
+            cases.append(tied)
+            cases.append(np.ones((n, n)) - np.eye(n))  # every pair ties
+        for dist in cases:
+            n = dist.shape[0]
+            flat = int(np.argmax(np.where(np.tri(n, dtype=bool), -1.0, dist)))
+            with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+                sel = farthest_point(DisparityMin(DistanceKernel(n=n, dense=dist)),
+                                     BudgetSpec(2))
+            assert sel.indices == list(divmod(flat, n))
 
     def test_medoid_seeding_path(self, line_distance):
         sel = farthest_point(DisparityMin(line_distance), BudgetSpec(2),
