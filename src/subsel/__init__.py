@@ -75,6 +75,7 @@ from .optimize import (
     greedy_lazy,
     greedy_naive,
     padded_order,
+    select_subset,
 )
 
 __version__ = "0.1.0"

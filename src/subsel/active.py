@@ -20,12 +20,10 @@ import numpy as np
 
 from .dataset import FeatureMatrix, LabeledDataset, largest_remainder_quota
 from .errors import ValidationError
-from .kernels import cosine_similarity, euclidean_distance
 from .models import logreg_fit
-from .objectives import DisparityMin, FacilityLocation
-from .optimize import BudgetSpec, farthest_point, greedy_lazy, padded_order
+from .optimize import OBJECTIVES, padded_order, select_subset
 
-SELECTORS = ("fl", "dm", "us", "random")
+SELECTORS = OBJECTIVES + ("us", "random")
 
 
 class UncertaintyMethod(str, Enum):
@@ -113,8 +111,7 @@ def select_batch(fset: FilteredSet, features: FeatureMatrix, selector: str,
                  batch_size: int, rng: Optional[np.random.Generator] = None) -> list[int]:
     """Choose min(batch_size, |set|) elements of the filtered set.
 
-    fl runs lazy greedy facility location on a cosine kernel over the
-    set, dm runs farthest-point on a euclidean kernel, us takes the head
+    fl and dm run select_subset over the set's rows, us takes the head
     of the uncertainty ordering, random draws uniformly without
     replacement from the supplied generator. A greedy that stops early on
     zero gains is padded to the full batch by padded_order.
@@ -133,12 +130,7 @@ def select_batch(fset: FilteredSet, features: FeatureMatrix, selector: str,
             raise ValidationError("random selector requires a seeded generator")
         picks = rng.choice(F.size, size=batch_size, replace=False)
         return [int(F[i]) for i in picks]
-    if selector == "fl":
-        kernel = cosine_similarity(features, rows=F)
-        sel = greedy_lazy(FacilityLocation(kernel), BudgetSpec(batch_size))
-    else:
-        kernel = euclidean_distance(features, rows=F)
-        sel = farthest_point(DisparityMin(kernel), BudgetSpec(batch_size))
+    sel = select_subset(features, selector, batch_size, rows=F)
     return [int(F[i]) for i in padded_order(sel, F.size, batch_size)]
 
 

@@ -16,6 +16,7 @@ from .dataset import (
     atomic_open,
     gen_synthetic,
     load_dataset,
+    load_features,
     save_features,
     save_labels,
     split,
@@ -28,11 +29,9 @@ from .harness import (
     summarize_random,
     sweep_goal1,
 )
-from .kernels import cosine_similarity, euclidean_distance, sparsify_knn
-from .objectives import DisparityMin, FacilityLocation
-from .optimize import BudgetSpec, farthest_point, greedy_lazy
-
-_METRIC_FOR = {"fl": "cosine", "dm": "euclidean"}
+# unused here; perfbench's tracer test checks that it restores this name
+from .kernels import cosine_similarity  # noqa: F401
+from .optimize import OBJECTIVES, select_subset
 
 
 def _int_list(text: str) -> list[int]:
@@ -57,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("select", help="select a subset of a feature file")
     s.add_argument("--features", required=True)
-    s.add_argument("--objective", choices=("fl", "dm"), required=True)
-    s.add_argument("--metric", choices=("cosine", "euclidean"), default=None)
+    s.add_argument("--objective", choices=OBJECTIVES, required=True)
     s.add_argument("--budget", type=int, required=True)
     s.add_argument("--knn-sparsify", type=int, default=None, metavar="KAPPA")
     s.add_argument("--out", required=True)
@@ -103,25 +101,9 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    from .dataset import load_features
-
-    metric = args.metric or _METRIC_FOR[args.objective]
-    if metric != _METRIC_FOR[args.objective]:
-        raise ValidationError(
-            f"objective {args.objective!r} requires the {_METRIC_FOR[args.objective]} "
-            f"metric, got {metric!r}"
-        )
     features = load_features(args.features)
-    budget = BudgetSpec(args.budget)
-    if args.objective == "fl":
-        kernel = cosine_similarity(features)
-        if args.knn_sparsify is not None:
-            kernel = sparsify_knn(kernel, args.knn_sparsify)
-        selection = greedy_lazy(FacilityLocation(kernel), budget)
-    else:
-        if args.knn_sparsify is not None:
-            raise ValidationError("--knn-sparsify applies only to the fl objective")
-        selection = farthest_point(DisparityMin(euclidean_distance(features)), budget)
+    selection = select_subset(features, args.objective, args.budget,
+                              kappa=args.knn_sparsify)
     with atomic_open(args.out, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{i}\n" for i in selection.indices))
     print(f"selected {len(selection.indices)} of {features.n} "
@@ -137,6 +119,8 @@ def _split_from_args(args):
 
 
 def _cmd_sweep(args) -> int:
+    if args.step < 1:
+        raise ValidationError(f"--step must be >= 1, got {args.step}")
     train, holdout = _split_from_args(args)
     fractions = tuple(range(args.step, 101, args.step))
     cfg = SweepConfig(fractions=fractions, methods=tuple(args.methods.split(",")),

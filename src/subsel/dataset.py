@@ -84,9 +84,6 @@ class FeatureMatrix:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def rows(self, indices) -> np.ndarray:
-        return self.values[np.asarray(indices, dtype=np.int64)]
-
 
 @dataclass(frozen=True)
 class LabelVector:

@@ -20,14 +20,12 @@ import numpy as np
 from .active import ALConfig, run_al
 from .dataset import LabeledDataset, atomic_open, round_half_up
 from .errors import ValidationError
-from .kernels import cosine_similarity, euclidean_distance
 from .models import KnnConfig, knn_accuracy
-from .objectives import DisparityMin, FacilityLocation
-from .optimize import BudgetSpec, farthest_point, greedy_lazy, padded_order
+from .optimize import OBJECTIVES, padded_order, select_subset
 
 logger = logging.getLogger(__name__)
 
-SWEEP_METHODS = ("fl", "dm", "random")
+SWEEP_METHODS = OBJECTIVES + ("random",)
 DETERMINISTIC_SEED = 0  # seed column value for methods that take no seed
 
 CSV_HEADER = "method,seed,x,labeled_count,accuracy"
@@ -77,13 +75,7 @@ def selection_order(train: LabeledDataset, method: str) -> np.ndarray:
     If the greedy stops early on zero gains, the remaining indices follow
     in ascending order (see padded_order).
     """
-    budget = BudgetSpec(train.n)
-    if method == "fl":
-        sel = greedy_lazy(FacilityLocation(cosine_similarity(train.features)), budget)
-    elif method == "dm":
-        sel = farthest_point(DisparityMin(euclidean_distance(train.features)), budget)
-    else:
-        raise ValidationError(f"no greedy ordering for method {method!r}")
+    sel = select_subset(train.features, method, train.n)
     return padded_order(sel, train.n, train.n)
 
 

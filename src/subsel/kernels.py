@@ -41,18 +41,6 @@ class SimilarityKernel:
     def is_sparse(self) -> bool:
         return self.dense is None
 
-    def entry(self, i: int, j: int) -> float:
-        """Consumer view of s_ij: stored value, implicit diagonal, else 0."""
-        if i == j:
-            return 1.0
-        if not self.is_sparse:
-            return float(self.dense[i, j])
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        pos = np.searchsorted(self.col_idx[lo:hi], j)
-        if pos < hi - lo and self.col_idx[lo + pos] == j:
-            return float(self.values[lo + pos])
-        return 0.0
-
     def to_dense(self) -> np.ndarray:
         """Materialize consumer semantics as a dense matrix."""
         if not self.is_sparse:

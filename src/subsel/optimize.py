@@ -5,6 +5,9 @@ Four routes: naive greedy (any gain-scored objective), lazy greedy
 evaluations), farthest-point greedy for dispersion, and an exhaustive
 oracle for tests. Ties always break toward the lowest index, so every
 optimizer is deterministic.
+
+``select_subset`` pairs each objective name, fl or dm, with its kernel
+and optimizer; no other module makes that choice.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import FeatureMatrix
 from .errors import CapacityError, UnsupportedObjectiveError, ValidationError
-from .kernels import row_blocks
-from .objectives import INF, DisparityMin
+from .kernels import cosine_similarity, euclidean_distance, row_blocks, sparsify_knn
+from .objectives import INF, DisparityMin, FacilityLocation
 
 BRUTE_FORCE_CAP = 10 ** 6
 EXACT_PAIR_THRESHOLD = 2048
+OBJECTIVES = ("fl", "dm")
 
 
 @dataclass(frozen=True)
@@ -135,14 +140,14 @@ def greedy_lazy(obj, budget: BudgetSpec) -> Selection:
                      gain_evals=evals)
 
 
-def farthest_point(obj: DisparityMin, budget: BudgetSpec,
-                   exact_pair_threshold: int = EXACT_PAIR_THRESHOLD) -> Selection:
+def farthest_point(obj: DisparityMin, budget: BudgetSpec) -> Selection:
     """Dispersion greedy: seed, then repeatedly add the farthest element.
 
-    Small ground sets seed with the exact maximum-distance pair (lowest
-    index pair on ties), which preserves the classical 1/2 bound; larger
-    ones seed with the element farthest from the medoid. A budget of 1
-    returns the lowest-index singleton at the +inf sentinel.
+    Ground sets of at most EXACT_PAIR_THRESHOLD elements seed with the
+    exact maximum-distance pair (lowest index pair on ties), which preserves
+    the classical 1/2 bound; larger ones seed with the element farthest
+    from the medoid. A budget of 1 returns the lowest-index singleton at
+    the +inf sentinel.
     """
     if not isinstance(obj, DisparityMin):
         raise UnsupportedObjectiveError("farthest_point requires a dispersion objective")
@@ -152,7 +157,7 @@ def farthest_point(obj: DisparityMin, budget: BudgetSpec,
         obj.add(0)
         return Selection([0], [INF], INF)
     dist = obj.kernel.dense
-    if obj.n <= exact_pair_threshold:
+    if obj.n <= EXACT_PAIR_THRESHOLD:
         # row-major first maximum of the strict upper triangle, one row
         # block at a time: the lexicographically smallest pair on ties
         top = None
@@ -172,6 +177,29 @@ def farthest_point(obj: DisparityMin, budget: BudgetSpec,
     steps = [INF] if len(obj.selected) == 1 else [INF, obj.value]
     evals = _argmax_fill(obj, b, steps, evals)
     return Selection(list(obj.selected), steps, obj.value, gain_evals=evals)
+
+
+def select_subset(features: FeatureMatrix, objective: str, budget: int,
+                  rows=None, kappa: int | None = None) -> Selection:
+    """Select up to budget elements of features for objective fl or dm.
+
+    fl runs lazy greedy facility location on the shifted-cosine kernel,
+    cut to each row's kappa largest similarities when kappa is given; dm
+    runs farthest-point greedy on the euclidean kernel. With rows, the
+    ground set is those rows and the selected indices are positions in
+    rows.
+    """
+    spec = BudgetSpec(budget)
+    if objective == "fl":
+        kernel = cosine_similarity(features, rows=rows)
+        if kappa is not None:
+            kernel = sparsify_knn(kernel, kappa)
+        return greedy_lazy(FacilityLocation(kernel), spec)
+    if objective == "dm":
+        if kappa is not None:
+            raise ValidationError("--knn-sparsify applies only to the fl objective")
+        return farthest_point(DisparityMin(euclidean_distance(features, rows=rows)), spec)
+    raise ValidationError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
 
 def brute_force(obj, budget: BudgetSpec) -> Selection:

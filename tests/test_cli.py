@@ -58,14 +58,6 @@ class TestSelect:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 5
 
-    def test_metric_objective_mismatch_fails(self, synth_files, tmp_path, capsys):
-        features, _ = synth_files
-        rc = main(["select", "--features", str(features), "--objective", "fl",
-                   "--metric", "euclidean", "--budget", "5",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == 1
-        assert "cosine" in capsys.readouterr().err
-
     def test_sparsify_with_dm_fails(self, synth_files, tmp_path, capsys):
         features, _ = synth_files
         rc = main(["select", "--features", str(features), "--objective", "dm",
@@ -102,6 +94,17 @@ class TestSweepCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("step", ["0", "-5"])
+    def test_step_below_one_fails_with_an_error_line(self, synth_files, tmp_path,
+                                                      capsys, step):
+        features, labels = synth_files
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--step", step, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --step must be >= 1")
+        assert not out.exists()
 
 
 class TestAlCommand:

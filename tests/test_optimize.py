@@ -4,10 +4,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import random_distance_kernel, random_similarity_kernel
-from subsel import kernels
+from conftest import random_distance_kernel, random_features, random_similarity_kernel
+from subsel import kernels, optimize
 from subsel.errors import CapacityError, UnsupportedObjectiveError, ValidationError
-from subsel.kernels import DistanceKernel
+from subsel.kernels import DistanceKernel, cosine_similarity, euclidean_distance, sparsify_knn
 from subsel.objectives import DisparityMin, FacilityLocation
 from subsel.optimize import (
     BudgetSpec,
@@ -15,6 +15,7 @@ from subsel.optimize import (
     farthest_point,
     greedy_lazy,
     greedy_naive,
+    select_subset,
 )
 
 
@@ -139,8 +140,8 @@ class TestFarthestPoint:
             assert sel.indices == list(divmod(flat, n))
 
     def test_medoid_seeding_path(self, line_distance):
-        sel = farthest_point(DisparityMin(line_distance), BudgetSpec(2),
-                             exact_pair_threshold=1)
+        with mock.patch.object(optimize, "EXACT_PAIR_THRESHOLD", 1):
+            sel = farthest_point(DisparityMin(line_distance), BudgetSpec(2))
         assert len(sel.indices) == 2
         assert sel.final_value == 10.0  # medoid is 1; farthest from it is 2; then 0
 
@@ -212,3 +213,30 @@ class TestGuarantees:
         obj.add(0)
         with pytest.raises(ValidationError):
             greedy_naive(obj, BudgetSpec(2))
+
+
+class TestSelectSubset:
+    @pytest.mark.parametrize("rows", [None, [3, 17, 0, 29, 8, 11, 22, 5, 14, 26]])
+    @pytest.mark.parametrize("objective,kappa", [("fl", None), ("fl", 4), ("dm", None)])
+    def test_route_matches_the_direct_composition(self, objective, kappa, rows):
+        features = random_features(np.random.default_rng(38), 30, 5)
+        if objective == "fl":
+            kernel = cosine_similarity(features, rows=rows)
+            if kappa is not None:
+                kernel = sparsify_knn(kernel, kappa)
+            direct = greedy_lazy(FacilityLocation(kernel), BudgetSpec(6))
+        else:
+            direct = farthest_point(DisparityMin(euclidean_distance(features, rows=rows)),
+                                    BudgetSpec(6))
+        routed = select_subset(features, objective, 6, rows=rows, kappa=kappa)
+        assert routed.indices == direct.indices
+        assert routed.step_values == direct.step_values
+
+    @pytest.mark.parametrize("objective,kappa,message", [
+        ("dm", 3, "--knn-sparsify applies only to the fl objective"),
+        ("us", None, "unknown objective 'us'"),
+    ])
+    def test_route_rejects(self, objective, kappa, message):
+        features = random_features(np.random.default_rng(39), 10, 3)
+        with pytest.raises(ValidationError, match=message):
+            select_subset(features, objective, 3, kappa=kappa)
