@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--labels", required=True)
     a.add_argument("--holdout-frac", type=float, required=True)
     a.add_argument("--selectors", default="fl,dm,us,random")
-    a.add_argument("--uncertainty", choices=("lc", "margin", "entropy"),
-                   default="entropy")
+    a.add_argument("--uncertainty", choices=[m.value for m in UncertaintyMethod],
+                   default=UncertaintyMethod.ENTROPY.value)
     a.add_argument("--batch-pct", type=float, required=True)
     a.add_argument("--beta-pct", type=float, required=True)
     a.add_argument("--rounds", type=int, required=True)

@@ -31,6 +31,16 @@ DETERMINISTIC_SEED = 0  # seed column value for methods that take no seed
 CSV_HEADER = "method,seed,x,labeled_count,accuracy"
 
 
+def _reject_repeats(what: str, items) -> None:
+    """Raise a ValidationError naming the first item that occurs twice:
+    a repeated arm would write a second copy of its CSV rows."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValidationError(f"{what} {item!r} given more than once")
+        seen.add(item)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Subset-size sweep: percentages, methods, random-arm seeds, kNN k."""
@@ -52,6 +62,8 @@ class SweepConfig:
         object.__setattr__(self, "fractions", fr)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        _reject_repeats("sweep method", self.methods)
+        _reject_repeats("sweep seed", self.seeds)
 
 
 @dataclass(frozen=True)
@@ -81,15 +93,16 @@ def selection_order(train: LabeledDataset, method: str) -> np.ndarray:
 
 def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
                 cfg: SweepConfig = SweepConfig()) -> list[CurveRecord]:
-    """Accuracy of kNN trained on growing subsets of the training pool."""
+    """Accuracy of kNN trained on growing subsets of the training pool;
+    a fraction whose budget is below k is skipped with a warning."""
     knn_cfg = KnnConfig(cfg.k)
     orders = {m: selection_order(train, m) for m in cfg.methods if m != "random"}
     records: list[CurveRecord] = []
     for p in cfg.fractions:
         budget = round_half_up(p / 100 * train.n)
-        if budget == 0:
-            logger.warning("fraction %s%% rounds to an empty budget for n=%d; skipped",
-                           p, train.n)
+        if budget < cfg.k:
+            logger.warning("fraction %s%% rounds to a budget of %d, below k=%d, "
+                           "for n=%d; skipped", p, budget, cfg.k, train.n)
             continue
         for method in cfg.methods:
             if method == "random":
@@ -118,13 +131,16 @@ def run_goal2(train: LabeledDataset, holdout: LabeledDataset,
               cfgs: Sequence[ALConfig]) -> list[CurveRecord]:
     """One active-learning curve per config.
 
-    Configs must agree on the round count; pairing comes from sharing
-    seeds across selectors, which pins the initial labeled pool per seed.
+    Configs must agree on the round count and may not repeat a (selector,
+    seed) pair; pairing comes from sharing seeds across selectors, which
+    pins the initial labeled pool per seed.
     """
     if not cfgs:
         raise ValidationError("at least one active-learning config required")
     if len({c.rounds for c in cfgs}) != 1:
         raise ValidationError("all active-learning configs must share the round count")
+    _reject_repeats("active-learning (selector, seed)",
+                    [(c.selector, int(c.seed)) for c in cfgs])
     records: list[CurveRecord] = []
     for cfg in cfgs:
         for rec in run_al(train, holdout, cfg):

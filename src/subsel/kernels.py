@@ -4,8 +4,9 @@ Similarities are shifted cosines, ``(1 + cos) / 2``, so they land in
 [0, 1] with an exact unit diagonal. Distances are euclidean. Each pair
 is computed once and mirrored, which makes dense kernels exactly
 symmetric. ``sparsify_knn`` keeps the top-kappa off-diagonal entries per
-row; consumers treat dropped entries as similarity 0 and the diagonal
-as an implicit 1.
+row and stores them grouped by column, the order in which facility
+location reads a candidate; consumers treat dropped entries as
+similarity 0 and the diagonal as an implicit 1.
 
 A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
 and finishes it in place: each block of rows (see ``row_blocks``) has
@@ -29,12 +30,14 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class SimilarityKernel:
-    """Pairwise similarities in [0,1]; dense matrix or per-row top-k lists."""
+    """Pairwise similarities in [0,1]: a dense matrix, or kept entries by
+    column: column j holds rows[col_ptr[j]:col_ptr[j + 1]] (ascending) with
+    similarities values[...], an implicit unit diagonal and 0 elsewhere."""
 
     n: int
     dense: Optional[np.ndarray] = None
-    row_ptr: Optional[np.ndarray] = None
-    col_idx: Optional[np.ndarray] = None
+    col_ptr: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
 
     @property
@@ -46,29 +49,10 @@ class SimilarityKernel:
         if not self.is_sparse:
             return self.dense
         out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-            out[i, self.col_idx[lo:hi]] = self.values[lo:hi]
+        cols = np.repeat(np.arange(self.n), np.diff(self.col_ptr))
+        out[self.rows, cols] = self.values
         np.fill_diagonal(out, 1.0)
         return out
-
-    def csc_arrays(self):
-        """Column-grouped entry arrays (col_ptr, rows, vals, cols).
-
-        Facility-location gains consume the kernel by candidate column,
-        so the row-major storage is regrouped once here.
-        """
-        if self.is_sparse:
-            rows = np.repeat(np.arange(self.n, dtype=np.int64),
-                             np.diff(self.row_ptr))
-            cols = self.col_idx
-            vals = self.values
-            order = np.argsort(cols, kind="stable")
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            col_ptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(cols, minlength=self.n), out=col_ptr[1:])
-            return col_ptr, rows, vals, cols
-        raise ValidationError("csc_arrays is only defined for sparse kernels")
 
 
 @dataclass(frozen=True)
@@ -163,17 +147,18 @@ def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
 def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:
     """Keep each row's kappa largest off-diagonal similarities.
 
-    Boundary ties go to the lower column index. The diagonal stays
-    implicit; dropped entries read as 0.
+    Boundary ties go to the lower column index. The kept entries are
+    found row block by row block, then regrouped once by column (rows
+    ascending within a column), the only layout the kernel stores. The
+    diagonal stays implicit; dropped entries read as 0.
     """
     if kernel.is_sparse:
         raise ValidationError("sparsify_knn requires a dense kernel")
     n = kernel.n
     if not (1 <= kappa <= n - 1):
         raise ValidationError(f"kappa must be in [1, {n - 1}], got {kappa}")
-    row_ptr = np.arange(0, (n + 1) * kappa, kappa, dtype=np.int64)
-    col_idx = np.empty(n * kappa, dtype=np.int64)
-    values = np.empty(n * kappa, dtype=np.float64)
+    # entry i * kappa + t is row i's t-th kept column, ascending
+    cols = np.empty(n * kappa, dtype=np.int64)
     for lo, hi in row_blocks(n):
         block = kernel.dense[lo:hi].copy()
         block[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
@@ -186,15 +171,22 @@ def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:
             # the cut, or a -inf cut that takes in the diagonal): keep the
             # entries above the cut, then tied ones by ascending column
             over = np.flatnonzero(np.count_nonzero(keep, axis=1) > kappa)
-            rows, at = block[over], cut[over]
-            above = rows > at
-            tied = rows == at
+            vals, at = block[over], cut[over]
+            above = vals > at
+            tied = vals == at
             tied[np.arange(over.size), lo + over] = False
             room = kappa - np.count_nonzero(above, axis=1, keepdims=True)
             keep[over] = above | (tied & (np.cumsum(tied, axis=1) <= room))
         flat = np.flatnonzero(keep)  # row-major: columns ascend within a row
-        col_idx[lo * kappa:hi * kappa] = flat % n
-        values[lo * kappa:hi * kappa] = block.ravel()[flat]
-    col_idx.flags.writeable = False
-    values.flags.writeable = False
-    return SimilarityKernel(n=n, row_ptr=row_ptr, col_idx=col_idx, values=values)
+        cols[lo * kappa:hi * kappa] = flat % n
+    # regroup by column; the stable sort keeps rows ascending within each.
+    # In place where it can be: the dense kernel is still alive here.
+    rows = np.argsort(cols, kind="stable")
+    cols.sort()
+    rows //= kappa
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=col_ptr[1:])
+    values = kernel.dense[rows, cols]
+    for a in (col_ptr, rows, values):
+        a.flags.writeable = False
+    return SimilarityKernel(n=n, col_ptr=col_ptr, rows=rows, values=values)

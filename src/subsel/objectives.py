@@ -2,10 +2,14 @@
 
 Facility location credits every ground element with its best selected
 representative and sums the credits; it is monotone submodular, and its
-empty-set value is 0. Disparity min is the smallest pairwise distance
-among selected elements; it is scored greedily by distance-to-selected
-(the farthest-point rule), not by the change in the set value, and both
-its empty and singleton values are the +inf sentinel.
+empty-set value is 0. A candidate's gain is read down its kernel column;
+on dense kernels ``gains_all`` computes each gain with ``gain``'s own
+expression, so lazy and naive greedy see the same numbers.
+
+Disparity min is the smallest pairwise distance among selected
+elements; it is scored greedily by distance-to-selected (the
+farthest-point rule), not by the change in the set value, and both its
+empty and singleton values are the +inf sentinel.
 """
 
 from __future__ import annotations
@@ -36,6 +40,15 @@ def _require_candidate(obj, e: int):
         raise ValidationError(f"element {e} is already selected")
 
 
+def _fold_column(best: np.ndarray, kernel: SimilarityKernel, j: int) -> None:
+    """best_i = max(best_i, s_ij) in place over sparse column j, whose
+    implicit unit diagonal is included."""
+    lo, hi = kernel.col_ptr[j], kernel.col_ptr[j + 1]
+    rows = kernel.rows[lo:hi]
+    best[rows] = np.maximum(best[rows], kernel.values[lo:hi])
+    best[j] = max(best[j], 1.0)
+
+
 def facility_location_value(kernel: SimilarityKernel, X) -> float:
     """From-scratch facility-location value of X; empty set scores 0."""
     idx = _check_subset(X, kernel.n)
@@ -43,13 +56,9 @@ def facility_location_value(kernel: SimilarityKernel, X) -> float:
         return 0.0
     if not kernel.is_sparse:
         return float(kernel.dense[:, idx].max(axis=1).sum())
-    col_ptr, rows, vals, _ = kernel.csc_arrays()
     best = np.zeros(kernel.n)
     for j in idx:
-        lo, hi = col_ptr[j], col_ptr[j + 1]
-        r = rows[lo:hi]
-        best[r] = np.maximum(best[r], vals[lo:hi])
-        best[j] = max(best[j], 1.0)  # implicit unit diagonal
+        _fold_column(best, kernel, j)
     return float(best.sum())
 
 
@@ -64,7 +73,11 @@ def disparity_min_value(kernel: DistanceKernel, X) -> float:
 
 
 class FacilityLocation:
-    """Incremental facility-location state: per-element best similarity."""
+    """Incremental facility-location state: per-element best similarity.
+
+    Candidate e is scored down column e: row e of ``_by_candidate`` (the
+    kernel if symmetric, else a transposed view) or a stored sparse column.
+    """
 
     monotone_submodular = True
 
@@ -76,79 +89,56 @@ class FacilityLocation:
         self.best = np.zeros(self.n)
         self.value = 0.0
         if kernel.is_sparse:
-            (self._col_ptr, self._entry_rows,
-             self._entry_vals, self._entry_cols) = kernel.csc_arrays()
+            # the column of every stored entry, for gains_all's scatter-add
+            self._entry_cols = np.repeat(np.arange(self.n), np.diff(kernel.col_ptr))
         else:
-            # _by_candidate[e] is column e of the kernel: a contiguous row
-            # when the kernel is symmetric, else a strided transposed view
             d = kernel.dense
             self._by_candidate = d if is_symmetric(d) else d.T
 
     def gain(self, e: int) -> float:
         """Marginal value of adding e: sum of max(0, s_ie - best_i); >= 0."""
         _require_candidate(self, e)
-        if not self.kernel.is_sparse:
+        k = self.kernel
+        if not k.is_sparse:
             return float(np.maximum(self._by_candidate[e] - self.best, 0.0).sum())
-        lo, hi = self._col_ptr[e], self._col_ptr[e + 1]
-        rows = self._entry_rows[lo:hi]
-        vals = self._entry_vals[lo:hi]
+        lo, hi = k.col_ptr[e], k.col_ptr[e + 1]
         g = max(0.0, 1.0 - self.best[e])
-        g += np.maximum(vals - self.best[rows], 0.0).sum()
+        g += np.maximum(k.values[lo:hi] - self.best[k.rows[lo:hi]], 0.0).sum()
         return float(g)
 
     def gains_all(self) -> np.ndarray:
-        """Gains for every candidate; already-selected slots read -1."""
-        if not self.kernel.is_sparse:
-            gains = self._dense_gains()
+        """Gains for every candidate; already-selected slots read -1.
+
+        Dense gains are gain(e)'s expression over row blocks, each row
+        summed in a C-ordered temporary, so they equal gain(e) bytewise.
+        """
+        k, best = self.kernel, self.best
+        if not k.is_sparse:
+            gains = np.empty(self.n)
+            for lo, hi in row_blocks(self.n):
+                terms = np.subtract(self._by_candidate[lo:hi], best, order="C")
+                np.maximum(terms, 0.0, out=terms)
+                gains[lo:hi] = terms.sum(axis=1)
         else:
             # implicit unit diagonal first, then scatter-add the stored entries
-            gains = np.maximum(1.0 - self.best, 0.0)
-            contrib = np.maximum(self._entry_vals - self.best[self._entry_rows], 0.0)
+            gains = np.maximum(1.0 - best, 0.0)
+            contrib = np.maximum(k.values - best[k.rows], 0.0)
             np.add.at(gains, self._entry_cols, contrib)
         gains[self.selected_mask] = -1.0
         return gains
 
-    def _dense_gains(self) -> np.ndarray:
-        """sum_i max(0, s_ie - best_i) for every e, accumulated row by row.
-
-        The rows are added in ascending order, as numpy's axis-0 sum of
-        the whole n x n matrix of terms does, but one row block at a
-        time: each block's sum starts from the running total, carried in
-        the block buffer's first row.
-        """
-        dense, best = self.kernel.dense, self.best
-        blocks = row_blocks(self.n)
-        if not blocks:  # empty ground set
-            return np.zeros(0)
-        buf = np.empty((blocks[0][1] + 1, self.n))
-        gains = None
-        for lo, hi in blocks:
-            terms = buf[1:hi - lo + 1]
-            np.subtract(dense[lo:hi], best[lo:hi, None], out=terms)
-            np.maximum(terms, 0.0, out=terms)
-            if gains is None:
-                gains = terms.sum(axis=0)
-            else:
-                buf[0] = gains
-                gains = buf[:hi - lo + 1].sum(axis=0)
-        return gains
-
-    def add(self, e: int) -> float:
-        """Select e, fold it into the per-element maxima, return the gain."""
-        g = self.gain(e)
+    def add(self, e: int) -> None:
+        """Select e and fold its column into the per-element maxima."""
+        _require_candidate(self, e)
         if not self.kernel.is_sparse:
             np.maximum(self.best, self._by_candidate[e], out=self.best)
         else:
-            lo, hi = self._col_ptr[e], self._col_ptr[e + 1]
-            rows = self._entry_rows[lo:hi]
-            self.best[rows] = np.maximum(self.best[rows], self._entry_vals[lo:hi])
-            self.best[e] = max(self.best[e], 1.0)
+            _fold_column(self.best, self.kernel, e)
         self.selected.append(int(e))
         self.selected_mask[e] = True
         # summing the maxima (not accumulating gains) keeps the value an
         # order-insensitive function of the selected set
         self.value = float(self.best.sum())
-        return g
 
     def scratch_value(self, X) -> float:
         return facility_location_value(self.kernel, X)
@@ -177,14 +167,14 @@ class DisparityMin:
         gains[self.selected_mask] = -1.0
         return gains
 
-    def add(self, e: int) -> float:
-        g = self.gain(e)
+    def add(self, e: int) -> None:
+        """Select e and fold its distances into the per-element minima."""
+        _require_candidate(self, e)
         if self.selected:
             self.value = min(self.value, float(self.mindist[e]))
         self.selected.append(int(e))
         self.selected_mask[e] = True
         np.minimum(self.mindist, self.kernel.dense[:, e], out=self.mindist)
-        return g
 
     def scratch_value(self, X) -> float:
         return disparity_min_value(self.kernel, X)

@@ -107,6 +107,34 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [["--methods", "fl,random,fl"],
+                                       ["--seeds", "1,2,1"]])
+    def test_repeated_method_or_seed_fails_with_an_error_line(self, synth_files,
+                                                              tmp_path, capsys, flags):
+        features, labels = synth_files
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--step", "50", "--k", "1", *flags,
+                   "--out", str(out)])
+        assert rc == 1
+        assert "given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractions_below_k_are_skipped_on_a_small_pool(self, tmp_path):
+        features, labels = tmp_path / "f.bin", tmp_path / "l.txt"
+        assert main(["gen-synth", "--out", str(features), "--labels", str(labels),
+                     "--n", "60", "--d", "4", "--classes", "2", "--sep", "3",
+                     "--seed", "7"]) == 0
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--out", str(out)])  # --step 5 --k 5
+        assert rc == 0
+        records = parse_csv(out)
+        assert min(r.labeled_count for r in records) >= 5
+        assert min(r.x for r in records) == 15  # 5% and 10% round to 2 and 4
+        assert max(r.x for r in records) == 100
+
+
 class TestAlCommand:
     def test_writes_paired_curves(self, synth_files, tmp_path):
         features, labels = synth_files
@@ -140,6 +168,19 @@ class TestAlCommand:
                    "--batch-pct", "10", "--beta-pct", "40", "--rounds", "2",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("flags", [["--selectors", "us,fl,us"],
+                                       ["--seeds", "2,2"]])
+    def test_repeated_selector_or_seed_fails_with_an_error_line(
+            self, synth_files, tmp_path, capsys, flags):
+        features, labels = synth_files
+        out = tmp_path / "al.csv"
+        rc = main(["al", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--batch-pct", "10", "--beta-pct", "40",
+                   "--rounds", "2", *flags, "--out", str(out)])
+        assert rc == 1
+        assert "given more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_class_labels_fail_with_an_error_line(self, synth_files, tmp_path,
                                                         capsys):

@@ -58,8 +58,10 @@ class TestSweep:
 
     def test_random_arm_varies_only_with_seed(self, problem):
         train, hold = problem
-        cfg = SweepConfig(fractions=(20,), methods=("random",), seeds=(1, 2, 1))
-        a, b, c = sweep_goal1(train, hold, cfg)
+        cfg = SweepConfig(fractions=(20,), methods=("random",), seeds=(1, 2))
+        a, b = sweep_goal1(train, hold, cfg)
+        (c,) = sweep_goal1(train, hold, SweepConfig(fractions=(20,), methods=("random",),
+                                                    seeds=(1,)))
         assert a.accuracy == c.accuracy  # same seed, same draw
         assert a.seed == 1 and b.seed == 2
 
@@ -70,6 +72,10 @@ class TestSweep:
             SweepConfig(fractions=(0, 50))
         with pytest.raises(ValidationError):
             SweepConfig(methods=("fl", "qbc"))
+        with pytest.raises(ValidationError, match="sweep method 'fl'"):
+            SweepConfig(methods=("fl", "random", "fl"))
+        with pytest.raises(ValidationError, match="sweep seed 1"):
+            SweepConfig(seeds=(1, 2, 1))
 
     def test_summary_means(self):
         records = [CurveRecord("random", 1, 10, 5, 0.5),
@@ -106,6 +112,13 @@ class TestGoal2:
         cfgs = [ALConfig(B_percent=10, beta_percent=40, rounds=2, selector="us"),
                 ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="fl")]
         with pytest.raises(ValidationError):
+            run_goal2(train, hold, cfgs)
+
+    def test_repeated_selector_seed_pair_rejected(self, problem):
+        train, hold = problem
+        cfgs = [ALConfig(B_percent=10, beta_percent=40, rounds=2, selector=sel, seed=seed)
+                for sel, seed in [("us", 1), ("fl", 1), ("us", 2), ("fl", 1)]]
+        with pytest.raises(ValidationError, match=r"\('fl', 1\) given more than once"):
             run_goal2(train, hold, cfgs)
 
     def test_labeled_counts_are_non_decreasing(self, problem):

@@ -74,6 +74,17 @@ def reference_sparsify(dense, kappa):
     return col_idx, values
 
 
+def reference_csc(dense, kappa):
+    """reference_sparsify regrouped by column, rows ascending within each
+    column: (col_ptr, rows, values)."""
+    n = dense.shape[0]
+    col_idx, values = reference_sparsify(dense, kappa)
+    rows = np.repeat(np.arange(n, dtype=np.int64), kappa)
+    order = np.lexsort((rows, col_idx))
+    col_ptr = np.searchsorted(col_idx[order], np.arange(n + 1)).astype(np.int64)
+    return col_ptr, rows[order], values[order]
+
+
 def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -193,8 +204,9 @@ class TestSparsify:
         from subsel.kernels import SimilarityKernel
 
         sparse = sparsify_knn(SimilarityKernel(n=4, dense=dense), 2)
-        lo, hi = sparse.row_ptr[3], sparse.row_ptr[4]
-        assert sparse.col_idx[lo:hi].tolist() == [0, 1]
+        kept = [j for j in range(4)
+                if 3 in sparse.rows[sparse.col_ptr[j]:sparse.col_ptr[j + 1]]]
+        assert kept == [0, 1]
 
     def test_kappa_out_of_range(self):
         k = cosine_similarity(random_features(np.random.default_rng(6), 5, 3))
@@ -235,14 +247,14 @@ class TestSparsify:
 
     def test_to_dense_and_csc_agree(self):
         rng = np.random.default_rng(9)
-        kernel = sparsify_knn(cosine_similarity(random_features(rng, 8, 3)), 3)
-        dense = kernel.to_dense()
-        col_ptr, rows, vals, cols = kernel.csc_arrays()
+        source = cosine_similarity(random_features(rng, 8, 3))
+        kernel = sparsify_knn(source, 3)
+        col_idx, values = reference_sparsify(source.dense, 3)
         rebuilt = np.zeros((8, 8))
-        rebuilt[rows, cols] = vals
+        rebuilt[np.repeat(np.arange(8), 3), col_idx] = values
         np.fill_diagonal(rebuilt, 1.0)
-        assert np.array_equal(dense, rebuilt)
-        assert (np.diff(col_ptr) == np.bincount(cols, minlength=8)).all()
+        assert np.array_equal(kernel.to_dense(), rebuilt)
+        assert (np.diff(kernel.col_ptr) == np.bincount(col_idx, minlength=8)).all()
 
 
 class TestBlockedBuildsMatchReference:
@@ -268,19 +280,19 @@ class TestBlockedBuildsMatchReference:
         for kappa in range(1, kernel.n):
             with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
                 sparse = sparsify_knn(kernel, kappa)
-            col_idx, values = reference_sparsify(kernel.dense, kappa)
-            assert same_bytes(sparse.col_idx, col_idx)
+            col_ptr, rows, values = reference_csc(kernel.dense, kappa)
+            assert same_bytes(sparse.col_ptr, col_ptr)
+            assert same_bytes(sparse.rows, rows)
             assert same_bytes(sparse.values, values)
-            assert same_bytes(sparse.row_ptr,
-                              np.arange(0, (kernel.n + 1) * kappa, kappa, dtype=np.int64))
 
     def test_sparsify_matches_reference_at_benchmark_scale(self):
         m = random_features(np.random.default_rng(11), 700, 16)
         dense = cosine_similarity(m).dense
         for kappa in (1, 25, 699):
-            col_idx, values = reference_sparsify(dense, kappa)
+            col_ptr, rows, values = reference_csc(dense, kappa)
             sparse = sparsify_knn(SimilarityKernel(n=700, dense=dense), kappa)
-            assert same_bytes(sparse.col_idx, col_idx)
+            assert same_bytes(sparse.col_ptr, col_ptr)
+            assert same_bytes(sparse.rows, rows)
             assert same_bytes(sparse.values, values)
 
     def test_builds_match_reference_across_several_default_blocks(self):

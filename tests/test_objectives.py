@@ -170,9 +170,17 @@ def column_gain(dense, best, e):
     return float(np.maximum(dense[:, e] - best, 0.0).sum())
 
 
-def column_gains_all(dense, best):
-    """All gains as one n x n sum over axis 0, whole-array form."""
-    return np.maximum(dense - best[:, None], 0.0).sum(axis=0)
+def candidate_gains_all(dense, best):
+    """All gains as one whole-array sum: the terms laid out one C-ordered
+    row per candidate, each row summed on its own."""
+    terms = np.ascontiguousarray(dense.T) - best
+    return np.maximum(terms, 0.0).sum(axis=1)
+
+
+def gains_by_gain(state):
+    """gains_all's reference: one gain(e) call per candidate, -1 where selected."""
+    return np.array([-1.0 if state.selected_mask[e] else state.gain(e)
+                     for e in range(state.n)])
 
 
 def asymmetric_kernels(rng, n):
@@ -227,27 +235,37 @@ class TestDenseGainReads:
 
 
 class TestDenseGainsAll:
+    """Dense gains_all equals one gain(e) call per candidate, byte for byte."""
+
     @pytest.mark.parametrize("n", [7, 300, 2100])
     def test_byte_equal_to_the_whole_matrix_sum(self, n):
         # entries spread over 16 orders of magnitude make any change in
         # summation order visible in the last bits
         rng = np.random.default_rng(n)
-        dense = 10.0 ** rng.uniform(-16.0, 0.0, size=(n, n))
-        state = FacilityLocation(SimilarityKernel(n=n, dense=dense))
-        state.best = 10.0 ** rng.uniform(-16.0, 0.0, size=n)
-        assert state.gains_all().tobytes() == column_gains_all(dense, state.best).tobytes()
+        raw = 10.0 ** rng.uniform(-16.0, 0.0, size=(n, n))
+        upper = np.triu(raw, 1)
+        symmetric = upper + upper.T + np.diag(np.diag(raw))
+        topk = sparsify_knn(SimilarityKernel(n=n, dense=symmetric),
+                            max(1, n // 3)).to_dense()
+        best = 10.0 ** rng.uniform(-16.0, 0.0, size=n)
+        for dense in (raw, symmetric, topk):
+            state = FacilityLocation(SimilarityKernel(n=n, dense=dense))
+            state.best = best.copy()
+            gains = state.gains_all()
+            assert gains.tobytes() == gains_by_gain(state).tobytes()
+            assert gains.tobytes() == candidate_gains_all(dense, best).tobytes()
 
     @pytest.mark.parametrize("block_elems", [1, 7, 40])
     def test_byte_equal_with_small_row_blocks(self, block_elems):
         rng = np.random.default_rng(32)
-        kernel = random_similarity_kernel(rng, 23)
-        state = FacilityLocation(kernel)
-        for pick in (4, 11):
-            state.add(pick)
-        expected = column_gains_all(kernel.dense, state.best)
-        expected[state.selected_mask] = -1.0
-        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            assert state.gains_all().tobytes() == expected.tobytes()
+        cases = [random_similarity_kernel(rng, 23)] + asymmetric_kernels(rng, 23)
+        for kernel in cases:
+            state = FacilityLocation(kernel)
+            for pick in (4, 11):
+                state.add(pick)
+            expected = gains_by_gain(state)
+            with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+                assert state.gains_all().tobytes() == expected.tobytes()
 
     def test_empty_ground_set_gives_no_gains(self):
         state = FacilityLocation(SimilarityKernel(n=0, dense=np.zeros((0, 0))))

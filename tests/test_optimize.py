@@ -3,11 +3,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_distance_kernel, random_features, random_similarity_kernel
 from subsel import kernels, optimize
 from subsel.errors import CapacityError, UnsupportedObjectiveError, ValidationError
-from subsel.kernels import DistanceKernel, cosine_similarity, euclidean_distance, sparsify_knn
+from subsel.kernels import (
+    DistanceKernel,
+    SimilarityKernel,
+    cosine_similarity,
+    euclidean_distance,
+    sparsify_knn,
+)
 from subsel.objectives import DisparityMin, FacilityLocation
 from subsel.optimize import (
     BudgetSpec,
@@ -69,6 +77,21 @@ class TestNaiveGreedy:
             BudgetSpec(0)
 
 
+@st.composite
+def tie_dense_kernels(draw):
+    """Symmetric dense kernels over a 3-value alphabet, unit diagonal, and
+    a budget: many equal gains, whose sums differ in the last bits if two
+    code paths add the same terms in different orders."""
+    n = draw(st.integers(9, 39))
+    alphabet = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 0.9]),
+                             min_size=3, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = np.triu(rng.choice(alphabet, size=(n, n)), 1)
+    dense = upper + upper.T
+    np.fill_diagonal(dense, 1.0)
+    return SimilarityKernel(n=n, dense=dense), draw(st.integers(1, n))
+
+
 class TestLazyGreedy:
     def test_matches_naive_on_the_hand_kernel(self, hand_similarity):
         sel = greedy_lazy(FacilityLocation(hand_similarity), BudgetSpec(2))
@@ -85,6 +108,15 @@ class TestLazyGreedy:
             assert lazy.indices == naive.indices
             assert lazy.step_values == naive.step_values
             assert lazy.gain_evals <= naive.gain_evals
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tie_dense_kernels())
+    def test_equivalent_to_naive_on_tie_dense_kernels(self, case):
+        kernel, b = case
+        naive = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
+        lazy = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
+        assert lazy.indices == naive.indices
+        assert lazy.step_values == naive.step_values
 
     def test_rejects_non_submodular_objective(self, line_distance):
         with pytest.raises(UnsupportedObjectiveError):
