@@ -18,7 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dataset import FeatureMatrix, LabeledDataset, largest_remainder_quota
+from .dataset import (FeatureMatrix, LabeledDataset, largest_remainder_quota,
+                      stratified_draw)
 from .errors import ValidationError
 from .models import logreg_fit
 from .optimize import OBJECTIVES, padded_order, select_subset
@@ -195,15 +196,8 @@ def initial_state(labels: np.ndarray, seed_size: int,
         )
     if seed_size > n:
         raise ValidationError(f"initial seed size {seed_size} exceeds pool size {n}")
-    quota = _proportional_quota(counts, seed_size)
-    parts = []
-    for c in range(n_classes):
-        idx = np.flatnonzero(labels == c)
-        parts.append(rng.permutation(idx)[:quota[c]])
-    labeled = np.sort(np.concatenate(parts))
-    mask = np.zeros(n, dtype=bool)
-    mask[labeled] = True
-    return ALState(labeled=labeled, unlabeled=np.flatnonzero(~mask))
+    labeled, unlabeled = stratified_draw(labels, _proportional_quota(counts, seed_size), rng)
+    return ALState(labeled=labeled, unlabeled=unlabeled)
 
 
 def _proportional_quota(counts: np.ndarray, size: int) -> np.ndarray:

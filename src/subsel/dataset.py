@@ -319,20 +319,22 @@ def split_indices(labels: LabelVector, spec: SplitSpec):
         raise ValidationError(
             f"holdout_fraction {spec.holdout_fraction} leaves an empty side for n={n}"
         )
-    rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        counts = np.bincount(labels.labels, minlength=labels.n_classes)
-        quota = largest_remainder_quota(counts, m)
-        holdout_parts = []
-        for c in range(labels.n_classes):
-            idx = np.flatnonzero(labels.labels == c)
-            holdout_parts.append(rng.permutation(idx)[:quota[c]])
-        holdout = np.sort(np.concatenate(holdout_parts))
-    else:
-        holdout = np.sort(rng.permutation(n)[:m])
-    mask = np.zeros(n, dtype=bool)
-    mask[holdout] = True
-    return np.flatnonzero(~mask), holdout
+    # unstratified is one class: the same RNG calls as rng.permutation(n)[:m]
+    classes = labels.labels if spec.stratified else np.zeros(n, dtype=np.int64)
+    quota = largest_remainder_quota(np.bincount(classes), m)
+    holdout, train = stratified_draw(classes, quota, np.random.default_rng(spec.seed))
+    return train, holdout
+
+
+def stratified_draw(labels: np.ndarray, quota, rng: np.random.Generator):
+    """Return (drawn, rest), both sorted: quota[c] seeded draws from each
+    class c, in class order, and every other index."""
+    parts = [rng.permutation(np.flatnonzero(labels == c))[:q]
+             for c, q in enumerate(quota)]
+    drawn = np.sort(np.concatenate(parts))
+    mask = np.zeros(labels.shape[0], dtype=bool)
+    mask[drawn] = True
+    return drawn, np.flatnonzero(~mask)
 
 
 def split(ds: LabeledDataset, spec: SplitSpec):

@@ -68,9 +68,10 @@ class DistanceKernel:
 _BLOCK_ELEMS = 1 << 15
 
 
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """Consecutive [lo, hi) ranges covering range(n), ~_BLOCK_ELEMS / n rows each."""
-    step = max(1, _BLOCK_ELEMS // max(n, 1))
+def row_blocks(n: int, width: Optional[int] = None) -> list[tuple[int, int]]:
+    """Consecutive [lo, hi) ranges covering range(n), ~_BLOCK_ELEMS / width
+    rows each (at least one); a row costs width elements, n by default."""
+    step = max(1, _BLOCK_ELEMS // max(n if width is None else width, 1))
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 

@@ -2,6 +2,8 @@
 
 kNN breaks distance ties toward the lower training index and vote ties
 toward the smallest class label, so predictions are fully deterministic.
+Its working memory is one queries x train array of squared distances plus
+temporaries of ~_BLOCK_ELEMS elements per block of ``kernels.row_blocks``.
 The regression is fit by line-search Newton-CG (truncated Newton): each
 step solves the Newton system by conjugate gradient on Hessian-vector
 products, so the Hessian is never formed, and Armijo backtracking keeps
@@ -17,11 +19,11 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import ValidationError
+from .kernels import row_blocks
 
 DEFAULT_L2 = 1e-2
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 2000
-_QUERY_CHUNK = 256
 _ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking search
 _MIN_STEP = 1e-10  # backtracking gives up below this step length
 
@@ -44,6 +46,7 @@ def knn_predict(train: LabeledDataset, query, cfg: KnnConfig = KnnConfig()) -> i
 
 
 def knn_predict_batch(train: LabeledDataset, queries, cfg: KnnConfig = KnnConfig()):
+    """Majority label among the k nearest training points, per query row."""
     if cfg.k > train.n:
         raise ValidationError(f"k={cfg.k} exceeds training size {train.n}")
     q = np.ascontiguousarray(queries, dtype=np.float64)
@@ -52,19 +55,16 @@ def knn_predict_batch(train: LabeledDataset, queries, cfg: KnnConfig = KnnConfig
             f"query dimension {q.shape} incompatible with d={train.features.d}"
         )
     x = train.features.values.astype(np.float64)
-    y = train.labels.labels
     nq = q.shape[0]
-    preds = np.empty(nq, dtype=np.int64)
-    for start in range(0, nq, _QUERY_CHUNK):
-        stop = min(start + _QUERY_CHUNK, nq)
-        chunk = q[start:stop]
-        d2 = ((chunk[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-        # stable sort keeps the lower training index first on distance ties
-        order = np.argsort(d2, axis=1, kind="stable")[:, :cfg.k]
-        for r in range(order.shape[0]):
-            counts = np.bincount(y[order[r]], minlength=train.n_classes)
-            preds[start + r] = int(counts.argmax())
-    return preds
+    d2 = np.empty((nq, train.n))
+    for lo, hi in row_blocks(nq, width=x.size):
+        d2[lo:hi] = ((q[lo:hi, None, :] - x[None]) ** 2).sum(axis=2)
+    # stable sort keeps the lower training index first on distance ties
+    votes = train.labels.labels[np.argsort(d2, axis=1, kind="stable")[:, :cfg.k]]
+    c = train.n_classes
+    counts = np.bincount((votes + c * np.arange(nq)[:, None]).ravel(), minlength=nq * c)
+    # argmax takes the first maximum: vote ties go to the smallest label
+    return counts.reshape(nq, c).argmax(axis=1)
 
 
 def knn_accuracy(train: LabeledDataset, holdout: LabeledDataset,

@@ -3,8 +3,8 @@
 Facility location credits every ground element with its best selected
 representative and sums the credits; it is monotone submodular, and its
 empty-set value is 0. A candidate's gain is read down its kernel column;
-on dense kernels ``gains_all`` computes each gain with ``gain``'s own
-expression, so lazy and naive greedy see the same numbers.
+``gains_all`` computes each gain in ``gain``'s own order of operations,
+so lazy and naive greedy see the same numbers.
 
 Disparity min is the smallest pairwise distance among selected
 elements; it is scored greedily by distance-to-selected (the
@@ -102,15 +102,17 @@ class FacilityLocation:
         if not k.is_sparse:
             return float(np.maximum(self._by_candidate[e] - self.best, 0.0).sum())
         lo, hi = k.col_ptr[e], k.col_ptr[e + 1]
-        g = max(0.0, 1.0 - self.best[e])
-        g += np.maximum(k.values[lo:hi] - self.best[k.rows[lo:hi]], 0.0).sum()
-        return float(g)
+        g = max(0.0, 1.0 - float(self.best[e]))
+        # term by term in entry order, the order gains_all's np.add.at adds in
+        for t in np.maximum(k.values[lo:hi] - self.best[k.rows[lo:hi]], 0.0).tolist():
+            g += t
+        return g
 
     def gains_all(self) -> np.ndarray:
         """Gains for every candidate; already-selected slots read -1.
 
-        Dense gains are gain(e)'s expression over row blocks, each row
-        summed in a C-ordered temporary, so they equal gain(e) bytewise.
+        Each equals gain(e) bytewise: dense rows are summed in C-ordered
+        row-block temporaries, sparse terms are scatter-added in entry order.
         """
         k, best = self.kernel, self.best
         if not k.is_sparse:

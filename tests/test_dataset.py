@@ -10,6 +10,7 @@ from subsel.dataset import (
     LabelVector,
     SplitSpec,
     gen_synthetic,
+    largest_remainder_quota,
     load_features,
     load_labels,
     round_half_up,
@@ -233,6 +234,30 @@ class TestSplit:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         c = split_indices(ds.labels, SplitSpec(holdout_fraction=0.25, seed=13))
         assert not np.array_equal(a[1], c[1])
+
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_same_draws_as_the_per_class_permutation_loop(self, stratified):
+        # the RNG calls of the split before stratified_draw: one permutation
+        # per class in class order, or one of range(n) when unstratified
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            n = int(rng.integers(10, 80))
+            labels = rng.integers(0, 4, size=n)
+            frac = float(rng.uniform(0.1, 0.6))
+            seed = int(rng.integers(0, 1000))
+            m = round_half_up(n * frac)
+            draw = np.random.default_rng(seed)
+            if stratified:
+                quota = largest_remainder_quota(np.bincount(labels), m)
+                parts = [draw.permutation(np.flatnonzero(labels == c))[:quota[c]]
+                         for c in range(quota.size)]
+                expected = np.sort(np.concatenate(parts))
+            else:
+                expected = np.sort(draw.permutation(n)[:m])
+            spec = SplitSpec(holdout_fraction=frac, seed=seed, stratified=stratified)
+            tr, ho = split_indices(LabelVector(labels), spec)
+            assert np.array_equal(ho, expected)
+            assert np.array_equal(tr, np.setdiff1d(np.arange(n), expected))
 
     def test_empty_side_rejected(self):
         ds = self._dataset(2)

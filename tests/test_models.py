@@ -1,6 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subsel import kernels
 from subsel.dataset import (
     FeatureMatrix,
     LabeledDataset,
@@ -68,6 +74,68 @@ class TestKnnPredict:
         perm = rng.permutation(30)
         shuffled = make_dataset(values[perm], labels[perm])
         assert np.array_equal(knn_predict_batch(shuffled, queries, KnnConfig(5)), base)
+
+
+def chunked_knn_reference(train, queries, k, chunk=256):
+    """kNN as computed before the row-block pass: chunks of 256 queries,
+    chunk x m x d temporaries, and one bincount vote per query row."""
+    x = train.features.values.astype(np.float64)
+    y = train.labels.labels
+    preds = np.empty(queries.shape[0], dtype=np.int64)
+    for start in range(0, queries.shape[0], chunk):
+        block = queries[start:start + chunk]
+        d2 = ((block[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        for r in range(order.shape[0]):
+            counts = np.bincount(y[order[r]], minlength=train.n_classes)
+            preds[start + r] = int(counts.argmax())
+    return preds
+
+
+@st.composite
+def tie_dense_knn_cases(draw):
+    """Duplicated small-integer rows, queries drawn partly from the training
+    rows, and any k <= m: many equal distances and many split votes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m, d = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    distinct = rng.integers(-2, 3, size=(draw(st.integers(1, m)), d))
+    values = distinct[rng.integers(0, distinct.shape[0], size=m)].astype(np.float64)
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=m)
+    fresh = rng.integers(-2, 3, size=(draw(st.integers(0, 20)), d))
+    queries = np.vstack([values[rng.integers(0, m, size=draw(st.integers(0, 20)))],
+                         fresh, np.zeros((1, d))])
+    return make_dataset(values, labels), queries, draw(st.integers(1, m))
+
+
+class TestKnnRowBlocks:
+    """The row-block distance pass and vectorized vote reproduce the
+    chunked per-row kNN byte for byte, at any block size."""
+
+    @pytest.mark.parametrize("block_elems", [1, 7, 40, kernels._BLOCK_ELEMS])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=tie_dense_knn_cases())
+    def test_byte_equal_to_the_chunked_vote_on_tie_dense_data(self, block_elems, case):
+        train, queries, k = case
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            preds = knn_predict_batch(train, queries, KnnConfig(k))
+        expected = chunked_knn_reference(train, queries, k)
+        assert preds.dtype == expected.dtype
+        assert preds.tobytes() == expected.tobytes()
+
+    def test_peak_memory_at_the_sweep_shape(self):
+        # 264 queries against 536 training rows in d = 32: the distance
+        # array is 1.1 MB, chunk x m x d temporaries would be ~36 MB
+        rng = np.random.default_rng(46)
+        train = make_dataset(rng.standard_normal((536, 32)), rng.integers(0, 3, 536))
+        queries = rng.standard_normal((264, 32))
+        tracemalloc.start()
+        try:
+            preds = knn_predict_batch(train, queries, KnnConfig(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert preds.tobytes() == chunked_knn_reference(train, queries, 5).tobytes()
 
 
 class TestKnnAccuracy:

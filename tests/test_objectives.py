@@ -284,6 +284,26 @@ class TestDenseGainsAll:
         assert peak <= 0.1 * 8 * n * n
 
 
+class TestSparseGainsAll:
+    """Sparse gains_all equals one gain(e) call per candidate, byte for byte."""
+
+    @pytest.mark.parametrize("n", [7, 300, 2100])
+    def test_byte_equal_to_gain_calls(self, n):
+        # entries spread over 16 orders of magnitude make any change in
+        # summation order visible in the last bits
+        rng = np.random.default_rng(n)
+        raw = 10.0 ** rng.uniform(-16.0, 0.0, size=(n, n))
+        upper = np.triu(raw, 1)
+        kappa = max(1, min(n // 3, 60))
+        for dense in (raw, upper + upper.T):
+            state = FacilityLocation(sparsify_knn(SimilarityKernel(n=n, dense=dense), kappa))
+            state.best = 10.0 ** rng.uniform(-16.0, 0.0, size=n)
+            for pick in (None, 2, 5):
+                if pick is not None:
+                    state.add(pick)
+                assert state.gains_all().tobytes() == gains_by_gain(state).tobytes()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
 def test_kappa_n_minus_one_sparse_gains_match_dense(n, seed):

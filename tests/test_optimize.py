@@ -79,9 +79,10 @@ class TestNaiveGreedy:
 
 @st.composite
 def tie_dense_kernels(draw):
-    """Symmetric dense kernels over a 3-value alphabet, unit diagonal, and
-    a budget: many equal gains, whose sums differ in the last bits if two
-    code paths add the same terms in different orders."""
+    """Symmetric kernels over a 3-value alphabet, unit diagonal, dense or
+    kept to the top kappa per row, and a budget: many equal gains, whose
+    sums differ in the last bits if two code paths add the same terms in
+    different orders."""
     n = draw(st.integers(9, 39))
     alphabet = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 0.9]),
                              min_size=3, max_size=3, unique=True))
@@ -89,7 +90,11 @@ def tie_dense_kernels(draw):
     upper = np.triu(rng.choice(alphabet, size=(n, n)), 1)
     dense = upper + upper.T
     np.fill_diagonal(dense, 1.0)
-    return SimilarityKernel(n=n, dense=dense), draw(st.integers(1, n))
+    kernel = SimilarityKernel(n=n, dense=dense)
+    kappa = draw(st.none() | st.integers(1, n - 1))
+    if kappa is not None:
+        kernel = sparsify_knn(kernel, kappa)
+    return kernel, draw(st.integers(1, n))
 
 
 class TestLazyGreedy:
