@@ -59,6 +59,7 @@ from .models import (
     LogRegModel,
     knn_accuracy,
     knn_predict,
+    knn_subset_accuracies,
     logreg_fit,
 )
 from .objectives import (

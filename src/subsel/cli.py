@@ -119,8 +119,8 @@ def _split_from_args(args):
 
 
 def _cmd_sweep(args) -> int:
-    if args.step < 1:
-        raise ValidationError(f"--step must be >= 1, got {args.step}")
+    if not 1 <= args.step <= 100:
+        raise ValidationError(f"--step must be between 1 and 100, got {args.step}")
     train, holdout = _split_from_args(args)
     fractions = tuple(range(args.step, 101, args.step))
     cfg = SweepConfig(fractions=fractions, methods=tuple(args.methods.split(",")),

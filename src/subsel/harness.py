@@ -3,7 +3,9 @@ and deterministic CSV output.
 
 Sweep curves for the greedy methods come from a single full-budget run
 truncated per fraction, so the per-fraction subsets are nested prefixes.
-The random baseline is redrawn independently per (fraction, seed). CSV
+The random baseline is redrawn independently per (fraction, seed). All
+subsets of a sweep are scored against one holdout x train matrix of
+squared distances, computed once (models.knn_subset_accuracies). CSV
 rows are sorted by (method, seed, x) and accuracies printed with six
 decimals, making emitted files byte-stable.
 """
@@ -20,7 +22,7 @@ import numpy as np
 from .active import ALConfig, run_al
 from .dataset import LabeledDataset, atomic_open, round_half_up
 from .errors import ValidationError
-from .models import KnnConfig, knn_accuracy
+from .models import KnnConfig, knn_subset_accuracies
 from .optimize import OBJECTIVES, padded_order, select_subset
 
 logger = logging.getLogger(__name__)
@@ -64,6 +66,8 @@ class SweepConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         _reject_repeats("sweep method", self.methods)
         _reject_repeats("sweep seed", self.seeds)
+        if "random" in self.methods and not self.seeds:
+            raise ValidationError("the random sweep method needs at least one seed")
 
 
 @dataclass(frozen=True)
@@ -93,11 +97,18 @@ def selection_order(train: LabeledDataset, method: str) -> np.ndarray:
 
 def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
                 cfg: SweepConfig = SweepConfig()) -> list[CurveRecord]:
-    """Accuracy of kNN trained on growing subsets of the training pool;
-    a fraction whose budget is below k is skipped with a warning."""
-    knn_cfg = KnnConfig(cfg.k)
+    """Accuracy of kNN trained on growing subsets of the training pool.
+
+    A fraction whose budget is below k is skipped with a warning; a sweep
+    that would skip every fraction is an error. All subsets are scored by
+    one knn_subset_accuracies call, against one holdout x train distance
+    matrix.
+    """
+    if round_half_up(cfg.fractions[-1] / 100 * train.n) < cfg.k:
+        raise ValidationError(f"every fraction's budget is below k={cfg.k} "
+                              f"for training size {train.n}")
     orders = {m: selection_order(train, m) for m in cfg.methods if m != "random"}
-    records: list[CurveRecord] = []
+    arms = []  # (method, seed, fraction, budget, subset), in record order
     for p in cfg.fractions:
         budget = round_half_up(p / 100 * train.n)
         if budget < cfg.k:
@@ -109,13 +120,14 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
                 for seed in cfg.seeds:
                     rng = np.random.default_rng([int(seed), int(p)])
                     subset = np.sort(rng.choice(train.n, size=budget, replace=False))
-                    acc = knn_accuracy(train.subset(subset), holdout, knn_cfg)
-                    records.append(CurveRecord("random", int(seed), p, budget, acc))
+                    arms.append(("random", int(seed), p, budget, subset))
             else:
-                subset = orders[method][:budget]
-                acc = knn_accuracy(train.subset(subset), holdout, knn_cfg)
-                records.append(CurveRecord(method, DETERMINISTIC_SEED, p, budget, acc))
-    return records
+                arms.append((method, DETERMINISTIC_SEED, p, budget,
+                             orders[method][:budget]))
+    accs = knn_subset_accuracies(train, holdout, [arm[-1] for arm in arms],
+                                 KnnConfig(cfg.k))
+    return [CurveRecord(method, seed, p, budget, acc)
+            for (method, seed, p, budget, _), acc in zip(arms, accs)]
 
 
 def summarize_random(records: Iterable[CurveRecord]) -> dict[float, float]:

@@ -1,9 +1,14 @@
 """Desk-scale classifiers: kNN and multinomial logistic regression.
 
 kNN breaks distance ties toward the lower training index and vote ties
-toward the smallest class label, so predictions are fully deterministic.
-Its working memory is one queries x train array of squared distances plus
-temporaries of ~_BLOCK_ELEMS elements per block of ``kernels.row_blocks``.
+toward the smallest class label, so predictions are fully deterministic:
+each query's k neighbours are the training points below its k-th smallest
+distance (found by a partition, not a sort), then the points at that
+distance by ascending index, the first k of a stable sort. Its working
+memory is one queries x train array of squared distances plus temporaries
+of ~_BLOCK_ELEMS elements per block of ``kernels.row_blocks``;
+``knn_subset_accuracies`` scores many training subsets against one such
+array, plus one copy of a subset's columns at a time.
 The regression is fit by line-search Newton-CG (truncated Newton): each
 step solves the Newton system by conjugate gradient on Hessian-vector
 products, so the Hessian is never formed, and Armijo backtracking keeps
@@ -54,17 +59,8 @@ def knn_predict_batch(train: LabeledDataset, queries, cfg: KnnConfig = KnnConfig
         raise ValidationError(
             f"query dimension {q.shape} incompatible with d={train.features.d}"
         )
-    x = train.features.values.astype(np.float64)
-    nq = q.shape[0]
-    d2 = np.empty((nq, train.n))
-    for lo, hi in row_blocks(nq, width=x.size):
-        d2[lo:hi] = ((q[lo:hi, None, :] - x[None]) ** 2).sum(axis=2)
-    # stable sort keeps the lower training index first on distance ties
-    votes = train.labels.labels[np.argsort(d2, axis=1, kind="stable")[:, :cfg.k]]
-    c = train.n_classes
-    counts = np.bincount((votes + c * np.arange(nq)[:, None]).ravel(), minlength=nq * c)
-    # argmax takes the first maximum: vote ties go to the smallest label
-    return counts.reshape(nq, c).argmax(axis=1)
+    d2 = _sq_distances(q, train.features.values.astype(np.float64))
+    return _vote(d2, train.labels.labels, train.n_classes, cfg.k)
 
 
 def knn_accuracy(train: LabeledDataset, holdout: LabeledDataset,
@@ -74,6 +70,68 @@ def knn_accuracy(train: LabeledDataset, holdout: LabeledDataset,
         raise ValidationError("holdout set is empty")
     preds = knn_predict_batch(train, holdout.features.values.astype(np.float64), cfg)
     return float((preds == holdout.labels.labels).mean())
+
+
+def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subsets,
+                          cfg: KnnConfig = KnnConfig()) -> list[float]:
+    """knn_accuracy(train.subset(s), holdout, cfg) for each index array s.
+
+    The holdout x train squared distances are computed once; each subset
+    votes on their columns s, in s's own order, so distance ties go to
+    the lower position in s as they would in train.subset(s).
+    """
+    if holdout.n == 0:
+        raise ValidationError("holdout set is empty")
+    if holdout.features.d != train.features.d:
+        raise ValidationError(f"holdout dimension {holdout.features.d} incompatible "
+                              f"with d={train.features.d}")
+    subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
+    for s in subsets:
+        if cfg.k > s.size:
+            raise ValidationError(f"k={cfg.k} exceeds training size {s.size}")
+    d2 = _sq_distances(holdout.features.values.astype(np.float64),
+                       train.features.values.astype(np.float64))
+    y = train.labels.labels
+    return [float((_vote(d2[:, s], y[s], train.n_classes, cfg.k)
+                   == holdout.labels.labels).mean()) for s in subsets]
+
+
+def _sq_distances(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances, queries q by training rows x, filled
+    in row blocks whose q x x x d temporaries hold ~_BLOCK_ELEMS elements."""
+    d2 = np.empty((q.shape[0], x.shape[0]))
+    for lo, hi in row_blocks(q.shape[0], width=x.size):
+        d2[lo:hi] = ((q[lo:hi, None, :] - x[None]) ** 2).sum(axis=2)
+    return d2
+
+
+def _vote(d2: np.ndarray, labels: np.ndarray, n_classes: int, k: int) -> np.ndarray:
+    """Majority label among the k smallest entries of each row of d2.
+
+    The k entries are those below the row's k-th smallest value t, then
+    those equal to t by ascending column: the first k of a stable sort.
+    argmax takes the first maximum, so vote ties go to the smallest label.
+    """
+    nq, m = d2.shape
+    preds = np.empty(nq, dtype=np.int64)
+    for lo, hi in row_blocks(nq, width=m):
+        blk = d2[lo:hi]
+        t = np.partition(blk, k - 1, axis=1)[:, k - 1:k].copy()
+        near = blk <= t
+        if np.count_nonzero(near) > (hi - lo) * k:
+            # rows with more than k entries at or below t (ties at t): keep
+            # the entries below t, then tied ones by ascending column
+            over = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
+            vals, at = blk[over], t[over]
+            below = vals < at
+            tied = vals == at
+            room = k - np.count_nonzero(below, axis=1, keepdims=True)
+            near[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        rows, cols = np.divmod(np.flatnonzero(near), m)
+        counts = np.bincount(labels[cols] + n_classes * rows,
+                             minlength=(hi - lo) * n_classes)
+        preds[lo:hi] = counts.reshape(hi - lo, n_classes).argmax(axis=1)
+    return preds
 
 
 @dataclass

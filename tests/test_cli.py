@@ -103,7 +103,28 @@ class TestSweepCommand:
         rc = main(["sweep", "--features", str(features), "--labels", str(labels),
                    "--holdout-frac", "0.3", "--step", step, "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: --step must be >= 1")
+        assert capsys.readouterr().err.startswith("error: --step must be between 1 and 100")
+        assert not out.exists()
+
+    def test_step_above_100_fails_with_an_error_line(self, synth_files, tmp_path, capsys):
+        features, labels = synth_files
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--step", "101", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --step must be between 1 and 100, got 101\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", ["random", "fl,dm,random"])
+    def test_random_arm_without_seeds_fails_with_an_error_line(self, synth_files, tmp_path,
+                                                               capsys, methods):
+        features, labels = synth_files
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--methods", methods, "--seeds", ",",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "needs at least one seed" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -133,6 +154,20 @@ class TestSweepCommand:
         assert min(r.labeled_count for r in records) >= 5
         assert min(r.x for r in records) == 15  # 5% and 10% round to 2 and 4
         assert max(r.x for r in records) == 100
+
+    def test_k_above_every_budget_fails_with_an_error_line(self, tmp_path, capsys):
+        features, labels = tmp_path / "f.bin", tmp_path / "l.txt"
+        assert main(["gen-synth", "--out", str(features), "--labels", str(labels),
+                     "--n", "60", "--d", "4", "--classes", "2", "--sep", "3",
+                     "--seed", "7"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--k", "100", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: every fraction's budget is below "
+                                           "k=100 for training size 42\n")
+        assert not out.exists()
 
 
 class TestAlCommand:

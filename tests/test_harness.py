@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from subsel.active import ALConfig
-from subsel.dataset import SplitSpec, gen_synthetic, split
+from subsel.dataset import SplitSpec, gen_synthetic, round_half_up, split
 from subsel.errors import ValidationError
 from subsel.harness import (
     CurveRecord,
@@ -14,6 +15,7 @@ from subsel.harness import (
     sweep_goal1,
 )
 from subsel.kernels import cosine_similarity, euclidean_distance
+from subsel.models import KnnConfig, knn_accuracy
 from subsel.objectives import DisparityMin, FacilityLocation
 from subsel.optimize import BudgetSpec, farthest_point, greedy_lazy
 
@@ -76,12 +78,50 @@ class TestSweep:
             SweepConfig(methods=("fl", "random", "fl"))
         with pytest.raises(ValidationError, match="sweep seed 1"):
             SweepConfig(seeds=(1, 2, 1))
+        with pytest.raises(ValidationError, match="needs at least one seed"):
+            SweepConfig(methods=("fl", "random"), seeds=())
+
+    def test_every_fraction_below_k_is_an_error(self, problem):
+        train, hold = problem
+        cfg = SweepConfig(fractions=(5, 10), methods=("fl", "random"), k=20)
+        with pytest.raises(ValidationError, match=f"k=20 for training size {train.n}"):
+            sweep_goal1(train, hold, cfg)
+
+    def test_records_equal_the_per_arm_loop_at_the_benchmark_shape(self):
+        train, hold = split(gen_synthetic(800, 32, 10, 0.5, 31),
+                            SplitSpec(holdout_fraction=0.33, seed=0))
+        cfg = SweepConfig(fractions=tuple(range(10, 101, 10)), seeds=(1, 2, 3))
+        assert sweep_goal1(train, hold, cfg) == per_arm_sweep(train, hold, cfg)
 
     def test_summary_means(self):
         records = [CurveRecord("random", 1, 10, 5, 0.5),
                    CurveRecord("random", 2, 10, 5, 0.7),
                    CurveRecord("fl", 0, 10, 5, 0.9)]
         assert summarize_random(records) == {10: 0.6}
+
+
+def per_arm_sweep(train, hold, cfg):
+    """sweep_goal1 as it was before the shared distance matrix: one kNN
+    call on a copied training subset per (fraction, method, seed)."""
+    knn_cfg = KnnConfig(cfg.k)
+    orders = {m: selection_order(train, m) for m in cfg.methods if m != "random"}
+    records = []
+    for p in cfg.fractions:
+        budget = round_half_up(p / 100 * train.n)
+        if budget < cfg.k:
+            continue
+        for method in cfg.methods:
+            if method == "random":
+                for seed in cfg.seeds:
+                    rng = np.random.default_rng([int(seed), int(p)])
+                    subset = np.sort(rng.choice(train.n, size=budget, replace=False))
+                    acc = knn_accuracy(train.subset(subset), hold, knn_cfg)
+                    records.append(CurveRecord("random", int(seed), p, budget, acc))
+            else:
+                subset = orders[method][:budget]
+                acc = knn_accuracy(train.subset(subset), hold, knn_cfg)
+                records.append(CurveRecord(method, 0, p, budget, acc))
+    return records
 
 
 class TestGoal2:

@@ -21,9 +21,11 @@ from subsel.models import (
     KnnConfig,
     LogRegModel,
     _softmax_hvp,
+    _sq_distances,
     knn_accuracy,
     knn_predict,
     knn_predict_batch,
+    knn_subset_accuracies,
     logreg_fit,
     softmax_gradients,
     softmax_objective,
@@ -136,6 +138,64 @@ class TestKnnRowBlocks:
             tracemalloc.stop()
         assert peak < 4_000_000
         assert preds.tobytes() == chunked_knn_reference(train, queries, 5).tobytes()
+
+
+class TestKnnDistances:
+    """The blocked distance pass gives the per-pair expression's bytes."""
+
+    @pytest.mark.parametrize("block_elems", [1, 7, kernels._BLOCK_ELEMS])
+    @pytest.mark.parametrize("m,d", [(40, 3), (536, 32)])
+    def test_byte_equal_to_the_per_pair_expression(self, block_elems, m, d):
+        # real-valued rows and queries in near-duplicate groups: distances
+        # are inexact and differ only in their last bits within a group
+        rng = np.random.default_rng(47)
+        base = rng.standard_normal((5, d))
+        x = base[rng.integers(0, 5, size=m)] + 1e-9 * rng.standard_normal((m, d))
+        q = base[rng.integers(0, 5, size=30)] + 1e-9 * rng.standard_normal((30, d))
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            d2 = _sq_distances(q, x)
+        expected = ((q[:, None, :] - x[None]) ** 2).sum(axis=2)
+        assert d2.tobytes() == expected.tobytes()
+
+
+@st.composite
+def subset_knn_cases(draw):
+    """A tie-dense kNN case with holdout labels, and index arrays of at
+    least k training rows: one of exactly k, then sorted ones, permuted
+    (greedy-order-like) ones and ones that repeat indices."""
+    train, queries, k = draw(tie_dense_knn_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    holdout = make_dataset(queries, rng.integers(0, 4, size=queries.shape[0]))
+    m = train.n
+    subsets = [rng.permutation(m)[:k]]
+    for kind in draw(st.lists(st.sampled_from(["sorted", "permuted", "repeats"]),
+                              max_size=4)):
+        size = int(rng.integers(k, m + 1))
+        if kind == "sorted":
+            subsets.append(np.sort(rng.choice(m, size=size, replace=False)))
+        elif kind == "permuted":
+            subsets.append(rng.permutation(m)[:size])
+        else:
+            subsets.append(rng.integers(0, m, size=size))
+    return train, holdout, subsets, k
+
+
+class TestKnnSubsetAccuracies:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=subset_knn_cases())
+    def test_equal_to_knn_on_each_subset_copy(self, case):
+        train, holdout, subsets, k = case
+        cfg = KnnConfig(k)
+        assert knn_subset_accuracies(train, holdout, subsets, cfg) == [
+            knn_accuracy(train.subset(s), holdout, cfg) for s in subsets]
+
+    def test_k_above_a_subset_size_or_a_dimension_mismatch_rejected(self):
+        train = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
+        with pytest.raises(ValidationError, match="k=3 exceeds training size 2"):
+            knn_subset_accuracies(train, train, [[0, 1, 2], [2, 0]], KnnConfig(3))
+        holdout = make_dataset([[0.0, 1.0]], [0])
+        with pytest.raises(ValidationError, match="holdout dimension 2"):
+            knn_subset_accuracies(train, holdout, [[0, 1, 2]], KnnConfig(1))
 
 
 class TestKnnAccuracy:
