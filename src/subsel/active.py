@@ -157,6 +157,8 @@ class ALConfig:
             )
         if self.rounds < 1:
             raise ValidationError(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.selector not in SELECTORS:
             raise ValidationError(
                 f"unknown selector {self.selector!r}, expected one of {SELECTORS}"

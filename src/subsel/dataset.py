@@ -354,6 +354,8 @@ def gen_synthetic(n: int, d: int, n_classes: int, sep: float, seed: int) -> Labe
         raise ValidationError(f"dimension must be >= 1, got {d}")
     if not sep > 0:
         raise ValidationError(f"class separation must be > 0, got {sep}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_classes, d)) * sep
     labels = np.arange(n, dtype=np.int64) % n_classes

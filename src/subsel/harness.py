@@ -66,6 +66,8 @@ class SweepConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         _reject_repeats("sweep method", self.methods)
         _reject_repeats("sweep seed", self.seeds)
+        if any(s < 0 for s in self.seeds):
+            raise ValidationError(f"sweep seeds must be non-negative, got {self.seeds}")
         if "random" in self.methods and not self.seeds:
             raise ValidationError("the random sweep method needs at least one seed")
 

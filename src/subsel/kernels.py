@@ -6,7 +6,9 @@ is computed once and mirrored, which makes dense kernels exactly
 symmetric. ``sparsify_knn`` keeps the top-kappa off-diagonal entries per
 row and stores them grouped by column, the order in which facility
 location reads a candidate; consumers treat dropped entries as
-similarity 0 and the diagonal as an implicit 1.
+similarity 0 and the diagonal as an implicit 1. Which entries it keeps
+is decided by ``first_k``, the package's one top-k rule (the first k of
+a stable sort), which the kNN vote in ``models`` shares.
 
 A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
 and finishes it in place: each block of rows (see ``row_blocks``) has
@@ -145,10 +147,33 @@ def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
     return DistanceKernel(n=x.shape[0], dense=_mirror_upper(dist, 0.0))
 
 
+def first_k(a: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of each row's k smallest entries, the first k of a
+    stable argsort: the entries below the row's k-th smallest value t,
+    then those equal to t by ascending column.
+
+    NaN sorts last and never equals t, so it is kept by no row with k
+    non-NaN entries; callers use it to exclude an entry.
+    """
+    t = np.partition(a, k - 1, axis=1)[:, k - 1:k].copy()
+    keep = a <= t
+    if np.count_nonzero(keep) > a.shape[0] * k:
+        # rows with more than k entries at or below t (ties at t): keep the
+        # entries below t, then tied ones by ascending column
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+        vals, at = a[over], t[over]
+        below = vals < at
+        tied = vals == at
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    return keep
+
+
 def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:
     """Keep each row's kappa largest off-diagonal similarities.
 
-    Boundary ties go to the lower column index. The kept entries are
+    Boundary ties go to the lower column index (``first_k`` on the negated
+    rows, with a NaN diagonal that is never kept). The kept entries are
     found row block by row block, then regrouped once by column (rows
     ascending within a column), the only layout the kernel stores. The
     diagonal stays implicit; dropped entries read as 0.
@@ -161,24 +186,10 @@ def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:
     # entry i * kappa + t is row i's t-th kept column, ascending
     cols = np.empty(n * kappa, dtype=np.int64)
     for lo, hi in row_blocks(n):
-        block = kernel.dense[lo:hi].copy()
-        block[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
-        # each row's kappa-th largest off-diagonal value; the -inf diagonal
-        # is never above it because kappa <= n - 1
-        cut = np.partition(block, n - kappa, axis=1)[:, n - kappa, None]
-        keep = block >= cut
-        if np.count_nonzero(keep) > (hi - lo) * kappa:
-            # rows with more than kappa entries at or above the cut (ties at
-            # the cut, or a -inf cut that takes in the diagonal): keep the
-            # entries above the cut, then tied ones by ascending column
-            over = np.flatnonzero(np.count_nonzero(keep, axis=1) > kappa)
-            vals, at = block[over], cut[over]
-            above = vals > at
-            tied = vals == at
-            tied[np.arange(over.size), lo + over] = False
-            room = kappa - np.count_nonzero(above, axis=1, keepdims=True)
-            keep[over] = above | (tied & (np.cumsum(tied, axis=1) <= room))
-        flat = np.flatnonzero(keep)  # row-major: columns ascend within a row
+        block = np.negative(kernel.dense[lo:hi])
+        # not +inf: a -inf similarity negates to +inf and would tie it
+        block[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
+        flat = np.flatnonzero(first_k(block, kappa))  # columns ascend within a row
         cols[lo * kappa:hi * kappa] = flat % n
     # regroup by column; the stable sort keeps rows ascending within each.
     # In place where it can be: the dense kernel is still alive here.

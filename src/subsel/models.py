@@ -2,13 +2,13 @@
 
 kNN breaks distance ties toward the lower training index and vote ties
 toward the smallest class label, so predictions are fully deterministic:
-each query's k neighbours are the training points below its k-th smallest
-distance (found by a partition, not a sort), then the points at that
-distance by ascending index, the first k of a stable sort. Its working
-memory is one queries x train array of squared distances plus temporaries
-of ~_BLOCK_ELEMS elements per block of ``kernels.row_blocks``;
-``knn_subset_accuracies`` scores many training subsets against one such
-array, plus one copy of a subset's columns at a time.
+each query's k neighbours are ``kernels.first_k`` of its distance row,
+the first k of a stable sort found by a partition, the same rule by which
+``sparsify_knn`` keeps its top kappa. Its working memory is one queries x
+train array of squared distances plus temporaries of ~_BLOCK_ELEMS
+elements per block of ``kernels.row_blocks``; ``knn_subset_accuracies``
+scores many training subsets against one such array, plus one copy of a
+subset's columns at a time.
 The regression is fit by line-search Newton-CG (truncated Newton): each
 step solves the Newton system by conjugate gradient on Hessian-vector
 products, so the Hessian is never formed, and Armijo backtracking keeps
@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import ValidationError
-from .kernels import row_blocks
+from .kernels import first_k, row_blocks
 
 DEFAULT_L2 = 1e-2
 DEFAULT_TOL = 1e-6
@@ -106,28 +106,14 @@ def _sq_distances(q: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _vote(d2: np.ndarray, labels: np.ndarray, n_classes: int, k: int) -> np.ndarray:
-    """Majority label among the k smallest entries of each row of d2.
-
-    The k entries are those below the row's k-th smallest value t, then
-    those equal to t by ascending column: the first k of a stable sort.
-    argmax takes the first maximum, so vote ties go to the smallest label.
+    """Majority label among the k smallest entries of each row of d2,
+    chosen by ``first_k``. argmax takes the first maximum, so vote ties go
+    to the smallest label.
     """
     nq, m = d2.shape
     preds = np.empty(nq, dtype=np.int64)
     for lo, hi in row_blocks(nq, width=m):
-        blk = d2[lo:hi]
-        t = np.partition(blk, k - 1, axis=1)[:, k - 1:k].copy()
-        near = blk <= t
-        if np.count_nonzero(near) > (hi - lo) * k:
-            # rows with more than k entries at or below t (ties at t): keep
-            # the entries below t, then tied ones by ascending column
-            over = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
-            vals, at = blk[over], t[over]
-            below = vals < at
-            tied = vals == at
-            room = k - np.count_nonzero(below, axis=1, keepdims=True)
-            near[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
-        rows, cols = np.divmod(np.flatnonzero(near), m)
+        rows, cols = np.divmod(np.flatnonzero(first_k(d2[lo:hi], k)), m)
         counts = np.bincount(labels[cols] + n_classes * rows,
                              minlength=(hi - lo) * n_classes)
         preds[lo:hi] = counts.reshape(hi - lo, n_classes).argmax(axis=1)

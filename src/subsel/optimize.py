@@ -2,7 +2,8 @@
 
 Four routes: naive greedy (any gain-scored objective), lazy greedy
 (monotone submodular only; identical output to naive, fewer gain
-evaluations), farthest-point greedy for dispersion, and an exhaustive
+evaluations), farthest-point greedy for dispersion, seeded with the
+exact maximum-distance pair at every ground-set size, and an exhaustive
 oracle for tests. Ties always break toward the lowest index, so every
 optimizer is deterministic.
 
@@ -25,7 +26,6 @@ from .kernels import cosine_similarity, euclidean_distance, row_blocks, sparsify
 from .objectives import INF, DisparityMin, FacilityLocation
 
 BRUTE_FORCE_CAP = 10 ** 6
-EXACT_PAIR_THRESHOLD = 2048
 OBJECTIVES = ("fl", "dm")
 
 
@@ -143,39 +143,34 @@ def greedy_lazy(obj, budget: BudgetSpec) -> Selection:
 def farthest_point(obj: DisparityMin, budget: BudgetSpec) -> Selection:
     """Dispersion greedy: seed, then repeatedly add the farthest element.
 
-    Ground sets of at most EXACT_PAIR_THRESHOLD elements seed with the
-    exact maximum-distance pair (lowest index pair on ties), which preserves
-    the classical 1/2 bound; larger ones seed with the element farthest
-    from the medoid. A budget of 1 returns the lowest-index singleton at
-    the +inf sentinel.
+    The seed is the exact maximum-distance pair (lowest index pair on
+    ties), which gives the classical 1/2 bound (Ravi, Rosenkrantz & Tayi,
+    Oper. Res. 1994). The kernel must be symmetric with a zero diagonal,
+    as DistanceKernel documents. A budget of 1 returns the lowest-index
+    singleton at the +inf sentinel.
     """
     if not isinstance(obj, DisparityMin):
         raise UnsupportedObjectiveError("farthest_point requires a dispersion objective")
     b = _check_budget(obj, budget)
-    evals = 0
     if b == 1:
         obj.add(0)
         return Selection([0], [INF], INF)
+    n = obj.n
     dist = obj.kernel.dense
-    if obj.n <= EXACT_PAIR_THRESHOLD:
-        # row-major first maximum of the strict upper triangle, one row
-        # block at a time: the lexicographically smallest pair on ties
-        top = None
-        for lo, hi in row_blocks(obj.n):
-            masked = np.where(np.tri(hi - lo, obj.n, lo, dtype=bool), -1.0, dist[lo:hi])
-            flat = int(np.argmax(masked))
-            if top is None or masked.flat[flat] > top:
-                top = masked.flat[flat]
-                i, j = lo + flat // obj.n, flat % obj.n
-        obj.add(i)
-        obj.add(j)
-        evals += obj.n * (obj.n - 1) // 2
-    else:
-        medoid = int(np.argmin(dist.sum(axis=1)))
-        obj.add(int(np.argmax(dist[medoid])))
-        evals += obj.n
-    steps = [INF] if len(obj.selected) == 1 else [INF, obj.value]
-    evals = _argmax_fill(obj, b, steps, evals)
+    # On a symmetric kernel with a zero diagonal the row-major first maximum
+    # lies above the diagonal, so it is the lexicographically smallest
+    # maximum pair. Only an all-zero kernel has no positive maximum; it
+    # keeps the pair (0, 1).
+    i, j, top = 0, 1, 0.0
+    for lo, hi in row_blocks(n):
+        block = dist[lo:hi]
+        r, c = divmod(int(np.argmax(block)), n)
+        if block[r, c] > top:
+            i, j, top = lo + r, c, block[r, c]
+    obj.add(i)
+    obj.add(j)
+    steps = [INF, obj.value]
+    evals = _argmax_fill(obj, b, steps, n * (n - 1) // 2)
     return Selection(list(obj.selected), steps, obj.value, gain_evals=evals)
 
 

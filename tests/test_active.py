@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsel.active import (
     ALConfig,
@@ -102,6 +104,25 @@ class TestFilter:
         assert (scores[inside] >= fset.cutoff_value).all()
         assert (scores[~inside] < fset.cutoff_value).all()
         assert len(fset) >= ceil_pct(25.0, 30)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([0.5, 0.6, 0.75, 0.9, 1.0]), min_size=1, max_size=25),
+           st.randoms(use_true_random=False),
+           st.sampled_from([1.0, 5.0, 12.5, 33.3, 50.0, 99.9, 100.0]))
+    def test_keeps_the_first_ceil_beta_then_cutoff_ties(self, tops, random, beta):
+        # two-class rows [t, 1 - t] or [1 - t, t] repeat each score often
+        probs = np.array([[t, 1.0 - t] if random.random() < 0.5 else [1.0 - t, t]
+                          for t in tops])
+        U = np.array(random.sample(range(1000), len(tops)), dtype=np.int64)
+        scores = uncertainty_scores(probs, LC)
+        order = sorted(range(len(tops)), key=lambda i: (-scores[i], U[i]))
+        base = ceil_pct(beta, len(tops))
+        cutoff = scores[order[base - 1]]
+        kept = order[:base] + [i for i in order[base:] if scores[i] == cutoff]
+        fset = filter_uncertain(probs, U, beta, LC)
+        assert fset.indices.tolist() == U[kept].tolist()
+        assert fset.cutoff_value == cutoff
+        assert fset.scores.tolist() == scores[kept].tolist()
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValidationError):

@@ -27,6 +27,15 @@ class TestGenSynth:
         assert m.n == 90 and m.d == 6
         assert v.n_classes == 3 and len(v) == 90
 
+    def test_negative_seed_fails_with_an_error_line(self, tmp_path, capsys):
+        features, labels = tmp_path / "f.bin", tmp_path / "l.txt"
+        rc = main(["gen-synth", "--out", str(features), "--labels", str(labels),
+                   "--n", "30", "--d", "2", "--classes", "2", "--sep", "3",
+                   "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+        assert not features.exists() and not labels.exists()
+
 
 class TestSelect:
     def test_indices_match_the_library_selection(self, synth_files, tmp_path):
@@ -141,6 +150,16 @@ class TestSweepCommand:
         assert "given more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_fails_with_an_error_line(self, synth_files, tmp_path, capsys):
+        features, labels = synth_files
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--seeds", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: sweep seeds must be non-negative")
+        assert not out.exists()
+
     def test_fractions_below_k_are_skipped_on_a_small_pool(self, tmp_path):
         features, labels = tmp_path / "f.bin", tmp_path / "l.txt"
         assert main(["gen-synth", "--out", str(features), "--labels", str(labels),
@@ -215,6 +234,16 @@ class TestAlCommand:
                    "--rounds", "2", *flags, "--out", str(out)])
         assert rc == 1
         assert "given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_fails_with_an_error_line(self, synth_files, tmp_path, capsys):
+        features, labels = synth_files
+        out = tmp_path / "al.csv"
+        rc = main(["al", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--batch-pct", "10", "--beta-pct", "40",
+                   "--rounds", "2", "--seeds", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
         assert not out.exists()
 
     def test_single_class_labels_fail_with_an_error_line(self, synth_files, tmp_path,

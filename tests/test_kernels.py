@@ -14,6 +14,7 @@ from subsel.kernels import (
     SimilarityKernel,
     cosine_similarity,
     euclidean_distance,
+    first_k,
     is_symmetric,
     sparsify_knn,
 )
@@ -110,6 +111,26 @@ def tied_kernels(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     dense = np.random.default_rng(seed).choice(alphabet, size=(n, n))
     return SimilarityKernel(n=n, dense=dense)
+
+
+@st.composite
+def tied_rows(draw):
+    """Small 2-D arrays of a few integers and +-inf: ties in every row."""
+    rows, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    values = st.sampled_from([-np.inf, -1.0, 0.0, 1.0, 2.0, np.inf])
+    flat = draw(st.lists(values, min_size=rows * m, max_size=rows * m))
+    return np.array(flat).reshape(rows, m)
+
+
+class TestFirstK:
+    @PROPERTY
+    @given(tied_rows())
+    def test_is_the_first_k_of_a_stable_argsort(self, a):
+        order = np.argsort(a, axis=1, kind="stable")
+        for k in range(1, a.shape[1] + 1):
+            expected = np.zeros(a.shape, dtype=bool)
+            np.put_along_axis(expected, order[:, :k], True, axis=1)
+            assert np.array_equal(first_k(a, k), expected)
 
 
 class TestCosine:

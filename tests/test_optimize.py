@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distance_kernel, random_features, random_similarity_kernel
-from subsel import kernels, optimize
+from subsel import kernels
 from subsel.errors import CapacityError, UnsupportedObjectiveError, ValidationError
 from subsel.kernels import (
     DistanceKernel,
@@ -168,6 +168,9 @@ class TestFarthestPoint:
             tied = np.round(random_distance_kernel(rng, n).dense)  # many equal maxima
             cases.append(tied)
             cases.append(np.ones((n, n)) - np.eye(n))  # every pair ties
+            cases.append(np.zeros((n, n)))  # no positive maximum: seeds (0, 1)
+        # a benchmark-sized euclidean kernel over many row blocks
+        cases.append(euclidean_distance(random_features(rng, 2100, 8)).dense)
         for dist in cases:
             n = dist.shape[0]
             flat = int(np.argmax(np.where(np.tri(n, dtype=bool), -1.0, dist)))
@@ -175,12 +178,6 @@ class TestFarthestPoint:
                 sel = farthest_point(DisparityMin(DistanceKernel(n=n, dense=dist)),
                                      BudgetSpec(2))
             assert sel.indices == list(divmod(flat, n))
-
-    def test_medoid_seeding_path(self, line_distance):
-        with mock.patch.object(optimize, "EXACT_PAIR_THRESHOLD", 1):
-            sel = farthest_point(DisparityMin(line_distance), BudgetSpec(2))
-        assert len(sel.indices) == 2
-        assert sel.final_value == 10.0  # medoid is 1; farthest from it is 2; then 0
 
     def test_half_approximation_against_brute_force(self):
         rng = np.random.default_rng(34)
