@@ -58,7 +58,6 @@ from .models import (
     KnnConfig,
     LogRegModel,
     knn_accuracy,
-    knn_predict,
     knn_subset_accuracies,
     logreg_fit,
 )

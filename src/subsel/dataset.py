@@ -238,25 +238,34 @@ def load_features(path) -> FeatureMatrix:
     return FeatureMatrix(values)
 
 
+def _read_text(path: Path, error: type) -> str:
+    """path's text, decoded whole as UTF-8; a bad byte raises error at its offset."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                    f"at offset {exc.start}") from None
+
+
 def _load_features_csv(path: Path) -> FeatureMatrix:
     rows = []
     d = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if d is None:
-                d = len(parts)
-            elif len(parts) != d:
-                raise FeatureFormatError(
-                    f"{path}: line {lineno} has {len(parts)} columns, expected {d}"
-                )
-            try:
-                rows.append(np.array(parts, dtype=np.float32))
-            except ValueError as exc:
-                raise FeatureFormatError(f"{path}: line {lineno}: {exc}") from exc
+    text = _read_text(path, FeatureFormatError)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if d is None:
+            d = len(parts)
+        elif len(parts) != d:
+            raise FeatureFormatError(
+                f"{path}: line {lineno} has {len(parts)} columns, expected {d}"
+            )
+        try:
+            rows.append(np.array(parts, dtype=np.float32))
+        except ValueError as exc:
+            raise FeatureFormatError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: empty feature file")
     return FeatureMatrix(np.vstack(rows))
@@ -269,7 +278,7 @@ def _load_features_csv(path: Path) -> FeatureMatrix:
 def load_labels(path) -> LabelVector:
     """Read one non-negative integer label per line."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path, ValidationError)
     labels = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

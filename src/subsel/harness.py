@@ -22,6 +22,7 @@ import numpy as np
 from .active import ALConfig, run_al
 from .dataset import LabeledDataset, atomic_open, round_half_up
 from .errors import ValidationError
+from .kernels import cosine_norms
 from .models import KnnConfig, knn_subset_accuracies
 from .optimize import OBJECTIVES, padded_order, select_subset
 
@@ -155,6 +156,8 @@ def run_goal2(train: LabeledDataset, holdout: LabeledDataset,
         raise ValidationError("all active-learning configs must share the round count")
     _reject_repeats("active-learning (selector, seed)",
                     [(c.selector, int(c.seed)) for c in cfgs])
+    if any(c.selector == "fl" for c in cfgs):  # fail on a zero row before any fit
+        cosine_norms(train.features.values.astype(np.float64), np.arange(train.n))
     records: list[CurveRecord] = []
     for cfg in cfgs:
         for rec in run_al(train, holdout, cfg):

@@ -2,13 +2,13 @@
 
 Similarities are shifted cosines, ``(1 + cos) / 2``, so they land in
 [0, 1] with an exact unit diagonal. Distances are euclidean. Each pair
-is computed once and mirrored, which makes dense kernels exactly
-symmetric. ``sparsify_knn`` keeps the top-kappa off-diagonal entries per
-row and stores them grouped by column, the order in which facility
-location reads a candidate; consumers treat dropped entries as
-similarity 0 and the diagonal as an implicit 1. Which entries it keeps
-is decided by ``first_k``, the package's one top-k rule (the first k of
-a stable sort), which the kNN vote in ``models`` shares.
+is computed once and mirrored, so dense kernels are exactly symmetric
+(``SimilarityKernel.symmetric`` records it). ``sparsify_knn`` keeps the
+top-kappa off-diagonal entries per row and stores them by column, the
+order in which facility location reads a candidate; dropped entries read
+as similarity 0 and the diagonal as an implicit 1. Which entries it
+keeps is decided by ``first_k``, the package's one top-k rule (the first
+k of a stable sort), which the kNN vote in ``models`` shares.
 
 A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
 and finishes it in place: each block of rows (see ``row_blocks``) has
@@ -41,6 +41,7 @@ class SimilarityKernel:
     col_ptr: Optional[np.ndarray] = None
     rows: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
+    symmetric: bool = False  # set by a builder that guarantees dense == dense.T
 
     @property
     def is_sparse(self) -> bool:
@@ -77,12 +78,6 @@ def row_blocks(n: int, width: Optional[int] = None) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def is_symmetric(a: np.ndarray) -> bool:
-    """Whether the square array a equals its transpose exactly."""
-    return all(np.array_equal(a[lo:hi, lo:], a[lo:, lo:hi].T)
-               for lo, hi in row_blocks(a.shape[0]))
-
-
 def _mirror_upper(a: np.ndarray, diagonal: float) -> np.ndarray:
     """Copy a's upper triangle onto its lower one in place, set the
     diagonal, and return a made read-only.
@@ -112,16 +107,20 @@ def _select_rows(m: FeatureMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
     return m.values[idx].astype(np.float64), idx
 
 
-def cosine_similarity(m: FeatureMatrix, rows=None) -> SimilarityKernel:
-    """Dense shifted-cosine similarity kernel over the selected rows."""
-    x, idx = _select_rows(m, rows)
+def cosine_norms(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Norms of x's float64 rows; an all-zero row raises, named by idx."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValidationError(
-            f"cosine similarity undefined for all-zero row {int(idx[zero[0]])}"
-        )
-    inv_norms = 1.0 / norms
+        raise ValidationError("cosine similarity undefined for all-zero row "
+                              f"{int(idx[zero[0]])}")
+    return norms
+
+
+def cosine_similarity(m: FeatureMatrix, rows=None) -> SimilarityKernel:
+    """Dense shifted-cosine similarity kernel over the selected rows."""
+    x, idx = _select_rows(m, rows)
+    inv_norms = 1.0 / cosine_norms(x, idx)
     sim = x @ x.T
     for lo, hi in row_blocks(x.shape[0]):
         upper = sim[lo:hi, lo:]  # the lower triangle is mirrored over
@@ -129,7 +128,7 @@ def cosine_similarity(m: FeatureMatrix, rows=None) -> SimilarityKernel:
         upper += 1.0
         upper *= 0.5
         np.clip(upper, 0.0, 1.0, out=upper)
-    return SimilarityKernel(n=x.shape[0], dense=_mirror_upper(sim, 1.0))
+    return SimilarityKernel(n=x.shape[0], dense=_mirror_upper(sim, 1.0), symmetric=True)
 
 
 def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:

@@ -1,14 +1,13 @@
 """Desk-scale classifiers: kNN and multinomial logistic regression.
 
-kNN breaks distance ties toward the lower training index and vote ties
-toward the smallest class label, so predictions are fully deterministic:
-each query's k neighbours are ``kernels.first_k`` of its distance row,
-the first k of a stable sort found by a partition, the same rule by which
-``sparsify_knn`` keeps its top kappa. Its working memory is one queries x
-train array of squared distances plus temporaries of ~_BLOCK_ELEMS
-elements per block of ``kernels.row_blocks``; ``knn_subset_accuracies``
-scores many training subsets against one such array, plus one copy of a
-subset's columns at a time.
+kNN is only scored: ``knn_subset_accuracies`` scores a holdout against
+training subsets (``knn_accuracy``: the whole set). Distance ties go to
+the lower training index and vote ties to the smallest label: a query's
+k neighbours are ``kernels.first_k`` of its distance row, the first k of
+a stable sort, the rule by which ``sparsify_knn`` keeps its top kappa.
+Its working memory is one holdout x train array of squared distances,
+one copy of a subset's columns at a time and temporaries of
+~_BLOCK_ELEMS elements per block of ``kernels.row_blocks``.
 The regression is fit by line-search Newton-CG (truncated Newton): each
 step solves the Newton system by conjugate gradient on Hessian-vector
 products, so the Hessian is never formed, and Armijo backtracking keeps
@@ -44,32 +43,10 @@ class KnnConfig:
             raise ValidationError(f"k must be >= 1, got {self.k}")
 
 
-def knn_predict(train: LabeledDataset, query, cfg: KnnConfig = KnnConfig()) -> int:
-    """Majority label among the k nearest training points."""
-    q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    return int(knn_predict_batch(train, q, cfg)[0])
-
-
-def knn_predict_batch(train: LabeledDataset, queries, cfg: KnnConfig = KnnConfig()):
-    """Majority label among the k nearest training points, per query row."""
-    if cfg.k > train.n:
-        raise ValidationError(f"k={cfg.k} exceeds training size {train.n}")
-    q = np.ascontiguousarray(queries, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != train.features.d:
-        raise ValidationError(
-            f"query dimension {q.shape} incompatible with d={train.features.d}"
-        )
-    d2 = _sq_distances(q, train.features.values.astype(np.float64))
-    return _vote(d2, train.labels.labels, train.n_classes, cfg.k)
-
-
 def knn_accuracy(train: LabeledDataset, holdout: LabeledDataset,
                  cfg: KnnConfig = KnnConfig()) -> float:
     """Fraction of holdout points whose kNN prediction matches their label."""
-    if holdout.n == 0:
-        raise ValidationError("holdout set is empty")
-    preds = knn_predict_batch(train, holdout.features.values.astype(np.float64), cfg)
-    return float((preds == holdout.labels.labels).mean())
+    return knn_subset_accuracies(train, holdout, [np.arange(train.n)], cfg)[0]
 
 
 def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subsets,
@@ -80,8 +57,6 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
     votes on their columns s, in s's own order, so distance ties go to
     the lower position in s as they would in train.subset(s).
     """
-    if holdout.n == 0:
-        raise ValidationError("holdout set is empty")
     if holdout.features.d != train.features.d:
         raise ValidationError(f"holdout dimension {holdout.features.d} incompatible "
                               f"with d={train.features.d}")

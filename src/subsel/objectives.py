@@ -2,9 +2,9 @@
 
 Facility location credits every ground element with its best selected
 representative and sums the credits; it is monotone submodular, and its
-empty-set value is 0. A candidate's gain is read down its kernel column;
-``gains_all`` computes each gain in ``gain``'s own order of operations,
-so lazy and naive greedy see the same numbers.
+empty-set value is 0. A candidate's gain is read down its kernel column
+(along its row if ``kernel.symmetric``); ``gains_all`` computes each gain
+in ``gain``'s order of operations, so lazy and naive greedy see the same bytes.
 
 Disparity min is the smallest pairwise distance among selected
 elements; it is scored greedily by distance-to-selected (the
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import DistanceKernel, SimilarityKernel, is_symmetric, row_blocks
+from .kernels import DistanceKernel, SimilarityKernel, row_blocks
 
 INF = math.inf
 
@@ -76,7 +76,7 @@ class FacilityLocation:
     """Incremental facility-location state: per-element best similarity.
 
     Candidate e is scored down column e: row e of ``_by_candidate`` (the
-    kernel if symmetric, else a transposed view) or a stored sparse column.
+    kernel if it is ``symmetric``, else a transposed view) or a sparse column.
     """
 
     monotone_submodular = True
@@ -93,7 +93,7 @@ class FacilityLocation:
             self._entry_cols = np.repeat(np.arange(self.n), np.diff(kernel.col_ptr))
         else:
             d = kernel.dense
-            self._by_candidate = d if is_symmetric(d) else d.T
+            self._by_candidate = d if kernel.symmetric else d.T
 
     def gain(self, e: int) -> float:
         """Marginal value of adding e: sum of max(0, s_ie - best_i); >= 0."""

@@ -11,7 +11,7 @@ def hand_similarity():
     s = np.array([[1.0, 0.9, 0.1],
                   [0.9, 1.0, 0.2],
                   [0.1, 0.2, 1.0]])
-    return SimilarityKernel(n=3, dense=s)
+    return SimilarityKernel(n=3, dense=s, symmetric=True)
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def random_similarity_kernel(rng: np.random.Generator, n: int) -> SimilarityKern
     upper = np.triu(raw, 1)
     dense = upper + upper.T
     np.fill_diagonal(dense, 1.0)
-    return SimilarityKernel(n=n, dense=dense)
+    return SimilarityKernel(n=n, dense=dense, symmetric=True)
 
 
 def random_distance_kernel(rng: np.random.Generator, n: int, d: int = 3) -> DistanceKernel:

@@ -1,7 +1,9 @@
+from unittest import mock
+
 import pytest
 
 from subsel.cli import main
-from subsel.dataset import load_features, load_labels
+from subsel.dataset import FeatureMatrix, load_features, load_labels, save_features
 from subsel.harness import parse_csv
 from subsel.kernels import cosine_similarity
 from subsel.objectives import FacilityLocation
@@ -73,6 +75,17 @@ class TestSelect:
                    "--budget", "5", "--knn-sparsify", "3",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    def test_non_utf8_csv_fails_with_an_error_line(self, tmp_path, capsys):
+        features = tmp_path / "x.csv"
+        features.write_bytes(b"0.5,1\n0.25,\xff\n")
+        out = tmp_path / "idx.txt"
+        rc = main(["select", "--features", str(features), "--objective", "fl",
+                   "--budget", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {features}: not UTF-8 text: byte 0xff at offset 11\n")
+        assert not out.exists()
 
     def test_missing_file_reports_error(self, tmp_path, capsys):
         rc = main(["select", "--features", str(tmp_path / "nope.bin"),
@@ -158,6 +171,18 @@ class TestSweepCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             "error: sweep seeds must be non-negative")
+        assert not out.exists()
+
+    def test_non_utf8_labels_fail_with_an_error_line(self, synth_files, tmp_path,
+                                                     capsys):
+        features, labels = synth_files
+        labels.write_bytes(b"\xff" + labels.read_bytes())
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels}: not UTF-8 text: byte 0xff at offset 0\n")
         assert not out.exists()
 
     def test_fractions_below_k_are_skipped_on_a_small_pool(self, tmp_path):
@@ -257,3 +282,38 @@ class TestAlCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             "error: logistic regression needs at least two classes")
+
+
+class TestAlOnAZeroRow:
+    """An all-zero pool row: fl's cosine kernel is undefined on it."""
+
+    @pytest.fixture()
+    def zero_row_files(self, synth_files):
+        features, labels = synth_files
+        values = load_features(features).values.copy()
+        values[50] = 0.0
+        save_features(FeatureMatrix(values), features)
+        return features, labels
+
+    def al(self, files, out, selectors):
+        features, labels = files
+        return main(["al", "--features", str(features), "--labels", str(labels),
+                     "--holdout-frac", "0.3", "--selectors", selectors,
+                     "--batch-pct", "10", "--beta-pct", "40", "--rounds", "2",
+                     "--seeds", "1", "--split-seed", "0", "--out", str(out)])
+
+    def test_fl_fails_before_any_fit(self, zero_row_files, tmp_path, capsys):
+        out = tmp_path / "al.csv"
+        with mock.patch("subsel.active.logreg_fit", side_effect=AssertionError) as fit:
+            rc = self.al(zero_row_files, out, "dm,us,random,fl")
+        assert rc == 1
+        assert fit.call_count == 0
+        # file row 50 is training-pool row 33 under this split
+        assert capsys.readouterr().err == (
+            "error: cosine similarity undefined for all-zero row 33\n")
+        assert not out.exists()
+
+    def test_other_selectors_still_run(self, zero_row_files, tmp_path):
+        out = tmp_path / "al.csv"
+        assert self.al(zero_row_files, out, "dm,us,random") == 0
+        assert {r.method for r in parse_csv(out)} == {"dm", "us", "random"}

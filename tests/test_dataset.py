@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsel.dataset import (
     FeatureMatrix,
@@ -92,6 +94,22 @@ class TestFeatureFile:
         payload = struct.pack("<f", 0.0)  # declares 2x2 but carries one value
         blob = (struct.pack("<8sHQQ", b"SUBSELF1", 1, 2, 2) + payload
                 + struct.pack("<I", zlib.crc32(payload)))
+        path.write_bytes(blob)
+        with pytest.raises(TruncationError):
+            load_features(path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), d=st.integers(1, 4), data=st.data())
+    def test_any_cut_or_one_added_byte_is_a_truncation_error(self, tmp_path_factory,
+                                                             n, d, data):
+        path = tmp_path_factory.mktemp("cut") / "m.bin"
+        save_features(FeatureMatrix(np.arange(n * d, dtype=np.float32).reshape(n, d)),
+                      path)
+        blob = path.read_bytes()
+        if data.draw(st.booleans(), label="cut"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            blob += bytes([data.draw(st.integers(0, 255), label="added byte")])
         path.write_bytes(blob)
         with pytest.raises(TruncationError):
             load_features(path)

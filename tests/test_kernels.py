@@ -15,7 +15,6 @@ from subsel.kernels import (
     cosine_similarity,
     euclidean_distance,
     first_k,
-    is_symmetric,
     sparsify_knn,
 )
 from subsel.objectives import FacilityLocation
@@ -321,18 +320,6 @@ class TestBlockedBuildsMatchReference:
         assert len(kernels.row_blocks(600)) > 1
         assert same_bytes(cosine_similarity(m).dense, reference_cosine(m))
         assert same_bytes(euclidean_distance(m).dense, reference_euclidean(m))
-
-
-class TestIsSymmetric:
-    @pytest.mark.parametrize("block_elems", [1, 7, kernels._BLOCK_ELEMS])
-    def test_one_flipped_entry_anywhere_is_found(self, block_elems):
-        dense = random_similarity_kernel(np.random.default_rng(13), 9).dense
-        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            assert is_symmetric(dense)
-            for i, j in [(8, 0), (0, 8), (4, 3), (5, 6)]:
-                flipped = dense.copy()
-                flipped[i, j] = np.nextafter(flipped[i, j], 2.0)
-                assert not is_symmetric(flipped)
 
 
 def _peak_bytes(fn):

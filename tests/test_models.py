@@ -23,8 +23,6 @@ from subsel.models import (
     _softmax_hvp,
     _sq_distances,
     knn_accuracy,
-    knn_predict,
-    knn_predict_batch,
     knn_subset_accuracies,
     logreg_fit,
     softmax_gradients,
@@ -37,34 +35,40 @@ def make_dataset(values, labels):
                           LabelVector(np.asarray(labels)))
 
 
+def predicts(train, query, label, k):
+    """Whether kNN on train labels the query point with label: knn_accuracy
+    on the one-point holdout it makes is exactly 1."""
+    return knn_accuracy(train, make_dataset([query], [label]), KnnConfig(k)) == 1.0
+
+
 class TestKnnPredict:
     def test_k1_returns_the_matching_point_label(self):
         train = make_dataset([[0.0], [5.0], [9.0]], [2, 0, 1])
-        assert knn_predict(train, [5.0], KnnConfig(1)) == 0
+        assert predicts(train, [5.0], 0, 1)
 
     def test_majority_vote(self):
         train = make_dataset([[0.0], [0.1], [0.2], [9.0]], [0, 0, 1, 1])
-        assert knn_predict(train, [0.0], KnnConfig(3)) == 0
+        assert predicts(train, [0.0], 0, 3)
 
     def test_vote_tie_goes_to_smallest_label(self):
         train = make_dataset([[0.0], [1.0]], [1, 0])
         # both points are the two nearest; votes tie 1-1; label 0 wins
-        assert knn_predict(train, [0.4], KnnConfig(2)) == 0
+        assert predicts(train, [0.4], 0, 2)
 
     def test_distance_tie_goes_to_lower_training_index(self):
         train = make_dataset([[0.0], [2.0], [9.0]], [1, 0, 0])
         # query 1.0 is exactly between rows 0 and 1; row 0 is "nearer"
-        assert knn_predict(train, [1.0], KnnConfig(1)) == 1
+        assert predicts(train, [1.0], 1, 1)
 
     def test_dimension_mismatch_rejected(self):
         train = make_dataset([[0.0, 1.0]], [0])
         with pytest.raises(ValidationError):
-            knn_predict(train, [0.0], KnnConfig(1))
+            predicts(train, [0.0], 0, 1)
 
     def test_k_larger_than_train_rejected(self):
         train = make_dataset([[0.0]], [0])
         with pytest.raises(ValidationError):
-            knn_predict(train, [0.0], KnnConfig(2))
+            predicts(train, [0.0], 0, 2)
 
     def test_invariant_to_row_permutation_with_distinct_distances(self):
         rng = np.random.default_rng(41)
@@ -72,10 +76,11 @@ class TestKnnPredict:
         labels = rng.integers(0, 3, size=30)
         queries = rng.standard_normal((10, 4))
         train = make_dataset(values, labels)
-        base = knn_predict_batch(train, queries, KnnConfig(5))
         perm = rng.permutation(30)
         shuffled = make_dataset(values[perm], labels[perm])
-        assert np.array_equal(knn_predict_batch(shuffled, queries, KnnConfig(5)), base)
+        holdout = reference_holdout(train, queries, 5)
+        assert knn_accuracy(train, holdout, KnnConfig(5)) == 1.0
+        assert knn_accuracy(shuffled, holdout, KnnConfig(5)) == 1.0
 
 
 def chunked_knn_reference(train, queries, k, chunk=256):
@@ -83,6 +88,7 @@ def chunked_knn_reference(train, queries, k, chunk=256):
     chunk x m x d temporaries, and one bincount vote per query row."""
     x = train.features.values.astype(np.float64)
     y = train.labels.labels
+    queries = np.asarray(queries, dtype=np.float64)
     preds = np.empty(queries.shape[0], dtype=np.int64)
     for start in range(0, queries.shape[0], chunk):
         block = queries[start:start + chunk]
@@ -92,6 +98,14 @@ def chunked_knn_reference(train, queries, k, chunk=256):
             counts = np.bincount(y[order[r]], minlength=train.n_classes)
             preds[start + r] = int(counts.argmax())
     return preds
+
+
+def reference_holdout(train, queries, k):
+    """The query rows as a holdout labelled with chunked_knn_reference's
+    predictions, computed from the features the holdout stores (float32)."""
+    features = FeatureMatrix(np.asarray(queries, dtype=np.float64))
+    labels = chunked_knn_reference(train, features.values, k)
+    return LabeledDataset(features, LabelVector(labels))
 
 
 @st.composite
@@ -118,26 +132,24 @@ class TestKnnRowBlocks:
     @given(case=tie_dense_knn_cases())
     def test_byte_equal_to_the_chunked_vote_on_tie_dense_data(self, block_elems, case):
         train, queries, k = case
+        holdout = reference_holdout(train, queries, k)
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            preds = knn_predict_batch(train, queries, KnnConfig(k))
-        expected = chunked_knn_reference(train, queries, k)
-        assert preds.dtype == expected.dtype
-        assert preds.tobytes() == expected.tobytes()
+            assert knn_accuracy(train, holdout, KnnConfig(k)) == 1.0
 
     def test_peak_memory_at_the_sweep_shape(self):
         # 264 queries against 536 training rows in d = 32: the distance
         # array is 1.1 MB, chunk x m x d temporaries would be ~36 MB
         rng = np.random.default_rng(46)
         train = make_dataset(rng.standard_normal((536, 32)), rng.integers(0, 3, 536))
-        queries = rng.standard_normal((264, 32))
+        holdout = reference_holdout(train, rng.standard_normal((264, 32)), 5)
         tracemalloc.start()
         try:
-            preds = knn_predict_batch(train, queries, KnnConfig(5))
+            accuracy = knn_accuracy(train, holdout, KnnConfig(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
-        assert preds.tobytes() == chunked_knn_reference(train, queries, 5).tobytes()
+        assert accuracy == 1.0
 
 
 class TestKnnDistances:
@@ -186,8 +198,10 @@ class TestKnnSubsetAccuracies:
     def test_equal_to_knn_on_each_subset_copy(self, case):
         train, holdout, subsets, k = case
         cfg = KnnConfig(k)
+        queries = holdout.features.values
         assert knn_subset_accuracies(train, holdout, subsets, cfg) == [
-            knn_accuracy(train.subset(s), holdout, cfg) for s in subsets]
+            float((chunked_knn_reference(train.subset(s), queries, k)
+                   == holdout.labels.labels).mean()) for s in subsets]
 
     def test_k_above_a_subset_size_or_a_dimension_mismatch_rejected(self):
         train = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_distance_kernel, random_similarity_kernel
+from conftest import random_distance_kernel, random_features, random_similarity_kernel
 from subsel import kernels
 from subsel.errors import ValidationError
-from subsel.kernels import SimilarityKernel, sparsify_knn
+from subsel.kernels import SimilarityKernel, cosine_similarity, sparsify_knn
 from subsel.objectives import (
     INF,
     DisparityMin,
@@ -195,7 +196,7 @@ def asymmetric_kernels(rng, n):
 
 
 class TestDenseGainReads:
-    """gain(e) reads row e only when the kernel is exactly symmetric."""
+    """gain(e) reads row e only when the kernel records that it is symmetric."""
 
     @pytest.mark.parametrize("kind", [0, 1])
     def test_gain_follows_columns_of_asymmetric_kernels(self, kind):
@@ -232,6 +233,26 @@ class TestDenseGainReads:
             for e in np.flatnonzero(~state.selected_mask):
                 assert state.gain(int(e)) == column_gain(kernel.dense, state.best, e)
             state.add(pick)
+
+    def test_recorded_symmetry_changes_no_byte(self):
+        # one cosine kernel read along rows (symmetric=True, as built) and
+        # down columns (symmetric=False): gains and the greedy run agree
+        kernel = cosine_similarity(random_features(np.random.default_rng(33), 300, 8))
+        assert kernel.symmetric and not sparsify_knn(kernel, 5).symmetric
+        column_read = dataclasses.replace(kernel, symmetric=False)
+        rows, cols = FacilityLocation(kernel), FacilityLocation(column_read)
+        for pick in (7, 241, 2, 150):
+            assert rows.gains_all().tobytes() == cols.gains_all().tobytes()
+            free = np.flatnonzero(~rows.selected_mask)
+            assert (np.array([rows.gain(int(e)) for e in free]).tobytes()
+                    == np.array([cols.gain(int(e)) for e in free]).tobytes())
+            rows.add(pick)
+            cols.add(pick)
+        by_row = greedy_lazy(FacilityLocation(kernel), BudgetSpec(30))
+        by_column = greedy_lazy(FacilityLocation(column_read), BudgetSpec(30))
+        assert by_row.indices == by_column.indices
+        assert by_row.step_values == by_column.step_values
+        assert by_row.final_value == by_column.final_value
 
 
 class TestDenseGainsAll:
