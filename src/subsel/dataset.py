@@ -318,9 +318,9 @@ def load_dataset(features_path, labels_path) -> LabeledDataset:
 def split_indices(labels: LabelVector, spec: SplitSpec):
     """Return (train_idx, holdout_idx): disjoint, exhaustive, seeded.
 
-    The holdout always has round_half_up(n * fraction) elements; the
-    stratified variant apportions that size across classes so every
-    class's holdout share is within one instance of the fraction.
+    The holdout always has m = round_half_up(n * fraction) elements; the
+    stratified variant apportions m across classes, each class within one
+    instance of its proportional share, count * m / n.
     """
     n = len(labels)
     m = round_half_up(n * spec.holdout_fraction)

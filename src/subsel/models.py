@@ -6,8 +6,8 @@ the lower training index and vote ties to the smallest label: a query's
 k neighbours are ``kernels.first_k`` of its distance row, the first k of
 a stable sort, the rule by which ``sparsify_knn`` keeps its top kappa.
 Its working memory is one holdout x train array of squared distances,
-one copy of a subset's columns at a time and temporaries of
-~_BLOCK_ELEMS elements per block of ``kernels.row_blocks``.
+one subset's column copy at a time (none for the whole set, in order)
+and temporaries of ~_BLOCK_ELEMS elements per ``kernels.row_blocks`` block.
 The regression is fit by line-search Newton-CG (truncated Newton): each
 step solves the Newton system by conjugate gradient on Hessian-vector
 products, so the Hessian is never formed, and Armijo backtracking keeps
@@ -66,9 +66,10 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
             raise ValidationError(f"k={cfg.k} exceeds training size {s.size}")
     d2 = _sq_distances(holdout.features.values.astype(np.float64),
                        train.features.values.astype(np.float64))
-    y = train.labels.labels
-    return [float((_vote(d2[:, s], y[s], train.n_classes, cfg.k)
-                   == holdout.labels.labels).mean()) for s in subsets]
+    y, whole = train.labels.labels, np.arange(train.n)
+    return [float((_vote(d2 if np.array_equal(s, whole) else d2[:, s], y[s],
+                         train.n_classes, cfg.k) == holdout.labels.labels).mean())
+            for s in subsets]
 
 
 def _sq_distances(q: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Facility location credits every ground element with its best selected
 representative and sums the credits; it is monotone submodular, and its
 empty-set value is 0. A candidate's gain is read down its kernel column
-(along its row if ``kernel.symmetric``); ``gains_all`` computes each gain
-in ``gain``'s order of operations, so lazy and naive greedy see the same bytes.
+(along its row if ``kernel.symmetric``) by ``gains_of``; ``gain``, ``gains_all``
+and lazy greedy's block refresh all call it, so lazy and naive see the same bytes.
 
 Disparity min is the smallest pairwise distance among selected
 elements; it is scored greedily by distance-to-selected (the
@@ -88,44 +88,39 @@ class FacilityLocation:
         self.selected_mask = np.zeros(self.n, dtype=bool)
         self.best = np.zeros(self.n)
         self.value = 0.0
-        if kernel.is_sparse:
-            # the column of every stored entry, for gains_all's scatter-add
-            self._entry_cols = np.repeat(np.arange(self.n), np.diff(kernel.col_ptr))
-        else:
-            d = kernel.dense
-            self._by_candidate = d if kernel.symmetric else d.T
+        if not kernel.is_sparse:
+            self._by_candidate = kernel.dense if kernel.symmetric else kernel.dense.T
 
     def gain(self, e: int) -> float:
         """Marginal value of adding e: sum of max(0, s_ie - best_i); >= 0."""
         _require_candidate(self, e)
-        k = self.kernel
+        return float(self.gains_of([e])[0])
+
+    def gains_of(self, idx) -> np.ndarray:
+        """Gains of candidates idx (index array or slice), in idx's order, selected
+        or not; dense terms summed per C-ordered row, sparse ones in entry order."""
+        k, best = self.kernel, self.best
+        cand = np.arange(self.n)[idx]
         if not k.is_sparse:
-            return float(np.maximum(self._by_candidate[e] - self.best, 0.0).sum())
-        lo, hi = k.col_ptr[e], k.col_ptr[e + 1]
-        g = max(0.0, 1.0 - float(self.best[e]))
-        # term by term in entry order, the order gains_all's np.add.at adds in
-        for t in np.maximum(k.values[lo:hi] - self.best[k.rows[lo:hi]], 0.0).tolist():
-            g += t
-        return g
+            terms = np.ascontiguousarray(self._by_candidate[cand])  # fancy index: a copy
+            np.subtract(terms, best, out=terms)
+            np.maximum(terms, 0.0, out=terms)
+            return terms.sum(axis=1)
+        count = k.col_ptr[cand + 1] - k.col_ptr[cand]
+        seg = np.repeat(np.arange(cand.size), count)  # each gathered entry's candidate
+        # the entries of each candidate's column, segment after segment
+        pos = np.arange(seg.size) + (k.col_ptr[cand] - np.cumsum(count) + count)[seg]
+        gains = np.maximum(1.0 - best[cand], 0.0)
+        np.add.at(gains, seg, np.maximum(k.values[pos] - best[k.rows[pos]], 0.0))
+        return gains
 
     def gains_all(self) -> np.ndarray:
-        """Gains for every candidate; already-selected slots read -1.
-
-        Each equals gain(e) bytewise: dense rows are summed in C-ordered
-        row-block temporaries, sparse terms are scatter-added in entry order.
-        """
-        k, best = self.kernel, self.best
-        if not k.is_sparse:
-            gains = np.empty(self.n)
-            for lo, hi in row_blocks(self.n):
-                terms = np.subtract(self._by_candidate[lo:hi], best, order="C")
-                np.maximum(terms, 0.0, out=terms)
-                gains[lo:hi] = terms.sum(axis=1)
-        else:
-            # implicit unit diagonal first, then scatter-add the stored entries
-            gains = np.maximum(1.0 - best, 0.0)
-            contrib = np.maximum(k.values - best[k.rows], 0.0)
-            np.add.at(gains, self._entry_cols, contrib)
+        """gains_of every candidate by row block, a sparse candidate costing its
+        column's entries times the ~8 temporaries each makes; selected read -1."""
+        k, gains = self.kernel, np.empty(self.n)
+        width = 8 * k.values.size // max(self.n, 1) if k.is_sparse else None
+        for lo, hi in row_blocks(self.n, width):
+            gains[lo:hi] = self.gains_of(slice(lo, hi))
         gains[self.selected_mask] = -1.0
         return gains
 

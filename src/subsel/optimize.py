@@ -2,10 +2,10 @@
 
 Four routes: naive greedy (any gain-scored objective), lazy greedy
 (monotone submodular only; identical output to naive, fewer gain
-evaluations), farthest-point greedy for dispersion, seeded with the
-exact maximum-distance pair at every ground-set size, and an exhaustive
-oracle for tests. Ties always break toward the lowest index, so every
-optimizer is deterministic.
+evaluations, stale gains rescored in blocks), farthest-point greedy for
+dispersion, seeded with the exact maximum-distance pair at every
+ground-set size, and an exhaustive oracle for tests. Ties always break
+toward the lowest index, so every optimizer is deterministic.
 
 ``select_subset`` pairs each objective name, fl or dm, with its kernel
 and optimizer; no other module makes that choice.
@@ -26,6 +26,7 @@ from .kernels import cosine_similarity, euclidean_distance, row_blocks, sparsify
 from .objectives import INF, DisparityMin, FacilityLocation
 
 BRUTE_FORCE_CAP = 10 ** 6
+_REFRESH_BLOCK = 16  # stale heap entries scored per gains_of call
 OBJECTIVES = ("fl", "dm")
 
 
@@ -109,9 +110,9 @@ def greedy_naive(obj, budget: BudgetSpec) -> Selection:
 def greedy_lazy(obj, budget: BudgetSpec) -> Selection:
     """Priority-queue greedy with stale gains; matches greedy_naive exactly.
 
-    Heap keys are (-gain, index), so among equal stale gains the lower
-    index surfaces first; a popped entry whose gain was refreshed during
-    the current step is the true argmax by submodularity.
+    Keys are (-gain, index, step scored); a stale top has up to _REFRESH_BLOCK
+    stale entries rescored by one gains_of call. Fresh keys are exact, stale
+    ones upper bounds (submodularity): a fresh top is the lowest-index argmax.
     """
     if not getattr(obj, "monotone_submodular", False):
         raise UnsupportedObjectiveError(
@@ -125,17 +126,20 @@ def greedy_lazy(obj, budget: BudgetSpec) -> Selection:
     steps: list[float] = []
     step = 0
     while heap and len(obj.selected) < b:
-        neg_gain, e, stamp = heapq.heappop(heap)
-        if stamp == step:
+        if heap[0][2] == step:
+            neg_gain, e, _ = heapq.heappop(heap)
             if -neg_gain <= 0.0:
                 break
             obj.add(e)
             steps.append(obj.value)
             step += 1
         else:
-            g = obj.gain(e)
-            evals += 1
-            heapq.heappush(heap, (-g, e, step))
+            stale = []
+            while heap and heap[0][2] != step and len(stale) < _REFRESH_BLOCK:
+                stale.append(heapq.heappop(heap)[1])
+            for e, g in zip(stale, obj.gains_of(stale).tolist()):
+                heapq.heappush(heap, (-g, e, step))
+            evals += len(stale)
     return Selection(list(obj.selected), steps, obj.value if steps else 0.0,
                      gain_evals=evals)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from subsel.dataset import (
     FeatureMatrix,
@@ -113,6 +114,18 @@ class TestFeatureFile:
         path.write_bytes(blob)
         with pytest.raises(TruncationError):
             load_features(path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(values=st.tuples(st.integers(1, 12), st.integers(1, 9)).flatmap(
+        lambda shape: arrays(np.float32, shape, elements=st.floats(
+            width=32, allow_nan=False, allow_infinity=False))))
+    def test_any_shape_and_float32_payload_round_trips_bit_exactly(
+            self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("rt") / "m.bin"
+        save_features(FeatureMatrix(values), path)
+        back = load_features(path).values
+        assert back.dtype == np.float32 and back.shape == values.shape
+        assert back.tobytes() == values.tobytes()  # -0.0 and subnormals too
 
     def test_checksum_mismatch_is_a_format_error(self, tmp_path):
         path = tmp_path / "crc.bin"
@@ -276,6 +289,31 @@ class TestSplit:
             tr, ho = split_indices(LabelVector(labels), spec)
             assert np.array_equal(ho, expected)
             assert np.array_equal(tr, np.setdiff1d(np.arange(n), expected))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(labels=st.lists(st.integers(0, 4), min_size=2, max_size=80),
+           fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2 ** 32 - 1),
+           stratified=st.booleans())
+    def test_split_invariants(self, labels, fraction, seed, stratified):
+        # each class gets within one instance of its proportional share of
+        # the m holdout rows, count * m / n; count * fraction can be off by
+        # more (counts [1, 1, 37, 1] at fraction 0.785: m = 31, quotas
+        # [1, 1, 28, 1], the third class 1.05 below 37 * 0.785)
+        labels = np.array(labels)
+        n, m = labels.size, round_half_up(labels.size * fraction)
+        spec = SplitSpec(holdout_fraction=fraction, seed=seed, stratified=stratified)
+        if m in (0, n):
+            with pytest.raises(ValidationError, match="leaves an empty side"):
+                split_indices(LabelVector(labels), spec)
+            return
+        tr, ho = split_indices(LabelVector(labels), spec)
+        assert np.intersect1d(tr, ho).size == 0
+        assert np.array_equal(np.sort(np.concatenate((tr, ho))), np.arange(n))
+        assert ho.size == m
+        if stratified:
+            counts = np.bincount(labels)
+            held = np.bincount(labels[ho], minlength=counts.size)
+            assert np.all(np.abs(held - counts * m / n) <= 1.0)
 
     def test_empty_side_rejected(self):
         ds = self._dataset(2)

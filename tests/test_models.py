@@ -174,19 +174,21 @@ class TestKnnDistances:
 def subset_knn_cases(draw):
     """A tie-dense kNN case with holdout labels, and index arrays of at
     least k training rows: one of exactly k, then sorted ones, permuted
-    (greedy-order-like) ones and ones that repeat indices."""
+    (greedy-order-like) ones, ones that repeat indices and the whole set."""
     train, queries, k = draw(tie_dense_knn_cases())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     holdout = make_dataset(queries, rng.integers(0, 4, size=queries.shape[0]))
     m = train.n
     subsets = [rng.permutation(m)[:k]]
-    for kind in draw(st.lists(st.sampled_from(["sorted", "permuted", "repeats"]),
-                              max_size=4)):
+    for kind in draw(st.lists(st.sampled_from(["sorted", "permuted", "repeats",
+                                               "whole"]), max_size=4)):
         size = int(rng.integers(k, m + 1))
         if kind == "sorted":
             subsets.append(np.sort(rng.choice(m, size=size, replace=False)))
         elif kind == "permuted":
             subsets.append(rng.permutation(m)[:size])
+        elif kind == "whole":
+            subsets.append(np.arange(m))
         else:
             subsets.append(rng.integers(0, m, size=size))
     return train, holdout, subsets, k
@@ -202,6 +204,23 @@ class TestKnnSubsetAccuracies:
         assert knn_subset_accuracies(train, holdout, subsets, cfg) == [
             float((chunked_knn_reference(train.subset(s), queries, k)
                    == holdout.labels.labels).mean()) for s in subsets]
+
+    def test_the_whole_set_votes_without_copying_the_distances(self):
+        # 264 queries against 536 training rows in d = 32 (the sweep shape):
+        # a copy of the 1.1 MB distance array's columns would double it
+        rng = np.random.default_rng(48)
+        train = make_dataset(rng.standard_normal((536, 32)), rng.integers(0, 3, 536))
+        holdout = make_dataset(rng.standard_normal((264, 32)), rng.integers(0, 3, 264))
+        tracemalloc.start()
+        try:
+            accuracy = knn_accuracy(train, holdout, KnnConfig(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * holdout.n * train.n
+        whole = train.subset(np.arange(train.n))
+        assert accuracy == float((chunked_knn_reference(whole, holdout.features.values, 5)
+                                  == holdout.labels.labels).mean())
 
     def test_k_above_a_subset_size_or_a_dimension_mismatch_rejected(self):
         train = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])

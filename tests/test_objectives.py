@@ -178,9 +178,27 @@ def candidate_gains_all(dense, best):
     return np.maximum(terms, 0.0).sum(axis=1)
 
 
-def gains_by_gain(state):
-    """gains_all's reference: one gain(e) call per candidate, -1 where selected."""
-    return np.array([-1.0 if state.selected_mask[e] else state.gain(e)
+def sequential_sparse_gain(kernel, best, e):
+    """The gain of e over sparse column e, added term by term in entry order
+    after the implicit unit diagonal: the loop gains_of vectorizes."""
+    lo, hi = kernel.col_ptr[e], kernel.col_ptr[e + 1]
+    g = max(0.0, 1.0 - float(best[e]))
+    for t in np.maximum(kernel.values[lo:hi] - best[kernel.rows[lo:hi]], 0.0).tolist():
+        g += t
+    return g
+
+
+def reference_gain(state, e):
+    """e's gain computed without FacilityLocation: column_gain on a dense
+    kernel, the sequential per-term loop on a sparse one."""
+    if state.kernel.is_sparse:
+        return sequential_sparse_gain(state.kernel, state.best, e)
+    return column_gain(state.kernel.dense, state.best, e)
+
+
+def reference_gains_all(state):
+    """gains_all's reference: reference_gain per candidate, -1 where selected."""
+    return np.array([-1.0 if state.selected_mask[e] else reference_gain(state, e)
                      for e in range(state.n)])
 
 
@@ -256,7 +274,7 @@ class TestDenseGainReads:
 
 
 class TestDenseGainsAll:
-    """Dense gains_all equals one gain(e) call per candidate, byte for byte."""
+    """Dense gains_all equals column_gain per candidate, byte for byte."""
 
     @pytest.mark.parametrize("n", [7, 300, 2100])
     def test_byte_equal_to_the_whole_matrix_sum(self, n):
@@ -273,7 +291,7 @@ class TestDenseGainsAll:
             state = FacilityLocation(SimilarityKernel(n=n, dense=dense))
             state.best = best.copy()
             gains = state.gains_all()
-            assert gains.tobytes() == gains_by_gain(state).tobytes()
+            assert gains.tobytes() == reference_gains_all(state).tobytes()
             assert gains.tobytes() == candidate_gains_all(dense, best).tobytes()
 
     @pytest.mark.parametrize("block_elems", [1, 7, 40])
@@ -284,7 +302,7 @@ class TestDenseGainsAll:
             state = FacilityLocation(kernel)
             for pick in (4, 11):
                 state.add(pick)
-            expected = gains_by_gain(state)
+            expected = reference_gains_all(state)
             with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
                 assert state.gains_all().tobytes() == expected.tobytes()
 
@@ -306,7 +324,8 @@ class TestDenseGainsAll:
 
 
 class TestSparseGainsAll:
-    """Sparse gains_all equals one gain(e) call per candidate, byte for byte."""
+    """Sparse gains_all equals the sequential per-term sum of each candidate,
+    byte for byte."""
 
     @pytest.mark.parametrize("n", [7, 300, 2100])
     def test_byte_equal_to_gain_calls(self, n):
@@ -322,7 +341,56 @@ class TestSparseGainsAll:
             for pick in (None, 2, 5):
                 if pick is not None:
                     state.add(pick)
-                assert state.gains_all().tobytes() == gains_by_gain(state).tobytes()
+                assert state.gains_all().tobytes() == reference_gains_all(state).tobytes()
+
+
+def wide_range_states(rng, n):
+    """FacilityLocation states on a symmetric, an asymmetric (read through a
+    transposed view) and a kappa-sparse kernel, entries and per-element
+    maxima spread over 16 orders of magnitude so that a change in summation
+    order shows in the last bits, each with a few elements selected."""
+    raw = 10.0 ** rng.uniform(-16.0, 0.0, size=(n, n))
+    upper = np.triu(raw, 1)
+    symmetric = upper + upper.T + np.diag(np.diag(raw))
+    states = [FacilityLocation(SimilarityKernel(n=n, dense=symmetric, symmetric=True)),
+              FacilityLocation(SimilarityKernel(n=n, dense=raw)),
+              FacilityLocation(sparsify_knn(SimilarityKernel(n=n, dense=raw),
+                                            max(1, n // 4)))]
+    for state in states:
+        state.best = 10.0 ** rng.uniform(-16.0, 0.0, size=n)
+        for pick in rng.permutation(n)[:min(3, n - 1)]:
+            state.add(int(pick))
+    return states
+
+
+class TestGainsOf:
+    """gains_of, the one candidate-gain expression, against references that
+    share none of its code: column_gain on dense kernels and the sequential
+    per-term loop on sparse ones, byte for byte, in idx's order."""
+
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    def test_byte_equal_to_the_references(self, n):
+        rng = np.random.default_rng(34 + n)
+        for state in wide_range_states(rng, n):
+            perm = rng.permutation(n)
+            forms = [perm, perm[::-2], perm[:1], [int(perm[-1])], slice(0, n),
+                     slice(n // 3, n // 3 + 1), slice(n // 2, n)]
+            for idx in forms:
+                expected = [reference_gain(state, int(e)) for e in np.arange(n)[idx]]
+                assert (state.gains_of(idx).tobytes()
+                        == np.array(expected, dtype=np.float64).tobytes())
+
+    def test_dense_gains_follow_an_unsorted_non_contiguous_index_array(self):
+        rng = np.random.default_rng(35)
+        kernel = random_similarity_kernel(rng, 50)
+        state = FacilityLocation(kernel)
+        state.add(12)
+        idx = rng.permutation(50)[::3]
+        assert not idx.flags.c_contiguous and np.any(np.diff(idx) < 0)
+        gains = state.gains_of(idx)
+        assert gains.shape == idx.shape
+        for t, e in enumerate(idx):
+            assert gains[t] == column_gain(kernel.dense, state.best, e)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
