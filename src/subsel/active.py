@@ -182,7 +182,7 @@ class ALState:
     history: tuple = ()
 
     def __post_init__(self):
-        if np.intersect1d(self.labeled, self.unlabeled).size:
+        if np.isin(self.unlabeled, self.labeled).any():
             raise ValidationError("labeled and unlabeled pools must be disjoint")
 
 
@@ -214,31 +214,55 @@ def _proportional_quota(counts: np.ndarray, size: int) -> np.ndarray:
 
 
 def fass_round(state: ALState, ds: LabeledDataset, holdout: LabeledDataset,
-               cfg: ALConfig, rng: Optional[np.random.Generator] = None) -> ALState:
-    """One loop round: fit, record accuracy, filter, select, label."""
+               cfg: ALConfig, rng: Optional[np.random.Generator] = None, *,
+               batch_size: Optional[int] = None, memo: Optional[dict] = None) -> ALState:
+    """One loop round: fit, record accuracy, filter, select, label.
+
+    batch_size is ceil_pct(cfg.B_percent, ds.n), computed here if not
+    given. memo, if given, is a dict shared by rounds over the same ds and
+    holdout. It keeps each distinct labeled pool's model and holdout
+    accuracy, and the filtered set of each (labeled pool, unlabeled pool,
+    beta_percent, method), so a pool met again is neither refit nor
+    refiltered; it holds them until the caller drops it. The returned
+    state is the same with or without it.
+    """
     if state.unlabeled.size == 0:
         raise ValidationError("unlabeled pool is empty")
+    if batch_size is None:
+        batch_size = ceil_pct(cfg.B_percent, ds.n)
+    if memo is None:
+        memo = {}
     this_round = state.round + 1
-    model = logreg_fit(ds.subset(state.labeled), n_classes=ds.n_classes)
-    accuracy = model.accuracy(holdout)
+    pool = np.asarray(state.labeled, dtype=np.int64).tobytes()
+    if pool not in memo:
+        model = logreg_fit(ds.subset(state.labeled), n_classes=ds.n_classes)
+        memo[pool] = model, model.accuracy(holdout)
+    model, accuracy = memo[pool]
+    key = (pool, np.asarray(state.unlabeled, dtype=np.int64).tobytes(),
+           cfg.beta_percent, cfg.method)
+    if key not in memo:
+        probs = model.predict_proba_batch(ds.features.values[state.unlabeled])
+        memo[key] = filter_uncertain(probs, state.unlabeled, cfg.beta_percent, cfg.method)
     record = RoundRecord(this_round, int(state.labeled.size), accuracy)
-    batch_size = min(ceil_pct(cfg.B_percent, ds.n), int(state.unlabeled.size))
-    probs = model.predict_proba_batch(ds.features.values[state.unlabeled])
-    fset = filter_uncertain(probs, state.unlabeled, cfg.beta_percent, cfg.method)
-    chosen = select_batch(fset, ds.features, cfg.selector, batch_size, rng)
-    labeled = np.sort(np.concatenate((state.labeled, np.array(chosen, dtype=np.int64))))
-    unlabeled = np.setdiff1d(state.unlabeled, np.array(chosen, dtype=np.int64))
-    return ALState(labeled=labeled, unlabeled=unlabeled, round=this_round,
+    chosen = np.array(select_batch(memo[key], ds.features, cfg.selector,
+                                   min(batch_size, int(state.unlabeled.size)), rng),
+                      dtype=np.int64)
+    labeled = np.sort(np.concatenate((state.labeled, chosen)))
+    left = np.zeros(ds.n, dtype=bool)  # setdiff1d by one mask over ds.n, no sort
+    left[state.unlabeled] = True
+    left[chosen] = False
+    return ALState(labeled=labeled, unlabeled=np.flatnonzero(left), round=this_round,
                    history=state.history + (record,))
 
 
-def run_al(ds: LabeledDataset, holdout: LabeledDataset,
-           cfg: ALConfig) -> list[RoundRecord]:
+def run_al(ds: LabeledDataset, holdout: LabeledDataset, cfg: ALConfig, *,
+           memo: Optional[dict] = None) -> list[RoundRecord]:
     """Run the loop for cfg.rounds rounds (fewer if the pool empties).
 
     The whole run is a pure function of the dataset, the holdout, and
     the config; the seed drives both the initial pool and any random
-    selection draws.
+    selection draws. memo is handed to every fass_round; runs over the
+    same ds and holdout that share it fit each distinct labeled pool once.
     """
     batch_size = ceil_pct(cfg.B_percent, ds.n)
     seed_size = cfg.initial_seed_size
@@ -249,5 +273,5 @@ def run_al(ds: LabeledDataset, holdout: LabeledDataset,
     for _ in range(cfg.rounds):
         if state.unlabeled.size == 0:
             break
-        state = fass_round(state, ds, holdout, cfg, rng)
+        state = fass_round(state, ds, holdout, cfg, rng, batch_size=batch_size, memo=memo)
     return list(state.history)

@@ -148,7 +148,11 @@ def run_goal2(train: LabeledDataset, holdout: LabeledDataset,
 
     Configs must agree on the round count and may not repeat a (selector,
     seed) pair; pairing comes from sharing seeds across selectors, which
-    pins the initial labeled pool per seed.
+    pins the initial labeled pool per seed. The arms share one memo (see
+    fass_round) for the length of this call: each distinct labeled pool is
+    fit, and its holdout accuracy computed, once, and its filtered set once
+    per (beta_percent, method), so arms with a common seed share round 1.
+    The records are those of calling run_al once per config.
     """
     if not cfgs:
         raise ValidationError("at least one active-learning config required")
@@ -159,8 +163,9 @@ def run_goal2(train: LabeledDataset, holdout: LabeledDataset,
     if any(c.selector == "fl" for c in cfgs):  # fail on a zero row before any fit
         cosine_norms(train.features.values.astype(np.float64), np.arange(train.n))
     records: list[CurveRecord] = []
+    memo: dict = {}
     for cfg in cfgs:
-        for rec in run_al(train, holdout, cfg):
+        for rec in run_al(train, holdout, cfg, memo=memo):
             records.append(CurveRecord(cfg.selector, int(cfg.seed), rec.round,
                                        rec.labeled_count, rec.accuracy))
     return records

@@ -11,8 +11,11 @@ and temporaries of ~_BLOCK_ELEMS elements per ``kernels.row_blocks`` block.
 The regression is fit by line-search Newton-CG (truncated Newton): each
 step solves the Newton system by conjugate gradient on Hessian-vector
 products, so the Hessian is never formed, and Armijo backtracking keeps
-the objective non-increasing. Parameters start at zero, so the fit is
-deterministic without a seed.
+the objective non-increasing. Each iterate's scores X @ W.T + b are
+computed once, by the line-search trial that accepts it (the zero start's
+before the loop): its objective is taken from them, and one softmax of
+them feeds both its gradient and the CG products. Parameters start at
+zero, so the fit is deterministic without a seed.
 """
 
 from __future__ import annotations
@@ -148,20 +151,30 @@ def _row_softmax(scores: np.ndarray) -> np.ndarray:
 
 def softmax_objective(weights, bias, X, y, l2: float) -> float:
     """Mean cross-entropy plus (l2/2)||W||^2; the quantity the fit minimizes."""
-    scores = X @ weights.T + bias
-    m = scores.max(axis=1, keepdims=True)
-    log_norm = m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))
-    ce = float((log_norm - scores[np.arange(X.shape[0]), y]).mean())
-    return ce + 0.5 * l2 * float((weights ** 2).sum())
+    return _objective(X @ weights.T + bias, weights, y, l2)
 
 
 def softmax_gradients(weights, bias, X, y, l2: float):
     """Analytic gradients of softmax_objective w.r.t. weights and bias."""
+    return _gradients(_row_softmax(X @ weights.T + bias), weights, X, y, l2)
+
+
+def _objective(S, W, y, l2: float) -> float:
+    """softmax_objective from the scores S = X @ W.T + b; S is not changed."""
+    m = S.max(axis=1, keepdims=True)
+    log_norm = m[:, 0] + np.log(np.exp(S - m).sum(axis=1))
+    ce = float((log_norm - S[np.arange(S.shape[0]), y]).mean())
+    return ce + 0.5 * l2 * float((W ** 2).sum())
+
+
+def _gradients(P, W, X, y, l2: float):
+    """softmax_gradients from the class probabilities P = softmax(X @ W.T + b);
+    P is not changed."""
     n = X.shape[0]
-    p = _row_softmax(X @ weights.T + bias)
-    p[np.arange(n), y] -= 1.0
-    p /= n
-    return p.T @ X + l2 * weights, p.sum(axis=0)
+    R = P.copy()
+    R[np.arange(n), y] -= 1.0
+    R /= n
+    return R.T @ X + l2 * W, R.sum(axis=0)
 
 
 def _softmax_hvp(P, X, V, c, l2: float):
@@ -239,22 +252,25 @@ def logreg_fit(train: LabeledDataset, l2: float = DEFAULT_L2,
         raise ValidationError(f"n_classes={C} below observed label range {train.n_classes}")
     W = np.zeros((C, X.shape[1]))
     b = np.zeros(C)
-    history = [softmax_objective(W, b, X, y, l2)]
+    S = X @ W.T + b  # the current iterate's scores
+    history = [_objective(S, W, y, l2)]
     converged = False
     it = 0
     while it < max_iters:
-        gW, gb = softmax_gradients(W, b, X, y, l2)
+        P = _row_softmax(S)
+        gW, gb = _gradients(P, W, X, y, l2)
         g = np.concatenate((gW, gb[:, None]), axis=1)
         if np.abs(g).max() <= tol:
             converged = True
             break
-        D = _newton_cg_direction(_row_softmax(X @ W.T + b), X, g, l2)
+        D = _newton_cg_direction(P, X, g, l2)
         slope = float(np.vdot(g, D))
         t = 1.0
         while t >= _MIN_STEP:
             W_new = W + t * D[:, :-1]
             b_new = b + t * D[:, -1]
-            obj_new = softmax_objective(W_new, b_new, X, y, l2)
+            S = X @ W_new.T + b_new
+            obj_new = _objective(S, W_new, y, l2)
             if obj_new <= history[-1] + _ARMIJO_C1 * t * slope:
                 break
             t *= 0.5

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from subsel.active import (
     ALConfig,
+    ALState,
     UncertaintyMethod,
     ceil_pct,
     fass_round,
@@ -212,6 +213,24 @@ class TestFassRound:
         assert np.intersect1d(after.labeled, after.unlabeled).size == 0
         assert after.labeled.size == before + ceil_pct(10, train.n)
         assert after.history[-1].labeled_count == before
+        chosen = np.setdiff1d(after.labeled, state.labeled)
+        assert after.labeled.dtype == after.unlabeled.dtype == np.int64
+        assert np.array_equal(after.labeled,
+                              np.sort(np.concatenate((state.labeled, chosen))))
+        assert np.array_equal(after.unlabeled, np.setdiff1d(state.unlabeled, chosen))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(labeled=st.lists(st.integers(-5, 40), max_size=12),
+           unlabeled=st.lists(st.integers(-5, 40), max_size=12))
+    def test_state_rejects_exactly_the_overlapping_pools(self, labeled, unlabeled):
+        # hand-built pools may be unsorted, repeat entries or be empty
+        labeled, unlabeled = np.array(labeled, dtype=np.int64), np.array(unlabeled,
+                                                                         dtype=np.int64)
+        if np.intersect1d(labeled, unlabeled).size:
+            with pytest.raises(ValidationError, match="disjoint"):
+                ALState(labeled=labeled, unlabeled=unlabeled)
+        else:
+            ALState(labeled=labeled, unlabeled=unlabeled)
 
     def test_batch_is_inside_the_filtered_set(self):
         train, hold = small_al_problem(seed=7)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from subsel.active import ALConfig
+import subsel.active
+from subsel.active import ALConfig, UncertaintyMethod, run_al
 from subsel.dataset import SplitSpec, gen_synthetic, round_half_up, split
 from subsel.errors import ValidationError
 from subsel.harness import (
@@ -160,6 +161,56 @@ class TestGoal2:
                 for sel, seed in [("us", 1), ("fl", 1), ("us", 2), ("fl", 1)]]
         with pytest.raises(ValidationError, match=r"\('fl', 1\) given more than once"):
             run_goal2(train, hold, cfgs)
+
+    @pytest.mark.parametrize("cfgs", [
+        [ALConfig(B_percent=10, beta_percent=40, rounds=3, selector=s, seed=seed)
+         for s in ("fl", "dm", "us", "random") for seed in (1, 2)],
+        # one seed, so one initial pool, but a different filter, scoring
+        # method, initial pool size or batch per arm
+        [ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="fl", seed=5),
+         ALConfig(B_percent=10, beta_percent=15, rounds=3, selector="dm", seed=5),
+         ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="us", seed=5,
+                  method=UncertaintyMethod.MARGIN),
+         ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="random", seed=5,
+                  initial_seed_size=12)],
+        [ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="us", seed=6,
+                  initial_seed_size=9),
+         ALConfig(B_percent=20, beta_percent=40, rounds=3, selector="fl", seed=6,
+                  initial_seed_size=9)],
+    ])
+    def test_shared_fits_give_the_records_of_separate_runs(self, monkeypatch, cfgs):
+        # overlapping classes, so that accuracy moves with the labeled pool
+        train, hold = split(gen_synthetic(120, 6, 3, 0.6, 13),
+                            SplitSpec(holdout_fraction=0.25, seed=2))
+        round_fn, fit_fn = subsel.active.fass_round, subsel.active.logreg_fit
+
+        def visited(run):
+            """Records of run() and the labeled pools its rounds start from."""
+            pools = set()
+
+            def recording_round(state, *args, **kwargs):
+                pools.add(tuple(state.labeled.tolist()))
+                return round_fn(state, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(subsel.active, "fass_round", recording_round)
+                return run(), pools
+
+        separate, pools = visited(lambda: [
+            CurveRecord(cfg.selector, int(cfg.seed), rec.round, rec.labeled_count,
+                        rec.accuracy)
+            for cfg in cfgs for rec in run_al(train, hold, cfg)])
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit_fn(*args, **kwargs)
+
+        monkeypatch.setattr(subsel.active, "logreg_fit", counting_fit)
+        shared, shared_pools = visited(lambda: run_goal2(train, hold, cfgs))
+        assert shared == separate
+        assert shared_pools == pools
+        assert len(fits) == len(pools) < sum(cfg.rounds for cfg in cfgs)
 
     def test_labeled_counts_are_non_decreasing(self, problem):
         train, hold = problem

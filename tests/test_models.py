@@ -17,9 +17,13 @@ from subsel.dataset import (
 )
 from subsel.errors import ValidationError
 from subsel.models import (
+    _ARMIJO_C1,
+    _MIN_STEP,
     DEFAULT_TOL,
     KnnConfig,
     LogRegModel,
+    _newton_cg_direction,
+    _row_softmax,
     _softmax_hvp,
     _sq_distances,
     knn_accuracy,
@@ -264,6 +268,33 @@ def separable_clusters(n_per_side=20, seed=44):
     return make_dataset(values, labels)
 
 
+def from_scratch_newton_fit(X, y, C, l2, tol=DEFAULT_TOL, max_iters=2000):
+    """logreg_fit's Newton-CG loop with every score matrix, softmax,
+    objective and gradient computed afresh from the parameters: the fit
+    must give these bytes, though it computes each iterate's scores once."""
+    W, b = np.zeros((C, X.shape[1])), np.zeros(C)
+    history = [softmax_objective(W, b, X, y, l2)]
+    while len(history) <= max_iters:
+        gW, gb = softmax_gradients(W, b, X, y, l2)
+        g = np.concatenate((gW, gb[:, None]), axis=1)
+        if np.abs(g).max() <= tol:
+            break
+        D = _newton_cg_direction(_row_softmax(X @ W.T + b), X, g, l2)
+        slope = float(np.vdot(g, D))
+        t = 1.0
+        while t >= _MIN_STEP:
+            W_new, b_new = W + t * D[:, :-1], b + t * D[:, -1]
+            obj_new = softmax_objective(W_new, b_new, X, y, l2)
+            if obj_new <= history[-1] + _ARMIJO_C1 * t * slope:
+                break
+            t *= 0.5
+        if t < _MIN_STEP:
+            break
+        W, b = W_new, b_new
+        history.append(obj_new)
+    return W, b, np.array(history)
+
+
 class TestLogReg:
     def test_separable_clusters_fit_to_perfect_training_accuracy(self):
         ds = separable_clusters()
@@ -316,6 +347,23 @@ class TestLogReg:
         ds = make_dataset([[0.0], [1.0]], [0, 0])
         with pytest.raises(ValidationError):
             logreg_fit(ds)
+
+    @pytest.mark.parametrize("seed", [60, 61, 62, 63])
+    def test_reused_scores_are_the_from_scratch_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, C = int(rng.integers(20, 80)), int(rng.integers(2, 9)), int(rng.integers(2, 5))
+        y = rng.integers(0, C, size=n)
+        values = rng.standard_normal((n, d)) + y[:, None] * rng.uniform(0.2, 2.0)
+        ds = make_dataset(values, y)
+        l2 = float(rng.choice([0.0, 1e-3, 1e-2, 1.0]))
+        model = logreg_fit(ds, l2=l2, n_classes=C)
+        X = ds.features.values.astype(np.float64)
+        assert model.n_iters >= 1
+        assert model.objective_history[-1] == softmax_objective(
+            model.weights, model.bias, X, y, l2)
+        W, b, history = from_scratch_newton_fit(X, y, C, l2)
+        assert np.array_equal(model.weights, W) and np.array_equal(model.bias, b)
+        assert np.array_equal(model.objective_history, history)
 
     def test_fit_is_deterministic(self):
         ds = separable_clusters(seed=48)
