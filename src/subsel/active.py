@@ -215,37 +215,37 @@ def _proportional_quota(counts: np.ndarray, size: int) -> np.ndarray:
 
 def fass_round(state: ALState, ds: LabeledDataset, holdout: LabeledDataset,
                cfg: ALConfig, rng: Optional[np.random.Generator] = None, *,
-               batch_size: Optional[int] = None, memo: Optional[dict] = None) -> ALState:
+               _memo: Optional[dict] = None) -> ALState:
     """One loop round: fit, record accuracy, filter, select, label.
 
-    batch_size is ceil_pct(cfg.B_percent, ds.n), computed here if not
-    given. memo, if given, is a dict shared by rounds over the same ds and
-    holdout. It keeps each distinct labeled pool's model and holdout
-    accuracy, and the filtered set of each (labeled pool, unlabeled pool,
-    beta_percent, method), so a pool met again is neither refit nor
-    refiltered; it holds them until the caller drops it. The returned
-    state is the same with or without it.
+    Both pools must hold indices in [0, ds.n), the unlabeled pool being
+    the rest of ds, as every pool run_al builds is. _memo is private to
+    run_goal2, which shares one across the arms of one call over one ds
+    and holdout: it keeps each distinct labeled pool's model and holdout
+    accuracy, and its filtered set per (beta_percent, method), so a pool
+    met again is neither refit nor refiltered. The returned state is the
+    same with or without it.
     """
     if state.unlabeled.size == 0:
         raise ValidationError("unlabeled pool is empty")
-    if batch_size is None:
-        batch_size = ceil_pct(cfg.B_percent, ds.n)
-    if memo is None:
-        memo = {}
+    for indices in (state.labeled, state.unlabeled):
+        if indices.size and (indices.min() < 0 or indices.max() >= ds.n):
+            raise ValidationError(f"pool indices must lie in [0, {ds.n})")
+    if _memo is None:
+        _memo = {}
     this_round = state.round + 1
     pool = np.asarray(state.labeled, dtype=np.int64).tobytes()
-    if pool not in memo:
+    if pool not in _memo:
         model = logreg_fit(ds.subset(state.labeled), n_classes=ds.n_classes)
-        memo[pool] = model, model.accuracy(holdout)
-    model, accuracy = memo[pool]
-    key = (pool, np.asarray(state.unlabeled, dtype=np.int64).tobytes(),
-           cfg.beta_percent, cfg.method)
-    if key not in memo:
+        _memo[pool] = model, model.accuracy(holdout)
+    model, accuracy = _memo[pool]
+    key = (pool, cfg.beta_percent, cfg.method)  # the unlabeled pool is pool's complement
+    if key not in _memo:
         probs = model.predict_proba_batch(ds.features.values[state.unlabeled])
-        memo[key] = filter_uncertain(probs, state.unlabeled, cfg.beta_percent, cfg.method)
+        _memo[key] = filter_uncertain(probs, state.unlabeled, cfg.beta_percent, cfg.method)
     record = RoundRecord(this_round, int(state.labeled.size), accuracy)
-    chosen = np.array(select_batch(memo[key], ds.features, cfg.selector,
-                                   min(batch_size, int(state.unlabeled.size)), rng),
+    batch_size = min(ceil_pct(cfg.B_percent, ds.n), int(state.unlabeled.size))
+    chosen = np.array(select_batch(_memo[key], ds.features, cfg.selector, batch_size, rng),
                       dtype=np.int64)
     labeled = np.sort(np.concatenate((state.labeled, chosen)))
     left = np.zeros(ds.n, dtype=bool)  # setdiff1d by one mask over ds.n, no sort
@@ -256,13 +256,12 @@ def fass_round(state: ALState, ds: LabeledDataset, holdout: LabeledDataset,
 
 
 def run_al(ds: LabeledDataset, holdout: LabeledDataset, cfg: ALConfig, *,
-           memo: Optional[dict] = None) -> list[RoundRecord]:
+           _memo: Optional[dict] = None) -> list[RoundRecord]:
     """Run the loop for cfg.rounds rounds (fewer if the pool empties).
 
     The whole run is a pure function of the dataset, the holdout, and
     the config; the seed drives both the initial pool and any random
-    selection draws. memo is handed to every fass_round; runs over the
-    same ds and holdout that share it fit each distinct labeled pool once.
+    selection draws. _memo is run_goal2's, handed to every fass_round.
     """
     batch_size = ceil_pct(cfg.B_percent, ds.n)
     seed_size = cfg.initial_seed_size
@@ -273,5 +272,5 @@ def run_al(ds: LabeledDataset, holdout: LabeledDataset, cfg: ALConfig, *,
     for _ in range(cfg.rounds):
         if state.unlabeled.size == 0:
             break
-        state = fass_round(state, ds, holdout, cfg, rng, batch_size=batch_size, memo=memo)
+        state = fass_round(state, ds, holdout, cfg, rng, _memo=_memo)
     return list(state.history)

@@ -165,7 +165,7 @@ def run_goal2(train: LabeledDataset, holdout: LabeledDataset,
     records: list[CurveRecord] = []
     memo: dict = {}
     for cfg in cfgs:
-        for rec in run_al(train, holdout, cfg, memo=memo):
+        for rec in run_al(train, holdout, cfg, _memo=memo):
             records.append(CurveRecord(cfg.selector, int(cfg.seed), rec.round,
                                        rec.labeled_count, rec.accuracy))
     return records

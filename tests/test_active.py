@@ -232,6 +232,18 @@ class TestFassRound:
         else:
             ALState(labeled=labeled, unlabeled=unlabeled)
 
+    @pytest.mark.parametrize("side", ["labeled", "unlabeled"])
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_out_of_range_pool_indices_rejected(self, side, bad):
+        # -1 would otherwise alias row n-1 in the mask that builds the next pool
+        train, hold = small_al_problem()
+        cfg = ALConfig(B_percent=10, beta_percent=50, rounds=1, selector="us", seed=3)
+        state = initial_state(train.labels.labels, 6, np.random.default_rng(3))
+        pools = {"labeled": state.labeled, "unlabeled": state.unlabeled}
+        pools[side] = np.append(pools[side], train.n if bad == "n" else bad)
+        with pytest.raises(ValidationError, match=r"pool indices must lie in \[0, "):
+            fass_round(ALState(**pools), train, hold, cfg, np.random.default_rng(3))
+
     def test_batch_is_inside_the_filtered_set(self):
         train, hold = small_al_problem(seed=7)
         cfg = ALConfig(B_percent=10, beta_percent=30, rounds=1, selector="fl", seed=3)
