@@ -174,16 +174,11 @@ class RoundRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ALState:
-    """Disjoint labeled/unlabeled pools plus the accuracy history."""
+    """The labeled pool, ascending int64 indices into the dataset, plus the
+    accuracy history; the unlabeled pool is every other index."""
 
     labeled: np.ndarray
-    unlabeled: np.ndarray
-    round: int = 0
     history: tuple = ()
-
-    def __post_init__(self):
-        if np.isin(self.unlabeled, self.labeled).any():
-            raise ValidationError("labeled and unlabeled pools must be disjoint")
 
 
 def initial_state(labels: np.ndarray, seed_size: int,
@@ -198,8 +193,8 @@ def initial_state(labels: np.ndarray, seed_size: int,
         )
     if seed_size > n:
         raise ValidationError(f"initial seed size {seed_size} exceeds pool size {n}")
-    labeled, unlabeled = stratified_draw(labels, _proportional_quota(counts, seed_size), rng)
-    return ALState(labeled=labeled, unlabeled=unlabeled)
+    labeled, _ = stratified_draw(labels, _proportional_quota(counts, seed_size), rng)
+    return ALState(labeled=labeled)
 
 
 def _proportional_quota(counts: np.ndarray, size: int) -> np.ndarray:
@@ -218,41 +213,38 @@ def fass_round(state: ALState, ds: LabeledDataset, holdout: LabeledDataset,
                _memo: Optional[dict] = None) -> ALState:
     """One loop round: fit, record accuracy, filter, select, label.
 
-    Both pools must hold indices in [0, ds.n), the unlabeled pool being
-    the rest of ds, as every pool run_al builds is. _memo is private to
+    The labeled pool must hold distinct indices in [0, ds.n); the round
+    number is one more than the history's length. _memo is private to
     run_goal2, which shares one across the arms of one call over one ds
     and holdout: it keeps each distinct labeled pool's model and holdout
     accuracy, and its filtered set per (beta_percent, method), so a pool
     met again is neither refit nor refiltered. The returned state is the
     same with or without it.
     """
-    if state.unlabeled.size == 0:
+    labeled = np.asarray(state.labeled, dtype=np.int64)
+    left = np.ones(ds.n, dtype=bool)
+    left[labeled[(labeled >= 0) & (labeled < ds.n)]] = False
+    unlabeled = np.flatnonzero(left)
+    if unlabeled.size + labeled.size != ds.n:  # an index out of range or repeated
+        raise ValidationError(f"labeled pool indices must be distinct and in [0, {ds.n})")
+    if unlabeled.size == 0:
         raise ValidationError("unlabeled pool is empty")
-    for indices in (state.labeled, state.unlabeled):
-        if indices.size and (indices.min() < 0 or indices.max() >= ds.n):
-            raise ValidationError(f"pool indices must lie in [0, {ds.n})")
     if _memo is None:
         _memo = {}
-    this_round = state.round + 1
-    pool = np.asarray(state.labeled, dtype=np.int64).tobytes()
+    pool = labeled.tobytes()
     if pool not in _memo:
-        model = logreg_fit(ds.subset(state.labeled), n_classes=ds.n_classes)
+        model = logreg_fit(ds.subset(labeled), n_classes=ds.n_classes)
         _memo[pool] = model, model.accuracy(holdout)
     model, accuracy = _memo[pool]
-    key = (pool, cfg.beta_percent, cfg.method)  # the unlabeled pool is pool's complement
+    key = (pool, cfg.beta_percent, cfg.method)
     if key not in _memo:
-        probs = model.predict_proba_batch(ds.features.values[state.unlabeled])
-        _memo[key] = filter_uncertain(probs, state.unlabeled, cfg.beta_percent, cfg.method)
-    record = RoundRecord(this_round, int(state.labeled.size), accuracy)
-    batch_size = min(ceil_pct(cfg.B_percent, ds.n), int(state.unlabeled.size))
+        probs = model.predict_proba_batch(ds.features.values[unlabeled])
+        _memo[key] = filter_uncertain(probs, unlabeled, cfg.beta_percent, cfg.method)
+    record = RoundRecord(len(state.history) + 1, int(labeled.size), accuracy)
+    batch_size = min(ceil_pct(cfg.B_percent, ds.n), int(unlabeled.size))
     chosen = np.array(select_batch(_memo[key], ds.features, cfg.selector, batch_size, rng),
                       dtype=np.int64)
-    labeled = np.sort(np.concatenate((state.labeled, chosen)))
-    left = np.zeros(ds.n, dtype=bool)  # setdiff1d by one mask over ds.n, no sort
-    left[state.unlabeled] = True
-    left[chosen] = False
-    return ALState(labeled=labeled, unlabeled=np.flatnonzero(left), round=this_round,
-                   history=state.history + (record,))
+    return ALState(np.sort(np.concatenate((labeled, chosen))), state.history + (record,))
 
 
 def run_al(ds: LabeledDataset, holdout: LabeledDataset, cfg: ALConfig, *,
@@ -270,7 +262,7 @@ def run_al(ds: LabeledDataset, holdout: LabeledDataset, cfg: ALConfig, *,
     rng = np.random.default_rng(cfg.seed)
     state = initial_state(ds.labels.labels, seed_size, rng)
     for _ in range(cfg.rounds):
-        if state.unlabeled.size == 0:
+        if state.labeled.size == ds.n:
             break
         state = fass_round(state, ds, holdout, cfg, rng, _memo=_memo)
     return list(state.history)

@@ -39,22 +39,18 @@ def round_half_up(x: float) -> int:
 
 
 def largest_remainder_quota(counts: np.ndarray, total: int) -> np.ndarray:
-    """Apportion total across groups proportionally to counts.
+    """Apportion total, in [0, sum(counts)], across groups proportionally
+    to counts.
 
-    Every quota is within one of its exact proportional share, quotas
-    never exceed their group size, and ties break toward the lower group
-    index, so the result is deterministic.
+    Shares and remainders are exact integers. Every quota is within one of
+    its exact proportional share, quotas never exceed their group size, and
+    remainder ties break toward the lower group index.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    labels = np.arange(counts.size)
-    shares = counts * (total / counts.sum())
-    quota = np.floor(shares).astype(np.int64)
-    order = np.lexsort((labels, -(shares - quota)))
-    for c in order[:total - quota.sum()]:
-        quota[c] += 1
-    quota = np.minimum(quota, counts)
-    while quota.sum() < total:  # redistribute anything lost to the caps
-        quota[np.lexsort((labels, -(counts - quota)))[0]] += 1
+    if not 0 <= total <= counts.sum():
+        raise ValidationError(f"cannot apportion {total} among {counts.sum()} elements")
+    quota, rem = np.divmod(counts * total, counts.sum())
+    quota[np.lexsort((np.arange(counts.size), -rem))[:total - quota.sum()]] += 1
     return quota
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -102,18 +103,19 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
                 cfg: SweepConfig = SweepConfig()) -> list[CurveRecord]:
     """Accuracy of kNN trained on growing subsets of the training pool.
 
-    A fraction whose budget is below k is skipped with a warning; a sweep
-    that would skip every fraction is an error. All subsets are scored by
-    one knn_subset_accuracies call, against one holdout x train distance
-    matrix.
+    A fraction p's budget is the exact share p/100 * n, as ceil_pct takes
+    it, rounded half up. A fraction whose budget is below k is skipped
+    with a warning; a sweep that would skip every fraction is an error.
+    All subsets are scored by one knn_subset_accuracies call, against one
+    holdout x train distance matrix.
     """
-    if round_half_up(cfg.fractions[-1] / 100 * train.n) < cfg.k:
+    budgets = {p: round_half_up(Fraction(str(p)) * train.n / 100) for p in cfg.fractions}
+    if budgets[cfg.fractions[-1]] < cfg.k:
         raise ValidationError(f"every fraction's budget is below k={cfg.k} "
                               f"for training size {train.n}")
     orders = {m: selection_order(train, m) for m in cfg.methods if m != "random"}
     arms = []  # (method, seed, fraction, budget, subset), in record order
-    for p in cfg.fractions:
-        budget = round_half_up(p / 100 * train.n)
+    for p, budget in budgets.items():
         if budget < cfg.k:
             logger.warning("fraction %s%% rounds to a budget of %d, below k=%d, "
                            "for n=%d; skipped", p, budget, cfg.k, train.n)

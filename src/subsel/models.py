@@ -106,7 +106,6 @@ class LogRegModel:
     weights: np.ndarray  # (C, d)
     bias: np.ndarray  # (C,)
     l2: float
-    n_trained: int
     n_iters: int = 0
     converged: bool = False
     objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -227,7 +226,6 @@ def _newton_cg_direction(P, X, g, l2: float) -> np.ndarray:
 
 
 def logreg_fit(train: LabeledDataset, l2: float = DEFAULT_L2,
-               tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
                n_classes: int | None = None) -> LogRegModel:
     """Fit a multinomial logistic regression by line-search Newton-CG.
 
@@ -235,11 +233,12 @@ def logreg_fit(train: LabeledDataset, l2: float = DEFAULT_L2,
     Hessian-vector products (Nocedal & Wright, Numerical Optimization,
     sec. 7.1), so memory stays O(nC + Cd). The step length is found by
     Armijo backtracking from 1, so the recorded objective history is
-    non-increasing. max_iters counts Newton steps. Convergence is
-    declared when the largest absolute entry of the full gradient drops
-    to tol; the fit also stops, unconverged, if backtracking finds no
-    decrease. The common bias shift leaves the objective unchanged, but
-    the gradient has no component along it, so no step ever takes it.
+    non-increasing. At most DEFAULT_MAX_ITERS Newton steps are taken.
+    Convergence is declared when the largest absolute entry of the full
+    gradient drops to DEFAULT_TOL; the fit also stops, unconverged, if
+    backtracking finds no decrease. The common bias shift leaves the
+    objective unchanged, but the gradient has no component along it, so
+    no step ever takes it.
     """
     if l2 < 0:
         raise ValidationError(f"l2 must be >= 0, got {l2}")
@@ -256,11 +255,11 @@ def logreg_fit(train: LabeledDataset, l2: float = DEFAULT_L2,
     history = [_objective(S, W, y, l2)]
     converged = False
     it = 0
-    while it < max_iters:
+    while it < DEFAULT_MAX_ITERS:
         P = _row_softmax(S)
         gW, gb = _gradients(P, W, X, y, l2)
         g = np.concatenate((gW, gb[:, None]), axis=1)
-        if np.abs(g).max() <= tol:
+        if np.abs(g).max() <= DEFAULT_TOL:
             converged = True
             break
         D = _newton_cg_direction(P, X, g, l2)
@@ -279,6 +278,5 @@ def logreg_fit(train: LabeledDataset, l2: float = DEFAULT_L2,
         W, b = W_new, b_new
         history.append(obj_new)
         it += 1
-    return LogRegModel(weights=W, bias=b, l2=l2, n_trained=train.n,
-                       n_iters=it, converged=converged,
+    return LogRegModel(weights=W, bias=b, l2=l2, n_iters=it, converged=converged,
                        objective_history=np.array(history))

@@ -208,41 +208,27 @@ class TestFassRound:
         state = initial_state(train.labels.labels, 6, rng)
         before = state.labeled.size
         after = fass_round(state, train, hold, cfg, rng)
-        assert after.round == 1
-        assert after.labeled.size + after.unlabeled.size == train.n
-        assert np.intersect1d(after.labeled, after.unlabeled).size == 0
+        assert after.history[-1].round == 1
         assert after.labeled.size == before + ceil_pct(10, train.n)
         assert after.history[-1].labeled_count == before
         chosen = np.setdiff1d(after.labeled, state.labeled)
-        assert after.labeled.dtype == after.unlabeled.dtype == np.int64
+        assert after.labeled.dtype == np.int64
         assert np.array_equal(after.labeled,
                               np.sort(np.concatenate((state.labeled, chosen))))
-        assert np.array_equal(after.unlabeled, np.setdiff1d(state.unlabeled, chosen))
+        again = fass_round(after, train, hold, cfg, rng)
+        assert [r.round for r in again.history] == [1, 2]
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(labeled=st.lists(st.integers(-5, 40), max_size=12),
-           unlabeled=st.lists(st.integers(-5, 40), max_size=12))
-    def test_state_rejects_exactly_the_overlapping_pools(self, labeled, unlabeled):
-        # hand-built pools may be unsorted, repeat entries or be empty
-        labeled, unlabeled = np.array(labeled, dtype=np.int64), np.array(unlabeled,
-                                                                         dtype=np.int64)
-        if np.intersect1d(labeled, unlabeled).size:
-            with pytest.raises(ValidationError, match="disjoint"):
-                ALState(labeled=labeled, unlabeled=unlabeled)
-        else:
-            ALState(labeled=labeled, unlabeled=unlabeled)
-
-    @pytest.mark.parametrize("side", ["labeled", "unlabeled"])
-    @pytest.mark.parametrize("bad", [-1, "n"])
-    def test_out_of_range_pool_indices_rejected(self, side, bad):
-        # -1 would otherwise alias row n-1 in the mask that builds the next pool
+    @pytest.mark.parametrize("bad", [-1, "n", "repeat"])
+    def test_bad_labeled_pool_rejected(self, bad):
+        # -1 would otherwise alias row n-1 in the mask that builds the
+        # unlabeled pool, and a repeat would count one row twice
         train, hold = small_al_problem()
         cfg = ALConfig(B_percent=10, beta_percent=50, rounds=1, selector="us", seed=3)
-        state = initial_state(train.labels.labels, 6, np.random.default_rng(3))
-        pools = {"labeled": state.labeled, "unlabeled": state.unlabeled}
-        pools[side] = np.append(pools[side], train.n if bad == "n" else bad)
-        with pytest.raises(ValidationError, match=r"pool indices must lie in \[0, "):
-            fass_round(ALState(**pools), train, hold, cfg, np.random.default_rng(3))
+        labeled = initial_state(train.labels.labels, 6, np.random.default_rng(3)).labeled
+        extra = {-1: -1, "n": train.n, "repeat": labeled[0]}[bad]
+        with pytest.raises(ValidationError, match=r"distinct and in \[0, "):
+            fass_round(ALState(np.append(labeled, extra)), train, hold, cfg,
+                       np.random.default_rng(3))
 
     def test_batch_is_inside_the_filtered_set(self):
         train, hold = small_al_problem(seed=7)
@@ -250,12 +236,13 @@ class TestFassRound:
         rng = np.random.default_rng(cfg.seed)
         state = initial_state(train.labels.labels, 6, rng)
         model = logreg_fit(train.subset(state.labeled), n_classes=train.n_classes)
-        probs = model.predict_proba_batch(train.features.values[state.unlabeled])
-        fset = filter_uncertain(probs, state.unlabeled, cfg.beta_percent, cfg.method)
+        unlabeled = np.setdiff1d(np.arange(train.n), state.labeled)
+        probs = model.predict_proba_batch(train.features.values[unlabeled])
+        fset = filter_uncertain(probs, unlabeled, cfg.beta_percent, cfg.method)
         after = fass_round(state, train, hold, cfg, np.random.default_rng(cfg.seed))
         chosen = np.setdiff1d(after.labeled, state.labeled)
         assert set(chosen.tolist()) <= set(fset.indices.tolist())
-        assert set(fset.indices.tolist()) <= set(state.unlabeled.tolist())
+        assert set(fset.indices.tolist()) <= set(unlabeled.tolist())
 
     def test_small_pool_is_exhausted(self):
         train, hold = small_al_problem(n=30)
@@ -263,8 +250,9 @@ class TestFassRound:
         rng = np.random.default_rng(0)
         state = initial_state(train.labels.labels, 3, rng)
         after = fass_round(state, train, hold, cfg, rng)
-        assert after.unlabeled.size == 0
-        assert after.labeled.size == train.n
+        assert np.array_equal(after.labeled, np.arange(train.n))
+        with pytest.raises(ValidationError, match="unlabeled pool is empty"):
+            fass_round(after, train, hold, cfg, rng)
 
     def test_published_parameterization_runs_clean(self):
         # batch 5% with a 10% filter, ten rounds

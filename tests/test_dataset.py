@@ -1,5 +1,6 @@
 import struct
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -361,3 +362,28 @@ def test_round_half_up():
     assert round_half_up(2.5) == 3  # not banker's rounding
     assert round_half_up(2.49) == 2
     assert round_half_up(3.0) == 3
+
+
+class TestLargestRemainderQuota:
+    def test_exact_remainder_ties_go_to_the_lower_group(self):
+        # all three exact remainders are 26/39; floats make them differ
+        assert largest_remainder_quota([2, 35, 2], 13).tolist() == [1, 12, 0]
+
+    @pytest.mark.parametrize("total", [-1, 40])
+    def test_total_outside_the_pool_rejected(self, total):
+        with pytest.raises(ValidationError, match="cannot apportion"):
+            largest_remainder_quota([2, 35, 2], total)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=8)
+           .filter(lambda c: sum(c) > 0), data=st.data())
+    def test_matches_the_fraction_reference(self, counts, data):
+        total = data.draw(st.integers(0, sum(counts)))
+        shares = [Fraction(c * total, sum(counts)) for c in counts]
+        floors = [int(s) for s in shares]
+        order = sorted(range(len(counts)), key=lambda g: (-(shares[g] - floors[g]), g))
+        for g in order[:total - sum(floors)]:
+            floors[g] += 1
+        quota = largest_remainder_quota(counts, total)
+        assert quota.tolist() == floors
+        assert (quota <= np.array(counts)).all()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,12 @@ class TestSweep:
             math.floor(p / 100 * train.n + 0.5) for p in (5, 25, 50)
         ]
 
+    def test_budget_rounds_the_exact_share(self):
+        # 0.58 * 25 is 14.4999... in floating point; the share is 14.5
+        train, hold = gen_synthetic(25, 4, 2, 2.0, 3), gen_synthetic(10, 4, 2, 2.0, 4)
+        cfg = SweepConfig(fractions=(58,), methods=("fl", "random"), seeds=(1,))
+        assert [r.labeled_count for r in sweep_goal1(train, hold, cfg)] == [15, 15]
+
     def test_random_arm_varies_only_with_seed(self, problem):
         train, hold = problem
         cfg = SweepConfig(fractions=(20,), methods=("random",), seeds=(1, 2))
@@ -108,7 +116,7 @@ def per_arm_sweep(train, hold, cfg):
     orders = {m: selection_order(train, m) for m in cfg.methods if m != "random"}
     records = []
     for p in cfg.fractions:
-        budget = round_half_up(p / 100 * train.n)
+        budget = round_half_up(Fraction(str(p)) * train.n / 100)
         if budget < cfg.k:
             continue
         for method in cfg.methods:

@@ -393,7 +393,7 @@ class TestSoftmaxHvp:
             V = rng.standard_normal((C, d))
             c = rng.standard_normal(C)
             l2 = 0.05
-            P = LogRegModel(weights=W, bias=b, l2=l2, n_trained=n).predict_proba_batch(X)
+            P = LogRegModel(weights=W, bias=b, l2=l2).predict_proba_batch(X)
             hv, hc = _softmax_hvp(P, X, V, c, l2)
             h = 1e-5
             up_W, up_b = softmax_gradients(W + h * V, b + h * c, X, y, l2)
@@ -406,7 +406,7 @@ class TestSoftmaxHvp:
         rng = np.random.default_rng(52)
         X = rng.standard_normal((12, 3))
         model = LogRegModel(weights=rng.standard_normal((4, 3)),
-                            bias=rng.standard_normal(4), l2=0.1, n_trained=12)
+                            bias=rng.standard_normal(4), l2=0.1)
         hv, hc = _softmax_hvp(model.predict_proba_batch(X), X, np.zeros((4, 3)),
                               np.ones(4), 0.1)
         assert np.abs(hv).max() <= 1e-14
@@ -445,8 +445,7 @@ class TestNewtonFit:
 
 class TestPredictProba:
     def test_zero_model_is_uniform(self):
-        model = LogRegModel(weights=np.zeros((4, 2)), bias=np.zeros(4), l2=0.0,
-                            n_trained=0)
+        model = LogRegModel(weights=np.zeros((4, 2)), bias=np.zeros(4), l2=0.0)
         np.testing.assert_allclose(model.predict_proba([1.0, -2.0]), 0.25, rtol=1e-15)
 
     def test_probabilities_sum_to_one(self):
@@ -454,20 +453,19 @@ class TestPredictProba:
         for _ in range(1000):
             C, d = int(rng.integers(2, 6)), int(rng.integers(1, 5))
             model = LogRegModel(weights=rng.standard_normal((C, d)) * 5,
-                                bias=rng.standard_normal(C), l2=0.0, n_trained=0)
+                                bias=rng.standard_normal(C), l2=0.0)
             p = model.predict_proba(rng.standard_normal(d))
             assert abs(p.sum() - 1.0) <= 1e-9
             assert (p >= 0).all() and (p <= 1).all()
 
     def test_extreme_scores_stay_finite(self):
         model = LogRegModel(weights=np.array([[1000.0], [0.0]]), bias=np.zeros(2),
-                            l2=0.0, n_trained=0)
+                            l2=0.0)
         p = model.predict_proba([1.0])
         assert np.isfinite(p).all()
         assert p[0] > 0.999999
 
     def test_dimension_mismatch_rejected(self):
-        model = LogRegModel(weights=np.zeros((2, 3)), bias=np.zeros(2), l2=0.0,
-                            n_trained=0)
+        model = LogRegModel(weights=np.zeros((2, 3)), bias=np.zeros(2), l2=0.0)
         with pytest.raises(ValidationError):
             model.predict_proba([1.0])
