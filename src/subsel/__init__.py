@@ -52,6 +52,7 @@ from .kernels import (
     SimilarityKernel,
     cosine_similarity,
     euclidean_distance,
+    feature_distance,
     sparsify_knn,
 )
 from .models import (

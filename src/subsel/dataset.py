@@ -17,6 +17,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +34,9 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sHQQ")  # magic, version, n, d
 
 
-def round_half_up(x: float) -> int:
-    """Round to the nearest integer, halves away from zero-ward (up)."""
-    return int(math.floor(x + 0.5))
+def round_half_up(x: float | Fraction) -> int:
+    """Round to the nearest integer, halves up; exact on a Fraction."""
+    return int(math.floor(x + Fraction(1, 2)))
 
 
 def largest_remainder_quota(counts: np.ndarray, total: int) -> np.ndarray:
@@ -314,12 +315,13 @@ def load_dataset(features_path, labels_path) -> LabeledDataset:
 def split_indices(labels: LabelVector, spec: SplitSpec):
     """Return (train_idx, holdout_idx): disjoint, exhaustive, seeded.
 
-    The holdout always has m = round_half_up(n * fraction) elements; the
-    stratified variant apportions m across classes, each class within one
-    instance of its proportional share, count * m / n.
+    The holdout always has m = round_half_up(n * fraction) elements, the
+    product taken exactly on the fraction's decimal digits (25 rows at 0.58
+    hold out 15); the stratified variant apportions m across classes, each
+    class within one instance of its proportional share, count * m / n.
     """
     n = len(labels)
-    m = round_half_up(n * spec.holdout_fraction)
+    m = round_half_up(Fraction(str(spec.holdout_fraction)) * n)
     if m == 0 or m == n:
         raise ValidationError(
             f"holdout_fraction {spec.holdout_fraction} leaves an empty side for n={n}"

@@ -27,7 +27,9 @@ class LabelParseError(SubsetSelectionError, ValueError):
 
 
 class CapacityError(SubsetSelectionError):
-    """An exhaustive computation would exceed the enumeration cap."""
+    """A computation exceeds a size limit: an exhaustive search the
+    enumeration cap, or a dense n x n kernel the memory that can be
+    allocated."""
 
 
 class UnsupportedObjectiveError(SubsetSelectionError, TypeError):

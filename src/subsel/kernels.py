@@ -1,33 +1,43 @@
 """Pairwise similarity and distance kernels over a ground set.
 
 Similarities are shifted cosines, ``(1 + cos) / 2``, so they land in
-[0, 1] with an exact unit diagonal. Distances are euclidean. Each pair
-is computed once and mirrored, so dense kernels are exactly symmetric
-(``SimilarityKernel.symmetric`` records it). ``sparsify_knn`` keeps the
-top-kappa off-diagonal entries per row and stores them by column, the
-order in which facility location reads a candidate; dropped entries read
-as similarity 0 and the diagonal as an implicit 1. Which entries it
-keeps is decided by ``first_k``, the package's one top-k rule (the first
-k of a stable sort), which the kNN vote in ``models`` shares.
+[0, 1] with an exact unit diagonal. Distances are euclidean. A kernel is
+dense, or sparse, or computed from the features when read:
 
-A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
-and finishes it in place: each block of rows (see ``row_blocks``) has
-its upper-triangle part turned into similarities or distances, and
-``_mirror_upper`` then copies the upper triangle onto the lower one,
-block by block. Working memory beyond the result is O(block * n), and
-every entry goes through the same floating-point operations, in the
-same order, as the whole-matrix expressions they replace.
+- A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
+  and finishes it in place: each block of rows (see ``row_blocks``) has
+  its upper-triangle part turned into similarities or distances, and
+  ``_mirror_upper`` then copies the upper triangle onto the lower one,
+  block by block. So dense kernels are exactly symmetric
+  (``SimilarityKernel.symmetric`` records it), working memory beyond the
+  result is O(block * n), and every entry goes through the same
+  floating-point operations, in the same order, as the whole-matrix
+  expressions they replace. An allocation that fails raises
+  ``CapacityError``.
+- A kappa-sparse kernel keeps each row's kappa largest off-diagonal
+  similarities, stored by column, the order in which facility location
+  reads a candidate; dropped entries read as similarity 0 and the
+  diagonal as an implicit 1. ``cosine_similarity(..., kappa=)`` builds it
+  straight from the features, one row block ``x[lo:hi] @ x.T`` at a time,
+  in O(n * kappa + block * n) memory; ``sparsify_knn`` cuts a dense kernel.
+  Both feed the same per-block top-kappa and column regroup. Which entries
+  are kept is decided by ``first_k``, the package's one top-k rule (the
+  first k of a stable sort), which the kNN vote in ``models`` shares.
+- A feature-backed distance kernel (``feature_distance``) keeps the rows
+  and their squared norms, O(n * d), and computes squared distances when
+  farthest point asks: one row per pick (a GEMV), and the exact maximum
+  pair by a scan of upper-triangle row blocks (a GEMM each).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -60,15 +70,58 @@ class SimilarityKernel:
 
 @dataclass(frozen=True)
 class DistanceKernel:
-    """Dense symmetric nonnegative pairwise distances with a zero diagonal."""
+    """Symmetric nonnegative pairwise distances with a zero diagonal: a dense
+    matrix, or float64 feature rows x with squared norms sq, from which
+    squared distances (sq_i + sq_j) - 2 x_i . x_j are computed, unclipped,
+    when read."""
 
     n: int
-    dense: np.ndarray
+    dense: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
+    sq: Optional[np.ndarray] = None
+
+    def sq_row(self, e: int) -> np.ndarray:
+        """Feature-backed: squared distances from every element to e."""
+        return _squared_distances(self.x, self.sq, -2.0 * self.x[e], self.sq[e])
+
+    def among(self, idx: np.ndarray) -> np.ndarray:
+        """Distances among the elements idx, as a len(idx)^2 array."""
+        if self.dense is not None:
+            return self.dense[np.ix_(idx, idx)]
+        x, sq = self.x[idx], self.sq[idx]
+        return np.sqrt(np.maximum(_squared_distances(x, sq, -2.0 * x, sq), 0.0))
+
+    def max_pair(self) -> tuple[int, int]:
+        """The lexicographically smallest pair i < j at the largest distance
+        (squared distance, if feature-backed); (0, 1) if none is positive.
+
+        Dense, the row-major first maximum of each row block is taken: on a
+        symmetric kernel with a zero diagonal it lies above the diagonal.
+        Feature-backed, each block is the upper-triangle tile of rows lo:hi
+        against rows lo: with j <= i masked out: two products of one pair
+        can differ in the last bit, so no symmetry argument holds there.
+        """
+        i, j, top = 0, 1, 0.0
+        x2 = None if self.dense is not None else -2.0 * self.x
+        for lo, hi in _gemm_blocks(self.n):
+            if self.dense is not None:
+                block, first = self.dense[lo:hi], 0
+            else:
+                block, first = _squared_distances(self.x[lo:hi], self.sq[lo:hi],
+                                                  x2[lo:], self.sq[lo:]), lo
+                block[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = -np.inf
+            r, c = divmod(int(block.argmax()), block.shape[1])
+            if block[r, c] > top:
+                i, j, top = lo + r, first + c, block[r, c]
+        return i, j
 
 
 # Elements per row block: the blocked passes over n x n arrays keep their
 # temporaries at about this size (256 KiB of float64) instead of n x n.
 _BLOCK_ELEMS = 1 << 15
+# Rows per block, at least, of a pass that multiplies each block by all the
+# feature rows, so that they are read once per block rather than once per row.
+_GEMM_ROWS = 32
 
 
 def row_blocks(n: int, width: Optional[int] = None) -> list[tuple[int, int]]:
@@ -76,6 +129,12 @@ def row_blocks(n: int, width: Optional[int] = None) -> list[tuple[int, int]]:
     rows each (at least one); a row costs width elements, n by default."""
     step = max(1, _BLOCK_ELEMS // max(n if width is None else width, 1))
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _gemm_blocks(n: int) -> list[tuple[int, int]]:
+    """row_blocks(n) of at least _GEMM_ROWS rows (~_BLOCK_ELEMS / _GEMM_ROWS
+    elements a row), for the passes that stream products of x."""
+    return row_blocks(n, min(n, _BLOCK_ELEMS // _GEMM_ROWS))
 
 
 def _mirror_upper(a: np.ndarray, diagonal: float) -> np.ndarray:
@@ -107,6 +166,27 @@ def _select_rows(m: FeatureMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
     return m.values[idx].astype(np.float64), idx
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """x @ x.T, the n x n allocation of a dense build; CapacityError if it fails."""
+    try:
+        return x @ x.T
+    except MemoryError:
+        n = x.shape[0]
+        raise CapacityError(
+            f"a dense {n} x {n} kernel needs {8 * n * n:,} bytes, more than can be "
+            "allocated; fl with --knn-sparsify KAPPA, and dm, build no n x n matrix"
+        ) from None
+
+
+def _squared_distances(xa, sqa, xb2, sqb) -> np.ndarray:
+    """(sq_a + sq_b) - 2 xa . xb for the rows of xa against the rows (or the
+    one row) of xb, given xb2 = -2 xb: euclidean_distance's arithmetic,
+    unclipped, since scaling a factor by -2 scales the product exactly."""
+    d2 = np.dot(xa, xb2.T)
+    d2 += np.add.outer(sqa, sqb)
+    return d2
+
+
 def cosine_norms(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Norms of x's float64 rows; an all-zero row raises, named by idx."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
@@ -117,11 +197,30 @@ def cosine_norms(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return norms
 
 
-def cosine_similarity(m: FeatureMatrix, rows=None) -> SimilarityKernel:
-    """Dense shifted-cosine similarity kernel over the selected rows."""
+def cosine_similarity(m: FeatureMatrix, rows=None,
+                      kappa: Optional[int] = None) -> SimilarityKernel:
+    """Shifted-cosine similarity kernel over the selected rows: dense, or with
+    kappa each row's kappa largest off-diagonal entries, built row block by
+    row block without an n x n matrix.
+
+    The kappa-sparse kernel keeps what sparsify_knn of the dense kernel
+    keeps, but each row's values come from its own block's product, so a
+    value can differ from the dense (mirrored) one in its last bit, and a
+    row whose kappa-th and next candidates differ only there can keep the
+    other one.
+    """
     x, idx = _select_rows(m, rows)
     inv_norms = 1.0 / cosine_norms(x, idx)
-    sim = x @ x.T
+    if kappa is not None:
+        def negated_rows(lo, hi):
+            block = x[lo:hi] @ x.T
+            block *= np.outer(inv_norms[lo:hi], inv_norms)
+            block += 1.0
+            block *= -0.5  # the dense finish, negated: sign flips are exact
+            np.clip(block, -1.0, 0.0, out=block)
+            return block
+        return _top_kappa(x.shape[0], kappa, negated_rows)
+    sim = _gram(x)
     for lo, hi in row_blocks(x.shape[0]):
         upper = sim[lo:hi, lo:]  # the lower triangle is mirrored over
         upper *= np.outer(inv_norms[lo:hi], inv_norms[lo:])
@@ -135,7 +234,7 @@ def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
     """Dense euclidean distance kernel over the selected rows."""
     x, _ = _select_rows(m, rows)
     sq = np.einsum("ij,ij->i", x, x)
-    dist = x @ x.T
+    dist = _gram(x)
     for lo, hi in row_blocks(x.shape[0]):
         upper = dist[lo:hi, lo:]
         # (sq_i + sq_j) - 2 g_ij, exactly: negation and commuting are exact
@@ -144,6 +243,12 @@ def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
         np.clip(upper, 0.0, None, out=upper)
         np.sqrt(upper, out=upper)
     return DistanceKernel(n=x.shape[0], dense=_mirror_upper(dist, 0.0))
+
+
+def feature_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
+    """Feature-backed euclidean distance kernel over the selected rows."""
+    x, _ = _select_rows(m, rows)
+    return DistanceKernel(n=x.shape[0], x=x, sq=np.einsum("ij,ij->i", x, x))
 
 
 def first_k(a: np.ndarray, k: int) -> np.ndarray:
@@ -168,36 +273,43 @@ def first_k(a: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
-def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:
-    """Keep each row's kappa largest off-diagonal similarities.
+def _top_kappa(n: int, kappa: int,
+               negated_rows: Callable[[int, int], np.ndarray]) -> SimilarityKernel:
+    """Each row's kappa largest off-diagonal similarities, stored by column.
 
-    Boundary ties go to the lower column index (``first_k`` on the negated
-    rows, with a NaN diagonal that is never kept). The kept entries are
-    found row block by row block, then regrouped once by column (rows
-    ascending within a column), the only layout the kernel stores. The
-    diagonal stays implicit; dropped entries read as 0.
+    negated_rows(lo, hi) returns rows lo:hi of the negated similarities as a
+    fresh array. Boundary ties go to the lower column index (``first_k``,
+    with a NaN diagonal that is never kept). The kept entries are found row
+    block by row block, then regrouped once by column (rows ascending within
+    a column), the only layout the kernel stores.
     """
-    if kernel.is_sparse:
-        raise ValidationError("sparsify_knn requires a dense kernel")
-    n = kernel.n
     if not (1 <= kappa <= n - 1):
         raise ValidationError(f"kappa must be in [1, {n - 1}], got {kappa}")
-    # entry i * kappa + t is row i's t-th kept column, ascending
+    # entry i * kappa + t is row i's t-th kept column, ascending, and its value
     cols = np.empty(n * kappa, dtype=np.int64)
-    for lo, hi in row_blocks(n):
-        block = np.negative(kernel.dense[lo:hi])
+    kept = np.empty(n * kappa)
+    for lo, hi in _gemm_blocks(n):
+        block = negated_rows(lo, hi)
         # not +inf: a -inf similarity negates to +inf and would tie it
         block[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
         flat = np.flatnonzero(first_k(block, kappa))  # columns ascend within a row
         cols[lo * kappa:hi * kappa] = flat % n
-    # regroup by column; the stable sort keeps rows ascending within each.
-    # In place where it can be: the dense kernel is still alive here.
-    rows = np.argsort(cols, kind="stable")
-    cols.sort()
-    rows //= kappa
+        kept[lo * kappa:hi * kappa] = block.ravel()[flat]
+    # regroup by column; the stable sort keeps rows ascending within each
+    order = np.argsort(cols, kind="stable")
     col_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=n), out=col_ptr[1:])
-    values = kernel.dense[rows, cols]
+    values = np.negative(kept[order])
+    rows = np.floor_divide(order, kappa, out=order)
     for a in (col_ptr, rows, values):
         a.flags.writeable = False
     return SimilarityKernel(n=n, col_ptr=col_ptr, rows=rows, values=values)
+
+
+def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:
+    """Keep each row's kappa largest off-diagonal similarities of a dense
+    kernel (see _top_kappa); the diagonal stays implicit and dropped entries
+    read as 0."""
+    if kernel.is_sparse:
+        raise ValidationError("sparsify_knn requires a dense kernel")
+    return _top_kappa(kernel.n, kappa, lambda lo, hi: np.negative(kernel.dense[lo:hi]))

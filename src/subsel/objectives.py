@@ -9,7 +9,9 @@ and lazy greedy's block refresh all call it, so lazy and naive see the same byte
 Disparity min is the smallest pairwise distance among selected
 elements; it is scored greedily by distance-to-selected (the
 farthest-point rule), not by the change in the set value, and both its
-empty and singleton values are the +inf sentinel.
+empty and singleton values are the +inf sentinel. On a feature-backed
+kernel the scores are squared distances, one kernel row computed per
+added element, and the value is the square root of their minimum.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def disparity_min_value(kernel: DistanceKernel, X) -> float:
     idx = _check_subset(X, kernel.n)
     if idx.size <= 1:
         return INF
-    sub = kernel.dense[np.ix_(idx, idx)]
+    sub = kernel.among(idx)
     iu = np.triu_indices(idx.size, k=1)
     return float(sub[iu].min())
 
@@ -142,7 +144,13 @@ class FacilityLocation:
 
 
 class DisparityMin:
-    """Incremental max-min dispersion state: per-element distance to X."""
+    """Incremental max-min dispersion state: per-element distance to X.
+
+    On a feature-backed kernel mindist holds squared distances, unclipped,
+    and selected elements read -1 in it, so farthest point judges ties on
+    squared distances (lowest index first) and gains_all hands out a
+    read-only view, not a copy. value is a distance on either kernel.
+    """
 
     monotone_submodular = False
 
@@ -153,13 +161,18 @@ class DisparityMin:
         self.selected_mask = np.zeros(self.n, dtype=bool)
         self.mindist = np.full(self.n, INF)
         self.value = INF
+        self._squared = kernel.dense is None
 
     def gain(self, e: int) -> float:
-        """Farthest-point score: distance from e to the selected set."""
+        """Farthest-point score: distance (or its square) from e to the selected set."""
         _require_candidate(self, e)
         return float(self.mindist[e])
 
     def gains_all(self) -> np.ndarray:
+        if self._squared:
+            gains = self.mindist.view()
+            gains.flags.writeable = False
+            return gains
         gains = self.mindist.copy()
         gains[self.selected_mask] = -1.0
         return gains
@@ -168,10 +181,17 @@ class DisparityMin:
         """Select e and fold its distances into the per-element minima."""
         _require_candidate(self, e)
         if self.selected:
-            self.value = min(self.value, float(self.mindist[e]))
+            score = float(self.mindist[e])
+            # sqrt is monotone: the sqrt of the least square is the least distance
+            self.value = min(self.value, math.sqrt(max(score, 0.0)) if self._squared
+                             else score)
         self.selected.append(int(e))
         self.selected_mask[e] = True
-        np.minimum(self.mindist, self.kernel.dense[:, e], out=self.mindist)
+        if self._squared:
+            np.minimum(self.mindist, self.kernel.sq_row(e), out=self.mindist)
+            self.mindist[e] = -1.0
+        else:
+            np.minimum(self.mindist, self.kernel.dense[:, e], out=self.mindist)
 
     def scratch_value(self, X) -> float:
         return disparity_min_value(self.kernel, X)

@@ -8,7 +8,10 @@ ground-set size, and an exhaustive oracle for tests. Ties always break
 toward the lowest index, so every optimizer is deterministic.
 
 ``select_subset`` pairs each objective name, fl or dm, with its kernel
-and optimizer; no other module makes that choice.
+and optimizer; no other module makes that choice. Dense fl holds one
+n x n kernel, since lazy greedy reads all of it; kappa-sparse fl keeps
+O(n * kappa) entries streamed from the features, and dm runs farthest
+point from the features in O(n * d + block * n) memory.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .dataset import FeatureMatrix
 from .errors import CapacityError, UnsupportedObjectiveError, ValidationError
-from .kernels import cosine_similarity, euclidean_distance, row_blocks, sparsify_knn
+from .kernels import cosine_similarity, feature_distance
 from .objectives import INF, DisparityMin, FacilityLocation
 
 BRUTE_FORCE_CAP = 10 ** 6
@@ -71,7 +74,7 @@ def _argmax_fill(obj, b: int, steps: list[float], evals: int) -> int:
     while len(obj.selected) < b:
         gains = obj.gains_all()
         evals += obj.n - len(obj.selected)
-        e = int(np.argmax(gains))  # first max, hence lowest index on ties
+        e = int(gains.argmax())  # first max, hence lowest index on ties
         if gains[e] <= 0.0:
             break
         obj.add(e)
@@ -151,7 +154,9 @@ def farthest_point(obj: DisparityMin, budget: BudgetSpec) -> Selection:
     ties), which gives the classical 1/2 bound (Ravi, Rosenkrantz & Tayi,
     Oper. Res. 1994). The kernel must be symmetric with a zero diagonal,
     as DistanceKernel documents. A budget of 1 returns the lowest-index
-    singleton at the +inf sentinel.
+    singleton at the +inf sentinel. On a feature-backed kernel the seed
+    and every later pick compare squared distances, so ties are judged on
+    them, lowest index first; the step values are distances either way.
     """
     if not isinstance(obj, DisparityMin):
         raise UnsupportedObjectiveError("farthest_point requires a dispersion objective")
@@ -160,17 +165,7 @@ def farthest_point(obj: DisparityMin, budget: BudgetSpec) -> Selection:
         obj.add(0)
         return Selection([0], [INF], INF)
     n = obj.n
-    dist = obj.kernel.dense
-    # On a symmetric kernel with a zero diagonal the row-major first maximum
-    # lies above the diagonal, so it is the lexicographically smallest
-    # maximum pair. Only an all-zero kernel has no positive maximum; it
-    # keeps the pair (0, 1).
-    i, j, top = 0, 1, 0.0
-    for lo, hi in row_blocks(n):
-        block = dist[lo:hi]
-        r, c = divmod(int(np.argmax(block)), n)
-        if block[r, c] > top:
-            i, j, top = lo + r, c, block[r, c]
+    i, j = obj.kernel.max_pair()
     obj.add(i)
     obj.add(j)
     steps = [INF, obj.value]
@@ -182,22 +177,21 @@ def select_subset(features: FeatureMatrix, objective: str, budget: int,
                   rows=None, kappa: int | None = None) -> Selection:
     """Select up to budget elements of features for objective fl or dm.
 
-    fl runs lazy greedy facility location on the shifted-cosine kernel,
-    cut to each row's kappa largest similarities when kappa is given; dm
-    runs farthest-point greedy on the euclidean kernel. With rows, the
-    ground set is those rows and the selected indices are positions in
-    rows.
+    fl runs lazy greedy facility location on the dense shifted-cosine
+    kernel, or, when kappa is given, on each row's kappa largest
+    similarities streamed from the features; dm runs farthest-point greedy
+    on feature-backed euclidean distances. Only dense fl builds an n x n
+    matrix. With rows, the ground set is those rows and the selected
+    indices are positions in rows.
     """
     spec = BudgetSpec(budget)
     if objective == "fl":
-        kernel = cosine_similarity(features, rows=rows)
-        if kappa is not None:
-            kernel = sparsify_knn(kernel, kappa)
+        kernel = cosine_similarity(features, rows=rows, kappa=kappa)
         return greedy_lazy(FacilityLocation(kernel), spec)
     if objective == "dm":
         if kappa is not None:
             raise ValidationError("--knn-sparsify applies only to the fl objective")
-        return farthest_point(DisparityMin(euclidean_distance(features, rows=rows)), spec)
+        return farthest_point(DisparityMin(feature_distance(features, rows=rows)), spec)
     raise ValidationError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
 

@@ -1,5 +1,11 @@
+import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
+
+from subsel import kernels
 
 from subsel.dataset import FeatureMatrix
 from subsel.kernels import DistanceKernel, SimilarityKernel
@@ -43,3 +49,34 @@ def random_distance_kernel(rng: np.random.Generator, n: int, d: int = 3) -> Dist
 
 def random_features(rng: np.random.Generator, n: int, d: int) -> FeatureMatrix:
     return FeatureMatrix(rng.standard_normal((n, d)))
+
+
+class _NoRoom(np.ndarray):
+    """A float64 array whose matrix products cannot be allocated."""
+
+    def __matmul__(self, other):
+        raise MemoryError("Unable to allocate")
+
+
+@contextmanager
+def no_room_for_products():
+    """Make every kernel builder's rows an array whose x @ x.T fails to
+    allocate, as a too-large n x n result would, without allocating it."""
+    select_rows = kernels._select_rows
+
+    def rows_without_room(m, rows):
+        x, idx = select_rows(m, rows)
+        return x.view(_NoRoom), idx
+
+    with mock.patch.object(kernels, "_select_rows", rows_without_room):
+        yield
+
+
+def peak_bytes(fn):
+    """Peak bytes newly allocated while fn runs (numpy reports to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

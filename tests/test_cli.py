@@ -2,6 +2,7 @@ from unittest import mock
 
 import pytest
 
+from conftest import no_room_for_products
 from subsel.cli import main
 from subsel.dataset import FeatureMatrix, load_features, load_labels, save_features
 from subsel.harness import parse_csv
@@ -75,6 +76,19 @@ class TestSelect:
                    "--budget", "5", "--knn-sparsify", "3",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    def test_dense_kernel_without_room_fails_with_an_error_line(self, synth_files, tmp_path,
+                                                                capsys):
+        features, _ = synth_files
+        out = tmp_path / "idx.txt"
+        with no_room_for_products():
+            rc = main(["select", "--features", str(features), "--objective", "fl",
+                       "--budget", "5", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a dense 90 x 90 kernel needs 64,800 bytes")
+        assert "--knn-sparsify" in err
+        assert not out.exists()
 
     def test_non_utf8_csv_fails_with_an_error_line(self, tmp_path, capsys):
         features = tmp_path / "x.csv"

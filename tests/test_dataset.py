@@ -231,6 +231,13 @@ class TestSplit:
         train, hold = split(ds, SplitSpec(holdout_fraction=0.3, seed=7))
         assert hold.n == 3 and train.n == 7
 
+    @pytest.mark.parametrize("n,fraction,m", [(25, 0.58, 15), (50, 0.29, 15)])
+    def test_holdout_size_rounds_the_exact_product(self, n, fraction, m):
+        # in floating point 25 * 0.58 is 14.499999999999998, 50 * 0.29 likewise
+        _, ho = split_indices(LabelVector(np.zeros(n, dtype=np.int64)),
+                              SplitSpec(holdout_fraction=fraction, seed=0))
+        assert ho.size == m
+
     def test_partition_is_disjoint_and_exhaustive(self):
         ds = self._dataset(23)
         tr, ho = split_indices(ds.labels, SplitSpec(holdout_fraction=0.4, seed=5))
@@ -280,7 +287,7 @@ class TestSplit:
             labels = rng.integers(0, 4, size=n)
             frac = float(rng.uniform(0.1, 0.6))
             seed = int(rng.integers(0, 1000))
-            m = round_half_up(n * frac)
+            m = round_half_up(Fraction(str(frac)) * n)
             draw = np.random.default_rng(seed)
             if stratified:
                 quota = largest_remainder_quota(np.bincount(labels), m)
@@ -304,7 +311,7 @@ class TestSplit:
         # more (counts [1, 1, 37, 1] at fraction 0.785: m = 31, quotas
         # [1, 1, 28, 1], the third class 1.05 below 37 * 0.785)
         labels = np.array(labels)
-        n, m = labels.size, round_half_up(labels.size * fraction)
+        n, m = labels.size, round_half_up(Fraction(str(fraction)) * labels.size)
         spec = SplitSpec(holdout_fraction=fraction, seed=seed, stratified=stratified)
         if m in (0, n):
             with pytest.raises(ValidationError, match="leaves an empty side"):
@@ -355,6 +362,11 @@ class TestSynthetic:
         assert np.array_equal(a.features.values, b.features.values)
         c = gen_synthetic(40, 5, 2, 2.0, 10)
         assert not np.array_equal(a.features.values, c.features.values)
+
+
+def test_round_half_up_is_exact_on_fractions():
+    assert round_half_up(Fraction(29, 2)) == 15
+    assert round_half_up(Fraction(29, 2) - Fraction(1, 10 ** 20)) == 14  # float: 15
 
 
 def test_round_half_up():

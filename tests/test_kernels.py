@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_features, random_similarity_kernel
+from conftest import (
+    no_room_for_products,
+    peak_bytes,
+    random_features,
+    random_similarity_kernel,
+)
 from subsel import kernels
 from subsel.dataset import FeatureMatrix
-from subsel.errors import ValidationError
+from subsel.errors import CapacityError, ValidationError
 from subsel.kernels import (
     SimilarityKernel,
     cosine_similarity,
@@ -322,22 +326,21 @@ class TestBlockedBuildsMatchReference:
         assert same_bytes(euclidean_distance(m).dense, reference_euclidean(m))
 
 
-def _peak_bytes(fn):
-    """Peak bytes newly allocated while fn runs (numpy reports to tracemalloc)."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestPeakMemory:
     @pytest.mark.parametrize("build", [cosine_similarity, euclidean_distance])
     def test_dense_build_peaks_near_one_n_by_n_array(self, build):
         n = 1000
         m = random_features(np.random.default_rng(14), n, 16)
-        assert _peak_bytes(lambda: build(m)) <= 1.5 * 8 * n * n
+        assert peak_bytes(lambda: build(m)) <= 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("build", [cosine_similarity, euclidean_distance])
+def test_a_dense_build_that_cannot_be_allocated_is_a_capacity_error(build):
+    m = random_features(np.random.default_rng(43), 100, 4)
+    with no_room_for_products():
+        with pytest.raises(CapacityError, match=r"100 x 100 kernel needs 80,000 bytes"
+                                                r".*--knn-sparsify"):
+            build(m)
 
 
 def test_row_selection_builds_subkernel():
@@ -356,3 +359,55 @@ def test_random_similarity_fixture_is_valid():
     k = random_similarity_kernel(np.random.default_rng(0), 6)
     assert (np.diag(k.dense) == 1.0).all()
     assert np.abs(k.dense - k.dense.T).max() == 0.0
+
+
+def max_abs_diff(a, b):
+    return float(np.abs(a - b).max()) if a.size else 0.0
+
+
+class TestStreamedTopKappa:
+    """cosine_similarity(m, kappa=) against sparsify_knn of the dense kernel:
+    the same entries, values within a few ulp of 1 (the two products of a
+    pair may round differently)."""
+
+    @staticmethod
+    def check(m, rows, kappa):
+        streamed = cosine_similarity(m, rows=rows, kappa=kappa)
+        cut = sparsify_knn(cosine_similarity(m, rows=rows), kappa)
+        assert streamed.n == cut.n and streamed.is_sparse
+        assert same_bytes(streamed.col_ptr, cut.col_ptr)
+        assert same_bytes(streamed.rows, cut.rows)
+        assert streamed.values.dtype == cut.values.dtype
+        assert max_abs_diff(streamed.values, cut.values) <= 4 * np.finfo(float).eps
+
+    @PROPERTY
+    @given(features_and_rows(), BLOCK_ELEMS)
+    def test_keeps_the_entries_of_the_dense_cut_for_every_kappa(self, case, block_elems):
+        m, rows = case
+        n = m.n if rows is None else len(rows)
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            for kappa in range(1, n):
+                self.check(m, rows, kappa)
+
+    def test_keeps_the_entries_of_the_dense_cut_at_benchmark_scale(self):
+        m = random_features(np.random.default_rng(40), 2100, 64)
+        assert len(kernels._gemm_blocks(2100)) > 1
+        for kappa in (1, 25):
+            self.check(m, None, kappa)
+
+    def test_kappa_out_of_range(self):
+        m = random_features(np.random.default_rng(41), 5, 3)
+        for kappa in (0, 5):
+            with pytest.raises(ValidationError, match=r"kappa must be in \[1, 4\]"):
+                cosine_similarity(m, kappa=kappa)
+
+    def test_zero_norm_row_names_the_row(self):
+        values = np.ones((5, 2))
+        values[3] = 0.0
+        with pytest.raises(ValidationError, match="all-zero row 3"):
+            cosine_similarity(FeatureMatrix(values), rows=[0, 3, 4], kappa=1)
+
+    def test_peaks_far_below_one_n_by_n_array(self):
+        n = 1000
+        m = random_features(np.random.default_rng(42), n, 16)
+        assert peak_bytes(lambda: cosine_similarity(m, kappa=10)) <= 0.25 * 8 * n * n

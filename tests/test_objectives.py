@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 
 from conftest import random_distance_kernel, random_features, random_similarity_kernel
 from subsel import kernels
+from subsel.dataset import FeatureMatrix
 from subsel.errors import ValidationError
-from subsel.kernels import SimilarityKernel, cosine_similarity, sparsify_knn
+from subsel.kernels import (
+    SimilarityKernel,
+    cosine_similarity,
+    euclidean_distance,
+    feature_distance,
+    sparsify_knn,
+)
 from subsel.objectives import (
     INF,
     DisparityMin,
@@ -480,3 +487,34 @@ class TestDisparityMin:
         state.add(2)
         with pytest.raises(ValidationError):
             state.gain(2)
+
+
+class TestFeatureBackedDisparityMin:
+    def test_tracks_squared_distances_of_the_dense_state(self):
+        rng = np.random.default_rng(51)
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            m = random_features(rng, n, 3)
+            feat = DisparityMin(feature_distance(m))
+            dense = DisparityMin(euclidean_distance(m))
+            for e in rng.permutation(n)[:int(rng.integers(1, n + 1))]:
+                feat.add(int(e))
+                dense.add(int(e))
+                assert math.isclose(feat.value, dense.value, rel_tol=1e-12)
+                assert math.isclose(feat.value, feat.scratch_value(feat.selected),
+                                    rel_tol=1e-12)
+                gains = feat.gains_all()
+                assert not gains.flags.writeable
+                assert (gains[feat.selected_mask] == -1.0).all()
+                left = ~feat.selected_mask
+                np.testing.assert_allclose(gains[left], dense.gains_all()[left] ** 2,
+                                           rtol=1e-12, atol=1e-12)
+                for i in np.flatnonzero(left)[:2]:
+                    assert feat.gain(int(i)) == gains[i]
+
+    def test_scratch_value_of_a_pair_is_its_distance(self):
+        m = FeatureMatrix(np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]))
+        kernel = feature_distance(m)
+        assert disparity_min_value(kernel, [0, 2]) == 10.0
+        assert disparity_min_value(kernel, [0, 1, 2]) == 5.0
+        assert disparity_min_value(kernel, [1]) == INF

@@ -6,14 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_distance_kernel, random_features, random_similarity_kernel
+from conftest import (
+    peak_bytes,
+    random_distance_kernel,
+    random_features,
+    random_similarity_kernel,
+)
 from subsel import kernels
+from subsel.dataset import FeatureMatrix
 from subsel.errors import CapacityError, UnsupportedObjectiveError, ValidationError
 from subsel.kernels import (
     DistanceKernel,
     SimilarityKernel,
     cosine_similarity,
     euclidean_distance,
+    feature_distance,
     sparsify_knn,
 )
 from subsel.objectives import DisparityMin, FacilityLocation
@@ -97,6 +104,17 @@ def tie_dense_kernels(draw):
     return kernel, draw(st.integers(1, n))
 
 
+@st.composite
+def tie_dense_streamed_kernels(draw):
+    """kappa-sparse kernels streamed from features over {-1, 1, 2}: repeated
+    rows and equal cosines, so many equal gains; and a budget."""
+    n, d = draw(st.integers(9, 120)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = FeatureMatrix(rng.choice([-1.0, 1.0, 2.0], size=(n, d)))
+    kernel = cosine_similarity(m, kappa=draw(st.integers(1, n - 1)))
+    return kernel, draw(st.integers(1, n))
+
+
 class TestLazyGreedy:
     def test_matches_naive_on_the_hand_kernel(self, hand_similarity):
         sel = greedy_lazy(FacilityLocation(hand_similarity), BudgetSpec(2))
@@ -117,6 +135,16 @@ class TestLazyGreedy:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(tie_dense_kernels())
     def test_equivalent_to_naive_on_tie_dense_kernels(self, case):
+        kernel, b = case
+        naive = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
+        lazy = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
+        assert lazy.indices == naive.indices
+        assert lazy.step_values == naive.step_values
+        assert lazy.gain_evals <= naive.gain_evals
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tie_dense_streamed_kernels())
+    def test_equivalent_to_naive_on_streamed_kernels(self, case):
         kernel, b = case
         naive = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
         lazy = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
@@ -195,6 +223,114 @@ class TestFarthestPoint:
             farthest_point(FacilityLocation(hand_similarity), BudgetSpec(2))
 
 
+class TestFeatureBackedFarthestPoint:
+    @staticmethod
+    def both(m, b, rows=None):
+        spec = BudgetSpec(b)
+        return (farthest_point(DisparityMin(euclidean_distance(m, rows=rows)), spec),
+                farthest_point(DisparityMin(feature_distance(m, rows=rows)), spec))
+
+    def test_picks_the_dense_indices_on_the_test_corpus(self):
+        # distinct points: with exact copies the two can break a tie between
+        # copies differently, or add a copy at a rounding-noise distance
+        rng = np.random.default_rng(44)
+        for _ in range(150):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+            m = random_features(rng, n, d)
+            rows = None if rng.integers(2) else rng.permutation(n)[:int(rng.integers(2, n + 1))]
+            size = n if rows is None else rows.size
+            for b in {1, 2, int(rng.integers(1, size + 1)), size}:
+                dense, feat = self.both(m, b, rows)
+                assert feat.indices == dense.indices
+                np.testing.assert_allclose(feat.step_values, dense.step_values,
+                                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block_elems", [40, kernels._BLOCK_ELEMS])
+    def test_picks_the_dense_indices_at_benchmark_scale(self, block_elems):
+        m = random_features(np.random.default_rng(45), 2100, 64)
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            assert len(kernels._gemm_blocks(2100)) > 1
+            dense, feat = self.both(m, 210)
+        assert feat.indices == dense.indices
+        np.testing.assert_allclose(feat.step_values, dense.step_values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block_elems", [1, 7, 40, kernels._BLOCK_ELEMS])
+    def test_max_pair_ties_go_to_the_lowest_pair_on_collinear_points(self, block_elems):
+        # points t * (3, 4): every distance is exactly 5 |t_i - t_j|
+        t = np.array([1, -2, 3, -2, 3, 0, 1, 3, -2])
+        m = FeatureMatrix(t[:, None] * np.array([3.0, 4.0]))
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            sel = farthest_point(DisparityMin(feature_distance(m)), BudgetSpec(2))
+        assert sel.indices == [1, 2]  # the pairs of -2 and 3 tie at 25
+        assert sel.step_values == [math.inf, 25.0]
+
+    def test_max_pair_is_the_scans_exact_argmax_above_the_diagonal(self):
+        rng = np.random.default_rng(46)
+        for n in (2, 3, 31, 300):
+            kernel = feature_distance(random_features(rng, n, 4))
+            d2 = kernel.x @ kernel.x.T
+            d2 *= -2.0
+            d2 += np.add.outer(kernel.sq, kernel.sq)
+            d2[np.tri(n, dtype=bool)] = -np.inf
+            assert kernel.max_pair() == divmod(int(np.argmax(d2)), n)
+
+    @pytest.mark.parametrize("block_elems", [1, 40, kernels._BLOCK_ELEMS])
+    def test_max_pair_stays_above_the_diagonal_when_a_pairs_products_differ(
+            self, block_elems):
+        # a BLAS may round x_i . x_j and x_j . x_i differently; here every
+        # tile's j <= i entries are raised by an ulp, so an unmasked argmax
+        # would return the max pair as (j, i) or a point paired with itself
+        squared_distances = kernels._squared_distances
+
+        def lower_copies_one_ulp_up(xa, sqa, xb2, sqb):
+            d2 = squared_distances(xa, sqa, xb2, sqb)
+            lower = np.tri(*d2.shape, dtype=bool)
+            d2[lower] = np.nextafter(d2[lower], np.inf)
+            return d2
+
+        rng = np.random.default_rng(50)
+        for n in (2, 3, 9, 31, 300):
+            kernel = feature_distance(random_features(rng, n, 4))
+            with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+                expected = kernel.max_pair()
+                with mock.patch.object(kernels, "_squared_distances",
+                                       lower_copies_one_ulp_up):
+                    assert kernel.max_pair() == expected
+            assert expected[0] < expected[1]
+
+    def test_copies_of_a_max_pair_in_either_order_tie(self):
+        # rows P, R, Q, P: the pairs (0, 2) and (2, 3) are both {P, Q}, the
+        # second with its points the other way round; summing
+        # |x_i|^2 + |x_j|^2 - 2 x_i . x_j in one dot product would rank
+        # (2, 3) an ulp higher here
+        p, q = np.array([0.38, -2.61, 0.25]), np.array([-0.06, 0.08, -1.08])
+        m = FeatureMatrix(np.stack((p, 0.5 * (p + q), q, p)))
+        for kernel in (feature_distance(m), euclidean_distance(m)):
+            sel = farthest_point(DisparityMin(kernel), BudgetSpec(2))
+            assert sel.indices == [0, 2]
+
+    def test_budget_one_returns_the_lowest_index_singleton(self):
+        m = random_features(np.random.default_rng(47), 6, 3)
+        sel = farthest_point(DisparityMin(feature_distance(m)), BudgetSpec(1))
+        assert sel.indices == [0] and math.isinf(sel.final_value)
+
+    def test_half_approximation_against_brute_force(self):
+        rng = np.random.default_rng(48)
+        for _ in range(50):
+            n = int(rng.integers(3, 13))
+            b = int(rng.integers(2, min(4, n) + 1))
+            kernel = feature_distance(random_features(rng, n, 3))
+            greedy = farthest_point(DisparityMin(kernel), BudgetSpec(b))
+            exact = brute_force(DisparityMin(kernel), BudgetSpec(b))
+            assert greedy.final_value >= 0.5 * exact.final_value - 1e-12
+
+    def test_memory_stays_far_below_one_n_by_n_array(self):
+        n = 1000
+        m = random_features(np.random.default_rng(49), n, 16)
+        state = DisparityMin(feature_distance(m))
+        assert peak_bytes(lambda: farthest_point(state, BudgetSpec(100))) <= 0.25 * 8 * n * n
+
+
 class TestBruteForce:
     def test_hand_kernel_prefers_lexicographically_smallest(self, hand_similarity):
         sel = brute_force(FacilityLocation(hand_similarity), BudgetSpec(2))
@@ -261,7 +397,7 @@ class TestSelectSubset:
                 kernel = sparsify_knn(kernel, kappa)
             direct = greedy_lazy(FacilityLocation(kernel), BudgetSpec(6))
         else:
-            direct = farthest_point(DisparityMin(euclidean_distance(features, rows=rows)),
+            direct = farthest_point(DisparityMin(feature_distance(features, rows=rows)),
                                     BudgetSpec(6))
         routed = select_subset(features, objective, 6, rows=rows, kappa=kappa)
         assert routed.indices == direct.indices
