@@ -52,7 +52,6 @@ from .kernels import (
     SimilarityKernel,
     cosine_similarity,
     euclidean_distance,
-    feature_distance,
     sparsify_knn,
 )
 from .models import (

@@ -1,19 +1,18 @@
 """Pairwise similarity and distance kernels over a ground set.
 
 Similarities are shifted cosines, ``(1 + cos) / 2``, so they land in
-[0, 1] with an exact unit diagonal. Distances are euclidean. A kernel is
-dense, or sparse, or computed from the features when read:
+[0, 1] with an exact unit diagonal. A similarity kernel is dense or
+sparse:
 
 - A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
   and finishes it in place: each block of rows (see ``row_blocks``) has
-  its upper-triangle part turned into similarities or distances, and
-  ``_mirror_upper`` then copies the upper triangle onto the lower one,
-  block by block. So dense kernels are exactly symmetric
-  (``SimilarityKernel.symmetric`` records it), working memory beyond the
-  result is O(block * n), and every entry goes through the same
-  floating-point operations, in the same order, as the whole-matrix
-  expressions they replace. An allocation that fails raises
-  ``CapacityError``.
+  its upper-triangle part turned into similarities, and ``_mirror_upper``
+  then copies the upper triangle onto the lower one, block by block. So
+  dense kernels are exactly symmetric (``SimilarityKernel.symmetric``
+  records it), working memory beyond the result is O(block * n), and
+  every entry goes through the same floating-point operations, in the
+  same order, as the whole-matrix expressions they replace. An allocation
+  that fails raises ``CapacityError``.
 - A kappa-sparse kernel keeps each row's kappa largest off-diagonal
   similarities, stored by column, the order in which facility location
   reads a candidate; dropped entries read as similarity 0 and the
@@ -23,10 +22,14 @@ dense, or sparse, or computed from the features when read:
   Both feed the same per-block top-kappa and column regroup. Which entries
   are kept is decided by ``first_k``, the package's one top-k rule (the
   first k of a stable sort), which the kNN vote in ``models`` shares.
-- A feature-backed distance kernel (``feature_distance``) keeps the rows
-  and their squared norms, O(n * d), and computes squared distances when
-  farthest point asks: one row per pick (a GEMV), and the exact maximum
-  pair by a scan of upper-triangle row blocks (a GEMM each).
+
+Distances are euclidean and never stored: ``euclidean_distance`` keeps
+the rows, their squared norms and a group label per row (rows with equal
+values share one), O(n * d), and computes squared distances when farthest
+point asks: one row per pick (a GEMV), and the exact maximum pair by a
+scan of upper-triangle row blocks (a GEMM each). Two rows of one group
+read squared distance exactly 0, where the products would leave rounding
+noise of either sign.
 """
 
 from __future__ import annotations
@@ -70,49 +73,48 @@ class SimilarityKernel:
 
 @dataclass(frozen=True)
 class DistanceKernel:
-    """Symmetric nonnegative pairwise distances with a zero diagonal: a dense
-    matrix, or float64 feature rows x with squared norms sq, from which
-    squared distances (sq_i + sq_j) - 2 x_i . x_j are computed, unclipped,
-    when read."""
+    """Euclidean distances among float64 feature rows x with squared norms
+    sq: squared distances (sq_i + sq_j) - 2 x_i . x_j are computed, unclipped,
+    when read, except that two rows of one group (group[i] == group[j], equal
+    rows) read exactly 0."""
 
     n: int
-    dense: Optional[np.ndarray] = None
-    x: Optional[np.ndarray] = None
-    sq: Optional[np.ndarray] = None
+    x: np.ndarray
+    sq: np.ndarray
+    group: np.ndarray
 
     def sq_row(self, e: int) -> np.ndarray:
-        """Feature-backed: squared distances from every element to e."""
-        return _squared_distances(self.x, self.sq, -2.0 * self.x[e], self.sq[e])
+        """Squared distances from every element to e; 0 on e's group."""
+        d2 = _squared_distances(self.x, self.sq, -2.0 * self.x[e], self.sq[e])
+        d2[self.group == self.group[e]] = 0.0
+        return d2
 
     def among(self, idx: np.ndarray) -> np.ndarray:
         """Distances among the elements idx, as a len(idx)^2 array."""
-        if self.dense is not None:
-            return self.dense[np.ix_(idx, idx)]
-        x, sq = self.x[idx], self.sq[idx]
-        return np.sqrt(np.maximum(_squared_distances(x, sq, -2.0 * x, sq), 0.0))
+        x, sq, g = self.x[idx], self.sq[idx], self.group[idx]
+        d2 = _squared_distances(x, sq, -2.0 * x, sq)
+        d2[g[:, None] == g] = 0.0
+        return np.sqrt(np.maximum(d2, 0.0))
 
     def max_pair(self) -> tuple[int, int]:
-        """The lexicographically smallest pair i < j at the largest distance
-        (squared distance, if feature-backed); (0, 1) if none is positive.
+        """The lexicographically smallest pair i < j of different groups at
+        the largest squared distance; (0, 1) if all rows form one group.
 
-        Dense, the row-major first maximum of each row block is taken: on a
-        symmetric kernel with a zero diagonal it lies above the diagonal.
-        Feature-backed, each block is the upper-triangle tile of rows lo:hi
-        against rows lo: with j <= i masked out: two products of one pair
-        can differ in the last bit, so no symmetry argument holds there.
+        Each block is the upper-triangle tile of rows lo:hi against rows lo:
+        with j <= i, and same-group pairs, masked out: two products of one
+        pair can differ in the last bit, so no symmetry argument holds.
         """
-        i, j, top = 0, 1, 0.0
-        x2 = None if self.dense is not None else -2.0 * self.x
+        i, j, top = 0, 1, -np.inf
+        x2 = -2.0 * self.x
+        copies = int(self.group.max()) + 1 < self.n
         for lo, hi in _gemm_blocks(self.n):
-            if self.dense is not None:
-                block, first = self.dense[lo:hi], 0
-            else:
-                block, first = _squared_distances(self.x[lo:hi], self.sq[lo:hi],
-                                                  x2[lo:], self.sq[lo:]), lo
-                block[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = -np.inf
+            block = _squared_distances(self.x[lo:hi], self.sq[lo:hi], x2[lo:], self.sq[lo:])
+            block[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = -np.inf
+            if copies:
+                block[self.group[lo:hi, None] == self.group[lo:]] = -np.inf
             r, c = divmod(int(block.argmax()), block.shape[1])
             if block[r, c] > top:
-                i, j, top = lo + r, first + c, block[r, c]
+                i, j, top = lo + r, lo + c, block[r, c]
         return i, j
 
 
@@ -137,9 +139,9 @@ def _gemm_blocks(n: int) -> list[tuple[int, int]]:
     return row_blocks(n, min(n, _BLOCK_ELEMS // _GEMM_ROWS))
 
 
-def _mirror_upper(a: np.ndarray, diagonal: float) -> np.ndarray:
+def _mirror_upper(a: np.ndarray) -> np.ndarray:
     """Copy a's upper triangle onto its lower one in place, set the
-    diagonal, and return a made read-only.
+    diagonal to 1, and return a made read-only.
 
     Mirroring makes the kernel exactly symmetric whatever order BLAS
     summed each pair in.
@@ -149,7 +151,7 @@ def _mirror_upper(a: np.ndarray, diagonal: float) -> np.ndarray:
         tile = a[lo:hi, lo:hi]
         below = np.tri(hi - lo, k=-1, dtype=bool)
         tile[below] = tile.T[below]
-    np.fill_diagonal(a, diagonal)
+    np.fill_diagonal(a, 1.0)
     a.flags.writeable = False
     return a
 
@@ -180,8 +182,8 @@ def _gram(x: np.ndarray) -> np.ndarray:
 
 def _squared_distances(xa, sqa, xb2, sqb) -> np.ndarray:
     """(sq_a + sq_b) - 2 xa . xb for the rows of xa against the rows (or the
-    one row) of xb, given xb2 = -2 xb: euclidean_distance's arithmetic,
-    unclipped, since scaling a factor by -2 scales the product exactly."""
+    one row) of xb, given xb2 = -2 xb, unclipped: scaling a factor by -2
+    scales the product exactly."""
     d2 = np.dot(xa, xb2.T)
     d2 += np.add.outer(sqa, sqb)
     return d2
@@ -227,28 +229,17 @@ def cosine_similarity(m: FeatureMatrix, rows=None,
         upper += 1.0
         upper *= 0.5
         np.clip(upper, 0.0, 1.0, out=upper)
-    return SimilarityKernel(n=x.shape[0], dense=_mirror_upper(sim, 1.0), symmetric=True)
+    return SimilarityKernel(n=x.shape[0], dense=_mirror_upper(sim), symmetric=True)
 
 
 def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
-    """Dense euclidean distance kernel over the selected rows."""
-    x, _ = _select_rows(m, rows)
-    sq = np.einsum("ij,ij->i", x, x)
-    dist = _gram(x)
-    for lo, hi in row_blocks(x.shape[0]):
-        upper = dist[lo:hi, lo:]
-        # (sq_i + sq_j) - 2 g_ij, exactly: negation and commuting are exact
-        upper *= -2.0
-        upper += np.add.outer(sq[lo:hi], sq[lo:])
-        np.clip(upper, 0.0, None, out=upper)
-        np.sqrt(upper, out=upper)
-    return DistanceKernel(n=x.shape[0], dense=_mirror_upper(dist, 0.0))
-
-
-def feature_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
-    """Feature-backed euclidean distance kernel over the selected rows."""
-    x, _ = _select_rows(m, rows)
-    return DistanceKernel(n=x.shape[0], x=x, sq=np.einsum("ij,ij->i", x, x))
+    """Feature-backed euclidean distance kernel over the selected rows; rows
+    with equal values form one group, found once by sorting the rows' bytes."""
+    x, idx = _select_rows(m, rows)
+    v = m.values[idx] + np.float32(0.0)  # -0.0 + 0.0 is 0.0: equal rows, equal bytes
+    _, group = np.unique(v.view(np.dtype((np.void, v.itemsize * v.shape[1]))).ravel(),
+                         return_inverse=True)
+    return DistanceKernel(n=x.shape[0], x=x, sq=np.einsum("ij,ij->i", x, x), group=group)
 
 
 def first_k(a: np.ndarray, k: int) -> np.ndarray:

@@ -7,11 +7,11 @@ empty-set value is 0. A candidate's gain is read down its kernel column
 and lazy greedy's block refresh all call it, so lazy and naive see the same bytes.
 
 Disparity min is the smallest pairwise distance among selected
-elements; it is scored greedily by distance-to-selected (the
+elements; it is scored greedily by squared distance-to-selected (the
 farthest-point rule), not by the change in the set value, and both its
-empty and singleton values are the +inf sentinel. On a feature-backed
-kernel the scores are squared distances, one kernel row computed per
-added element, and the value is the square root of their minimum.
+empty and singleton values are the +inf sentinel. One kernel row of
+squared distances is computed per added element, and the value is the
+square root of their minimum.
 """
 
 from __future__ import annotations
@@ -144,12 +144,12 @@ class FacilityLocation:
 
 
 class DisparityMin:
-    """Incremental max-min dispersion state: per-element distance to X.
+    """Incremental max-min dispersion state: per-element squared distance to X.
 
-    On a feature-backed kernel mindist holds squared distances, unclipped,
-    and selected elements read -1 in it, so farthest point judges ties on
-    squared distances (lowest index first) and gains_all hands out a
-    read-only view, not a copy. value is a distance on either kernel.
+    mindist holds squared distances, unclipped, and selected elements read
+    -1 in it, so farthest point judges ties on squared distances (lowest
+    index first) and gains_all hands out a read-only view, not a copy.
+    value is a distance.
     """
 
     monotone_submodular = False
@@ -161,20 +161,15 @@ class DisparityMin:
         self.selected_mask = np.zeros(self.n, dtype=bool)
         self.mindist = np.full(self.n, INF)
         self.value = INF
-        self._squared = kernel.dense is None
 
     def gain(self, e: int) -> float:
-        """Farthest-point score: distance (or its square) from e to the selected set."""
+        """Farthest-point score: the squared distance from e to the selected set."""
         _require_candidate(self, e)
         return float(self.mindist[e])
 
     def gains_all(self) -> np.ndarray:
-        if self._squared:
-            gains = self.mindist.view()
-            gains.flags.writeable = False
-            return gains
-        gains = self.mindist.copy()
-        gains[self.selected_mask] = -1.0
+        gains = self.mindist.view()
+        gains.flags.writeable = False
         return gains
 
     def add(self, e: int) -> None:
@@ -183,15 +178,11 @@ class DisparityMin:
         if self.selected:
             score = float(self.mindist[e])
             # sqrt is monotone: the sqrt of the least square is the least distance
-            self.value = min(self.value, math.sqrt(max(score, 0.0)) if self._squared
-                             else score)
+            self.value = min(self.value, math.sqrt(max(score, 0.0)))
         self.selected.append(int(e))
         self.selected_mask[e] = True
-        if self._squared:
-            np.minimum(self.mindist, self.kernel.sq_row(e), out=self.mindist)
-            self.mindist[e] = -1.0
-        else:
-            np.minimum(self.mindist, self.kernel.dense[:, e], out=self.mindist)
+        np.minimum(self.mindist, self.kernel.sq_row(e), out=self.mindist)
+        self.mindist[e] = -1.0
 
     def scratch_value(self, X) -> float:
         return disparity_min_value(self.kernel, X)

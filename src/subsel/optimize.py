@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import FeatureMatrix
 from .errors import CapacityError, UnsupportedObjectiveError, ValidationError
-from .kernels import cosine_similarity, feature_distance
+from .kernels import cosine_similarity, euclidean_distance
 from .objectives import INF, DisparityMin, FacilityLocation
 
 BRUTE_FORCE_CAP = 10 ** 6
@@ -152,11 +152,11 @@ def farthest_point(obj: DisparityMin, budget: BudgetSpec) -> Selection:
 
     The seed is the exact maximum-distance pair (lowest index pair on
     ties), which gives the classical 1/2 bound (Ravi, Rosenkrantz & Tayi,
-    Oper. Res. 1994). The kernel must be symmetric with a zero diagonal,
-    as DistanceKernel documents. A budget of 1 returns the lowest-index
-    singleton at the +inf sentinel. On a feature-backed kernel the seed
-    and every later pick compare squared distances, so ties are judged on
-    them, lowest index first; the step values are distances either way.
+    Oper. Res. 1994). A budget of 1 returns the lowest-index singleton at
+    the +inf sentinel. The seed and every later pick compare squared
+    distances, so ties are judged on them, lowest index first; the step
+    values are distances. Copies of a selected row score exactly 0, so
+    the greedy stops, short of the budget, once only copies remain.
     """
     if not isinstance(obj, DisparityMin):
         raise UnsupportedObjectiveError("farthest_point requires a dispersion objective")
@@ -191,7 +191,7 @@ def select_subset(features: FeatureMatrix, objective: str, budget: int,
     if objective == "dm":
         if kappa is not None:
             raise ValidationError("--knn-sparsify applies only to the fl objective")
-        return farthest_point(DisparityMin(feature_distance(features, rows=rows)), spec)
+        return farthest_point(DisparityMin(euclidean_distance(features, rows=rows)), spec)
     raise ValidationError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
 

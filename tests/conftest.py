@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -8,7 +9,7 @@ import pytest
 from subsel import kernels
 
 from subsel.dataset import FeatureMatrix
-from subsel.kernels import DistanceKernel, SimilarityKernel
+from subsel.kernels import DistanceKernel, SimilarityKernel, euclidean_distance
 
 
 @pytest.fixture
@@ -22,10 +23,8 @@ def hand_similarity():
 
 @pytest.fixture
 def line_distance():
-    """Distances between 1-D points at 0, 1, 10."""
-    pts = np.array([0.0, 1.0, 10.0])
-    d = np.abs(pts[:, None] - pts[None, :])
-    return DistanceKernel(n=3, dense=d)
+    """Distances between 1-D points at 0, 1, 10: squared, exactly 1, 81, 100."""
+    return euclidean_distance(FeatureMatrix(np.array([[0.0], [1.0], [10.0]])))
 
 
 def random_similarity_kernel(rng: np.random.Generator, n: int) -> SimilarityKernel:
@@ -39,16 +38,57 @@ def random_similarity_kernel(rng: np.random.Generator, n: int) -> SimilarityKern
 
 def random_distance_kernel(rng: np.random.Generator, n: int, d: int = 3) -> DistanceKernel:
     """Euclidean distances between random points (a true metric)."""
-    pts = rng.standard_normal((n, d))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dense = np.sqrt((diff ** 2).sum(axis=2))
-    upper = np.triu(dense, 1)
-    dense = upper + upper.T
-    return DistanceKernel(n=n, dense=dense)
+    return euclidean_distance(random_features(rng, n, d))
 
 
 def random_features(rng: np.random.Generator, n: int, d: int) -> FeatureMatrix:
     return FeatureMatrix(rng.standard_normal((n, d)))
+
+
+# Whole-matrix references: the blocked and feature-backed kernels are
+# checked against them.
+
+def reference_mirror_upper(a, diagonal):
+    upper = np.triu(a, 1)
+    out = upper + upper.T
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
+def reference_rows(m, rows):
+    idx = np.arange(m.n) if rows is None else np.asarray(rows, dtype=np.int64)
+    return m.values[idx].astype(np.float64)
+
+
+def reference_euclidean(m, rows=None):
+    """The n x n euclidean distance matrix, mirrored from its upper triangle."""
+    x = reference_rows(m, rows)
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.clip(d2, 0.0, None, out=d2)
+    return reference_mirror_upper(np.sqrt(d2), 0.0)
+
+
+def reference_farthest_point(dist, b):
+    """Farthest point over a distance matrix: the row-major first maximum of
+    the strict upper triangle ((0, 1) if none is positive), then the
+    lowest-index farthest element until b are picked or none is farther
+    than 0. Returns (indices, step values)."""
+    n = dist.shape[0]
+    if b == 1:
+        return [0], [math.inf]
+    flat = int(np.argmax(np.where(np.tri(n, dtype=bool), -1.0, dist)))
+    picks = list(divmod(flat, n))
+    steps = [math.inf, float(dist[picks[0], picks[1]])]
+    while len(picks) < b:
+        mindist = dist[:, picks].min(axis=1)
+        mindist[picks] = -1.0
+        e = int(np.argmax(mindist))
+        if mindist[e] <= 0.0:
+            break
+        picks.append(e)
+        steps.append(min(steps[-1], float(mindist[e])))
+    return picks, steps
 
 
 class _NoRoom(np.ndarray):

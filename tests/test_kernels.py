@@ -10,6 +10,9 @@ from conftest import (
     peak_bytes,
     random_features,
     random_similarity_kernel,
+    reference_euclidean,
+    reference_mirror_upper,
+    reference_rows,
 )
 from subsel import kernels
 from subsel.dataset import FeatureMatrix
@@ -34,18 +37,6 @@ BLOCK_ELEMS = st.sampled_from([1, 7, 40, kernels._BLOCK_ELEMS])
 # Whole-matrix reference implementations: the blocked kernels must give
 # the same bytes.
 
-def reference_mirror_upper(a, diagonal):
-    upper = np.triu(a, 1)
-    out = upper + upper.T
-    np.fill_diagonal(out, diagonal)
-    return out
-
-
-def reference_rows(m, rows):
-    idx = np.arange(m.n) if rows is None else np.asarray(rows, dtype=np.int64)
-    return m.values[idx].astype(np.float64)
-
-
 def reference_cosine(m, rows=None):
     x = reference_rows(m, rows)
     inv_norms = 1.0 / np.sqrt(np.einsum("ij,ij->i", x, x))
@@ -53,14 +44,6 @@ def reference_cosine(m, rows=None):
     sim = 0.5 * (1.0 + gram * np.outer(inv_norms, inv_norms))
     np.clip(sim, 0.0, 1.0, out=sim)
     return reference_mirror_upper(sim, 1.0)
-
-
-def reference_euclidean(m, rows=None):
-    x = reference_rows(m, rows)
-    sq = np.einsum("ij,ij->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.clip(d2, 0.0, None, out=d2)
-    return reference_mirror_upper(np.sqrt(d2), 0.0)
 
 
 def reference_sparsify(dense, kappa):
@@ -182,31 +165,48 @@ class TestCosine:
             cosine_similarity(FeatureMatrix(values), rows=[0, 3, 4])
 
 
+def all_distances(kernel):
+    return kernel.among(np.arange(kernel.n))
+
+
 class TestEuclidean:
     def test_points_on_a_line(self):
         m = FeatureMatrix(np.array([[0.0], [3.0]]))
-        assert euclidean_distance(m).dense[0, 1] == 3.0
+        assert all_distances(euclidean_distance(m))[0, 1] == 3.0
+        assert euclidean_distance(m).sq_row(0)[1] == 9.0
 
     def test_three_four_five_triangle(self):
         m = FeatureMatrix(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert euclidean_distance(m).dense[0, 1] == 5.0
+        assert all_distances(euclidean_distance(m))[0, 1] == 5.0
 
     def test_diagonal_is_exactly_zero(self):
         k = euclidean_distance(random_features(np.random.default_rng(3), 9, 4))
-        assert (np.diag(k.dense) == 0.0).all()
-
-    def test_symmetry_is_exact_on_50_random_matrices(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            k = euclidean_distance(random_features(rng, 10, 3))
-            assert np.abs(k.dense - k.dense.T).max() == 0.0
+        assert (np.diag(all_distances(k)) == 0.0).all()
+        assert all(k.sq_row(e)[e] == 0.0 for e in range(k.n))
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            d = euclidean_distance(random_features(rng, 12, 4)).dense
+            d = all_distances(euclidean_distance(random_features(rng, 12, 4)))
             for k in range(12):
                 assert (d <= d[:, [k]] + d[[k], :] + 1e-9).all()
+
+    def test_matches_the_whole_matrix_reference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            m = random_features(rng, 10, 3)
+            rows = rng.permutation(10)[:7]
+            k = euclidean_distance(m, rows=rows)
+            ref = reference_euclidean(m, rows)
+            np.testing.assert_allclose(all_distances(k), ref, rtol=1e-12, atol=1e-12)
+            for e in range(k.n):
+                np.testing.assert_allclose(k.sq_row(e), ref[e] ** 2, rtol=1e-12, atol=1e-12)
+
+    def test_equal_rows_form_one_group_whatever_the_sign_of_zero(self):
+        values = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 1.0], [0.0, 1.0]])
+        k = euclidean_distance(FeatureMatrix(values))
+        assert k.group[0] == k.group[1] == k.group[3] != k.group[2]
+        assert (k.sq_row(1)[[0, 1, 3]] == 0.0).all()
 
 
 class TestSparsify:
@@ -291,14 +291,6 @@ class TestBlockedBuildsMatchReference:
         assert same_bytes(built, reference_cosine(m, rows))
 
     @PROPERTY
-    @given(features_and_rows(), BLOCK_ELEMS)
-    def test_euclidean_is_byte_identical(self, case, block_elems):
-        m, rows = case
-        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            built = euclidean_distance(m, rows=rows).dense
-        assert same_bytes(built, reference_euclidean(m, rows))
-
-    @PROPERTY
     @given(tied_kernels(), BLOCK_ELEMS)
     def test_sparsify_is_byte_identical_for_every_kappa(self, kernel, block_elems):
         for kappa in range(1, kernel.n):
@@ -323,18 +315,17 @@ class TestBlockedBuildsMatchReference:
         m = random_features(np.random.default_rng(12), 600, 8)
         assert len(kernels.row_blocks(600)) > 1
         assert same_bytes(cosine_similarity(m).dense, reference_cosine(m))
-        assert same_bytes(euclidean_distance(m).dense, reference_euclidean(m))
 
 
 class TestPeakMemory:
-    @pytest.mark.parametrize("build", [cosine_similarity, euclidean_distance])
+    @pytest.mark.parametrize("build", [cosine_similarity])
     def test_dense_build_peaks_near_one_n_by_n_array(self, build):
         n = 1000
         m = random_features(np.random.default_rng(14), n, 16)
         assert peak_bytes(lambda: build(m)) <= 1.5 * 8 * n * n
 
 
-@pytest.mark.parametrize("build", [cosine_similarity, euclidean_distance])
+@pytest.mark.parametrize("build", [cosine_similarity])
 def test_a_dense_build_that_cannot_be_allocated_is_a_capacity_error(build):
     m = random_features(np.random.default_rng(43), 100, 4)
     with no_room_for_products():

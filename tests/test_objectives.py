@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_distance_kernel, random_features, random_similarity_kernel
+from conftest import (
+    random_distance_kernel,
+    random_features,
+    random_similarity_kernel,
+    reference_euclidean,
+)
 from subsel import kernels
 from subsel.dataset import FeatureMatrix
 from subsel.errors import ValidationError
@@ -16,7 +21,6 @@ from subsel.kernels import (
     SimilarityKernel,
     cosine_similarity,
     euclidean_distance,
-    feature_distance,
     sparsify_knn,
 )
 from subsel.objectives import (
@@ -450,7 +454,7 @@ class TestDisparityMin:
         state = DisparityMin(line_distance)
         assert state.gain(1) == INF  # empty selection
         state.add(0)
-        assert state.gain(2) == 10.0
+        assert state.gain(2) == 100.0  # squared distances
         state.add(2)
         assert state.gain(1) == 1.0
 
@@ -469,18 +473,22 @@ class TestDisparityMin:
         rng = np.random.default_rng(27)
         for _ in range(50):
             n = int(rng.integers(2, 10))
-            kernel = random_distance_kernel(rng, n)
-            state = DisparityMin(kernel)
+            m = random_features(rng, n, 3)
+            pts = m.values.astype(np.float64)
+            dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+            state = DisparityMin(euclidean_distance(m))
             for e in rng.permutation(n)[:int(rng.integers(1, n + 1))]:
                 state.add(int(e))
-                expected = scratch_dm(kernel.dense, state.selected)
+                expected = scratch_dm(dist, state.selected)
                 if math.isinf(expected):
                     assert math.isinf(state.value)
                 else:
                     assert abs(state.value - expected) <= 1e-9
-                # mindist agrees with a direct minimum over the selection
-                direct = kernel.dense[:, state.selected].min(axis=1)
-                np.testing.assert_allclose(state.mindist, direct, rtol=0, atol=1e-12)
+                # mindist agrees with a direct minimum of squares over the selection
+                left = ~state.selected_mask
+                direct = (dist[:, state.selected] ** 2).min(axis=1)
+                np.testing.assert_allclose(state.mindist[left], direct[left],
+                                           rtol=0, atol=1e-12)
 
     def test_selected_element_rejected(self, line_distance):
         state = DisparityMin(line_distance)
@@ -491,30 +499,41 @@ class TestDisparityMin:
 
 class TestFeatureBackedDisparityMin:
     def test_tracks_squared_distances_of_the_dense_state(self):
+        # the dense state: distances to the selection over the whole-matrix
+        # reference, which the feature-backed state holds squared
         rng = np.random.default_rng(51)
         for _ in range(40):
             n = int(rng.integers(2, 12))
             m = random_features(rng, n, 3)
-            feat = DisparityMin(feature_distance(m))
-            dense = DisparityMin(euclidean_distance(m))
+            dist = reference_euclidean(m)
+            feat = DisparityMin(euclidean_distance(m))
             for e in rng.permutation(n)[:int(rng.integers(1, n + 1))]:
                 feat.add(int(e))
-                dense.add(int(e))
-                assert math.isclose(feat.value, dense.value, rel_tol=1e-12)
+                expected = scratch_dm(dist, feat.selected)
+                assert math.isclose(feat.value, expected, rel_tol=1e-12)
                 assert math.isclose(feat.value, feat.scratch_value(feat.selected),
                                     rel_tol=1e-12)
                 gains = feat.gains_all()
                 assert not gains.flags.writeable
                 assert (gains[feat.selected_mask] == -1.0).all()
                 left = ~feat.selected_mask
-                np.testing.assert_allclose(gains[left], dense.gains_all()[left] ** 2,
+                np.testing.assert_allclose(gains[left],
+                                           dist[left][:, feat.selected].min(axis=1) ** 2,
                                            rtol=1e-12, atol=1e-12)
                 for i in np.flatnonzero(left)[:2]:
                     assert feat.gain(int(i)) == gains[i]
 
+    def test_two_copies_of_a_row_are_at_distance_zero(self):
+        rng = np.random.default_rng(54)
+        for _ in range(50):
+            v = rng.standard_normal((2, int(rng.integers(2, 65))))
+            kernel = euclidean_distance(FeatureMatrix(v[[0, 1, 0]]))
+            assert disparity_min_value(kernel, [0, 2]) == 0.0
+            assert disparity_min_value(kernel, [0, 1, 2]) == 0.0
+
     def test_scratch_value_of_a_pair_is_its_distance(self):
         m = FeatureMatrix(np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]))
-        kernel = feature_distance(m)
+        kernel = euclidean_distance(m)
         assert disparity_min_value(kernel, [0, 2]) == 10.0
         assert disparity_min_value(kernel, [0, 1, 2]) == 5.0
         assert disparity_min_value(kernel, [1]) == INF

@@ -11,16 +11,16 @@ from conftest import (
     random_distance_kernel,
     random_features,
     random_similarity_kernel,
+    reference_euclidean,
+    reference_farthest_point,
 )
 from subsel import kernels
 from subsel.dataset import FeatureMatrix
 from subsel.errors import CapacityError, UnsupportedObjectiveError, ValidationError
 from subsel.kernels import (
-    DistanceKernel,
     SimilarityKernel,
     cosine_similarity,
     euclidean_distance,
-    feature_distance,
     sparsify_knn,
 )
 from subsel.objectives import DisparityMin, FacilityLocation
@@ -178,12 +178,9 @@ class TestFarthestPoint:
         assert math.isinf(sel.final_value)
 
     def test_pair_tie_breaks_lexicographically(self):
-        from subsel.kernels import DistanceKernel
-
-        pts = np.array([0.0, 10.0, 10.0])  # pairs (0,1) and (0,2) tie at 10
-        dense = np.abs(pts[:, None] - pts[None, :])
-        sel = farthest_point(DisparityMin(DistanceKernel(n=3, dense=dense)),
-                             BudgetSpec(2))
+        # pairs (0,1) and (0,2) tie at 10; 1 and 2 are copies
+        m = FeatureMatrix(np.array([[0.0], [10.0], [10.0]]))
+        sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(2))
         assert sel.indices == [0, 1]
 
     @pytest.mark.parametrize("block_elems", [1, 7, 40, kernels._BLOCK_ELEMS])
@@ -193,20 +190,19 @@ class TestFarthestPoint:
         rng = np.random.default_rng(35)
         cases = []
         for n in (2, 3, 9, 31, 300):
-            cases.append(random_distance_kernel(rng, n).dense)
-            tied = np.round(random_distance_kernel(rng, n).dense)  # many equal maxima
-            cases.append(tied)
-            cases.append(np.ones((n, n)) - np.eye(n))  # every pair ties
-            cases.append(np.zeros((n, n)))  # no positive maximum: seeds (0, 1)
-        # a benchmark-sized euclidean kernel over many row blocks
-        cases.append(euclidean_distance(random_features(rng, 2100, 8)).dense)
-        for dist in cases:
-            n = dist.shape[0]
-            flat = int(np.argmax(np.where(np.tri(n, dtype=bool), -1.0, dist)))
+            cases.append(random_features(rng, n, 3))
+            # integer lattice points: exact distances, many equal maxima, copies
+            cases.append(FeatureMatrix(rng.integers(-2, 3, size=(n, 2))))
+            cases.append(FeatureMatrix(np.eye(n)))  # every pair ties at squared 2
+            cases.append(FeatureMatrix(np.ones((n, 3))))  # n copies: seeds (0, 1)
+        # a benchmark-sized kernel over many row blocks
+        cases.append(random_features(rng, 2100, 8))
+        for m in cases:
+            flat = int(np.argmax(np.where(np.tri(m.n, dtype=bool), -1.0,
+                                          reference_euclidean(m))))
             with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-                sel = farthest_point(DisparityMin(DistanceKernel(n=n, dense=dist)),
-                                     BudgetSpec(2))
-            assert sel.indices == list(divmod(flat, n))
+                sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(2))
+            assert sel.indices == list(divmod(flat, m.n))
 
     def test_half_approximation_against_brute_force(self):
         rng = np.random.default_rng(34)
@@ -226,13 +222,14 @@ class TestFarthestPoint:
 class TestFeatureBackedFarthestPoint:
     @staticmethod
     def both(m, b, rows=None):
-        spec = BudgetSpec(b)
-        return (farthest_point(DisparityMin(euclidean_distance(m, rows=rows)), spec),
-                farthest_point(DisparityMin(feature_distance(m, rows=rows)), spec))
+        """reference_farthest_point over the dense reference matrix, and the
+        feature-backed farthest point."""
+        feat = farthest_point(DisparityMin(euclidean_distance(m, rows=rows)), BudgetSpec(b))
+        return reference_farthest_point(reference_euclidean(m, rows), b), feat
 
     def test_picks_the_dense_indices_on_the_test_corpus(self):
-        # distinct points: with exact copies the two can break a tie between
-        # copies differently, or add a copy at a rounding-noise distance
+        # distinct points: with exact copies the reference matrix holds a
+        # rounding-noise distance between them, where the kernel holds 0
         rng = np.random.default_rng(44)
         for _ in range(150):
             n, d = int(rng.integers(2, 40)), int(rng.integers(1, 9))
@@ -240,19 +237,18 @@ class TestFeatureBackedFarthestPoint:
             rows = None if rng.integers(2) else rng.permutation(n)[:int(rng.integers(2, n + 1))]
             size = n if rows is None else rows.size
             for b in {1, 2, int(rng.integers(1, size + 1)), size}:
-                dense, feat = self.both(m, b, rows)
-                assert feat.indices == dense.indices
-                np.testing.assert_allclose(feat.step_values, dense.step_values,
-                                           rtol=1e-12, atol=0)
+                (indices, steps), feat = self.both(m, b, rows)
+                assert feat.indices == indices
+                np.testing.assert_allclose(feat.step_values, steps, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("block_elems", [40, kernels._BLOCK_ELEMS])
     def test_picks_the_dense_indices_at_benchmark_scale(self, block_elems):
         m = random_features(np.random.default_rng(45), 2100, 64)
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
             assert len(kernels._gemm_blocks(2100)) > 1
-            dense, feat = self.both(m, 210)
-        assert feat.indices == dense.indices
-        np.testing.assert_allclose(feat.step_values, dense.step_values, rtol=1e-12, atol=0)
+            (indices, steps), feat = self.both(m, 210)
+        assert feat.indices == indices
+        np.testing.assert_allclose(feat.step_values, steps, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("block_elems", [1, 7, 40, kernels._BLOCK_ELEMS])
     def test_max_pair_ties_go_to_the_lowest_pair_on_collinear_points(self, block_elems):
@@ -260,14 +256,14 @@ class TestFeatureBackedFarthestPoint:
         t = np.array([1, -2, 3, -2, 3, 0, 1, 3, -2])
         m = FeatureMatrix(t[:, None] * np.array([3.0, 4.0]))
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            sel = farthest_point(DisparityMin(feature_distance(m)), BudgetSpec(2))
+            sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(2))
         assert sel.indices == [1, 2]  # the pairs of -2 and 3 tie at 25
         assert sel.step_values == [math.inf, 25.0]
 
     def test_max_pair_is_the_scans_exact_argmax_above_the_diagonal(self):
         rng = np.random.default_rng(46)
         for n in (2, 3, 31, 300):
-            kernel = feature_distance(random_features(rng, n, 4))
+            kernel = euclidean_distance(random_features(rng, n, 4))
             d2 = kernel.x @ kernel.x.T
             d2 *= -2.0
             d2 += np.add.outer(kernel.sq, kernel.sq)
@@ -290,7 +286,7 @@ class TestFeatureBackedFarthestPoint:
 
         rng = np.random.default_rng(50)
         for n in (2, 3, 9, 31, 300):
-            kernel = feature_distance(random_features(rng, n, 4))
+            kernel = euclidean_distance(random_features(rng, n, 4))
             with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
                 expected = kernel.max_pair()
                 with mock.patch.object(kernels, "_squared_distances",
@@ -305,13 +301,47 @@ class TestFeatureBackedFarthestPoint:
         # (2, 3) an ulp higher here
         p, q = np.array([0.38, -2.61, 0.25]), np.array([-0.06, 0.08, -1.08])
         m = FeatureMatrix(np.stack((p, 0.5 * (p + q), q, p)))
-        for kernel in (feature_distance(m), euclidean_distance(m)):
-            sel = farthest_point(DisparityMin(kernel), BudgetSpec(2))
-            assert sel.indices == [0, 2]
+        sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(2))
+        assert sel.indices == [0, 2]
+
+    def test_never_selects_two_copies_of_a_row(self):
+        # products leave two copies of a row a rounding-noise squared
+        # distance of either sign; the kernel reads exactly 0 between them
+        rng = np.random.default_rng(52)
+        for _ in range(200):
+            n, d = int(rng.integers(2, 24)), int(rng.integers(2, 17))
+            base = rng.standard_normal((int(rng.integers(1, n + 1)), d))
+            m = FeatureMatrix(base[rng.integers(base.shape[0], size=n)])
+            kernel = euclidean_distance(m)
+            copies = (m.values[:, None] == m.values[None]).all(axis=2)
+            distinct = np.unique(m.values, axis=0).shape[0]
+            assert (kernel.among(np.arange(n))[copies] == 0.0).all()  # diagonal too
+            for b in range(1, n + 1):
+                sel = farthest_point(DisparityMin(kernel), BudgetSpec(b))
+                if distinct == 1 and b > 1:
+                    assert sel.indices == [0, 1] and sel.final_value == 0.0
+                    continue
+                assert copies[np.ix_(sel.indices, sel.indices)].sum() == len(sel.indices)
+                # it stops once only copies of selected rows remain
+                assert len(sel.indices) == min(b, distinct)
+                assert sel.final_value > 0.0 or b == 1
+
+    def test_max_pair_never_pairs_two_copies_of_a_row(self):
+        # copies of a row a and of b, one ulp from a in one coordinate, at a
+        # large norm: the noise between two copies can exceed |a - b|^2
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(2, 65))
+            a = (1e4 * rng.standard_normal(d)).astype(np.float32)
+            b = a.copy()
+            b[0] = np.nextafter(a[0], np.float32(np.inf))
+            m = FeatureMatrix(np.stack((a, b))[rng.permutation(np.arange(n) % 2)])
+            i, j = euclidean_distance(m).max_pair()
+            assert i < j and (m.values[i] != m.values[j]).any()
 
     def test_budget_one_returns_the_lowest_index_singleton(self):
         m = random_features(np.random.default_rng(47), 6, 3)
-        sel = farthest_point(DisparityMin(feature_distance(m)), BudgetSpec(1))
+        sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(1))
         assert sel.indices == [0] and math.isinf(sel.final_value)
 
     def test_half_approximation_against_brute_force(self):
@@ -319,7 +349,7 @@ class TestFeatureBackedFarthestPoint:
         for _ in range(50):
             n = int(rng.integers(3, 13))
             b = int(rng.integers(2, min(4, n) + 1))
-            kernel = feature_distance(random_features(rng, n, 3))
+            kernel = euclidean_distance(random_features(rng, n, 3))
             greedy = farthest_point(DisparityMin(kernel), BudgetSpec(b))
             exact = brute_force(DisparityMin(kernel), BudgetSpec(b))
             assert greedy.final_value >= 0.5 * exact.final_value - 1e-12
@@ -327,7 +357,7 @@ class TestFeatureBackedFarthestPoint:
     def test_memory_stays_far_below_one_n_by_n_array(self):
         n = 1000
         m = random_features(np.random.default_rng(49), n, 16)
-        state = DisparityMin(feature_distance(m))
+        state = DisparityMin(euclidean_distance(m))
         assert peak_bytes(lambda: farthest_point(state, BudgetSpec(100))) <= 0.25 * 8 * n * n
 
 
@@ -397,7 +427,7 @@ class TestSelectSubset:
                 kernel = sparsify_knn(kernel, kappa)
             direct = greedy_lazy(FacilityLocation(kernel), BudgetSpec(6))
         else:
-            direct = farthest_point(DisparityMin(feature_distance(features, rows=rows)),
+            direct = farthest_point(DisparityMin(euclidean_distance(features, rows=rows)),
                                     BudgetSpec(6))
         routed = select_subset(features, objective, 6, rows=rows, kappa=kappa)
         assert routed.indices == direct.indices
