@@ -72,6 +72,7 @@ class SweepConfig:
             raise ValidationError(f"sweep seeds must be non-negative, got {self.seeds}")
         if "random" in self.methods and not self.seeds:
             raise ValidationError("the random sweep method needs at least one seed")
+        KnnConfig(self.k)  # its k >= 1 check, before any greedy order is computed
 
 
 @dataclass(frozen=True)

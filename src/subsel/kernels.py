@@ -5,14 +5,15 @@ Similarities are shifted cosines, ``(1 + cos) / 2``, so they land in
 sparse:
 
 - A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
-  and finishes it in place: each block of rows (see ``row_blocks``) has
-  its upper-triangle part turned into similarities, and ``_mirror_upper``
-  then copies the upper triangle onto the lower one, block by block. So
-  dense kernels are exactly symmetric (``SimilarityKernel.symmetric``
-  records it), working memory beyond the result is O(block * n), and
-  every entry goes through the same floating-point operations, in the
-  same order, as the whole-matrix expressions they replace. An allocation
-  that fails raises ``CapacityError``.
+  which numpy returns exactly symmetric, and finishes it in place, one
+  block of whole rows at a time (see ``row_blocks``). Entry (i, j) of the
+  finish depends only on g_ij and inv_i * inv_j, and float multiplication
+  commutes, so (i, j) and (j, i) get the same bytes: dense kernels are
+  exactly symmetric (``SimilarityKernel.symmetric`` records it), working
+  memory beyond the result is O(block * n), and every entry goes through
+  the same floating-point operations, in the same order, as the
+  whole-matrix expressions they replace. An allocation that fails raises
+  ``CapacityError``.
 - A kappa-sparse kernel keeps each row's kappa largest off-diagonal
   similarities, stored by column, the order in which facility location
   reads a candidate; dropped entries read as similarity 0 and the
@@ -54,7 +55,7 @@ class SimilarityKernel:
     col_ptr: Optional[np.ndarray] = None
     rows: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
-    symmetric: bool = False  # set by a builder that guarantees dense == dense.T
+    symmetric: bool = False  # dense == dense.T exactly, as the dense cosine build gives
 
     @property
     def is_sparse(self) -> bool:
@@ -139,23 +140,6 @@ def _gemm_blocks(n: int) -> list[tuple[int, int]]:
     return row_blocks(n, min(n, _BLOCK_ELEMS // _GEMM_ROWS))
 
 
-def _mirror_upper(a: np.ndarray) -> np.ndarray:
-    """Copy a's upper triangle onto its lower one in place, set the
-    diagonal to 1, and return a made read-only.
-
-    Mirroring makes the kernel exactly symmetric whatever order BLAS
-    summed each pair in.
-    """
-    for lo, hi in row_blocks(a.shape[0]):
-        a[lo:hi, :lo] = a[:lo, lo:hi].T
-        tile = a[lo:hi, lo:hi]
-        below = np.tri(hi - lo, k=-1, dtype=bool)
-        tile[below] = tile.T[below]
-    np.fill_diagonal(a, 1.0)
-    a.flags.writeable = False
-    return a
-
-
 def _select_rows(m: FeatureMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
     if rows is None:
         idx = np.arange(m.n, dtype=np.int64)
@@ -169,7 +153,9 @@ def _select_rows(m: FeatureMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
-    """x @ x.T, the n x n allocation of a dense build; CapacityError if it fails."""
+    """x @ x.T, the n x n allocation of a dense build; CapacityError if it
+    fails. numpy returns it exactly symmetric: it computes one triangle
+    (BLAS syrk) and copies it onto the other."""
     try:
         return x @ x.T
     except MemoryError:
@@ -207,7 +193,7 @@ def cosine_similarity(m: FeatureMatrix, rows=None,
 
     The kappa-sparse kernel keeps what sparsify_knn of the dense kernel
     keeps, but each row's values come from its own block's product, so a
-    value can differ from the dense (mirrored) one in its last bit, and a
+    value can differ from the dense one in its last bit, and a
     row whose kappa-th and next candidates differ only there can keep the
     other one.
     """
@@ -224,12 +210,14 @@ def cosine_similarity(m: FeatureMatrix, rows=None,
         return _top_kappa(x.shape[0], kappa, negated_rows)
     sim = _gram(x)
     for lo, hi in row_blocks(x.shape[0]):
-        upper = sim[lo:hi, lo:]  # the lower triangle is mirrored over
-        upper *= np.outer(inv_norms[lo:hi], inv_norms[lo:])
-        upper += 1.0
-        upper *= 0.5
-        np.clip(upper, 0.0, 1.0, out=upper)
-    return SimilarityKernel(n=x.shape[0], dense=_mirror_upper(sim), symmetric=True)
+        block = sim[lo:hi]
+        block *= np.outer(inv_norms[lo:hi], inv_norms)
+        block += 1.0
+        block *= 0.5
+        np.clip(block, 0.0, 1.0, out=block)
+    np.fill_diagonal(sim, 1.0)
+    sim.flags.writeable = False
+    return SimilarityKernel(n=x.shape[0], dense=sim, symmetric=True)
 
 
 def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:

@@ -115,13 +115,8 @@ class LogRegModel:
         return self.weights.shape[0]
 
     def predict_proba(self, x) -> np.ndarray:
-        """Class posterior for one feature vector (overflow-safe softmax)."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.shape[0] != self.weights.shape[1]:
-            raise ValidationError(
-                f"input dimension {x.shape[0]} != model dimension {self.weights.shape[1]}"
-            )
-        return _row_softmax((self.weights @ x + self.bias)[None, :])[0]
+        """Class posterior for one feature vector: predict_proba_batch's row."""
+        return self.predict_proba_batch(np.reshape(x, (1, -1)))[0]
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -89,6 +89,8 @@ class TestSweep:
             SweepConfig(seeds=(1, 2, 1))
         with pytest.raises(ValidationError, match="needs at least one seed"):
             SweepConfig(methods=("fl", "random"), seeds=())
+        with pytest.raises(ValidationError, match="k must be >= 1, got 0"):
+            SweepConfig(k=0)
 
     def test_every_fraction_below_k_is_an_error(self, problem):
         train, hold = problem

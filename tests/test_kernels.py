@@ -147,9 +147,17 @@ class TestCosine:
             assert k.dense.min() >= 0.0 and k.dense.max() <= 1.0
 
     def test_symmetry_is_exact(self):
+        # symmetry comes from numpy's x @ x.T, so check it at the benchmark's
+        # shapes too: select's 2,100 x 64, sweep's 536 x 32 training split,
+        # and al's row selections from 600 x 128 features
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            k = cosine_similarity(random_features(rng, 12, 5))
+        cases = [(random_features(rng, 12, 5), None) for _ in range(20)]
+        cases += [(random_features(rng, 2100, 64), None),
+                  (random_features(rng, 536, 32), None),
+                  (random_features(rng, 600, 128), rng.permutation(600)[:70])]
+        for m, rows in cases:
+            k = cosine_similarity(m, rows=rows)
+            assert k.symmetric
             assert np.abs(k.dense - k.dense.T).max() == 0.0
 
     def test_zero_norm_row_names_the_row(self):
