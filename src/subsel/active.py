@@ -41,10 +41,9 @@ def ceil_pct(percent: float, count: int) -> int:
 def _check_probabilities(p: np.ndarray):
     if p.ndim != 2 or p.shape[1] < 2:
         raise ValidationError("probability vectors need at least two classes")
-    if (p < -1e-9).any() or (p > 1 + 1e-9).any():
+    if not ((p >= -1e-9) & (p <= 1 + 1e-9)).all():  # NaN fails both
         raise ValidationError("probabilities must lie in [0, 1]")
-    sums = p.sum(axis=1)
-    if (np.abs(sums - 1.0) > 1e-9).any():
+    if (np.abs(p.sum(axis=1) - 1.0) > 1e-9).any():
         raise ValidationError("probability vectors must sum to 1")
 
 

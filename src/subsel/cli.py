@@ -61,33 +61,21 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--knn-sparsify", type=int, default=None, metavar="KAPPA")
     s.add_argument("--out", required=True)
 
-    w = sub.add_parser("sweep", help="kNN accuracy versus subset size")
-    w.add_argument("--features", required=True)
-    w.add_argument("--labels", required=True)
-    w.add_argument("--holdout-frac", type=float, required=True)
+    w = sub.add_parser("sweep", parents=[_split_parser()],
+                       help="kNN accuracy versus subset size")
     w.add_argument("--methods", default="fl,dm,random")
     w.add_argument("--step", type=int, default=5)
     w.add_argument("--k", type=int, default=5)
-    w.add_argument("--seeds", type=_int_list, default=[1, 2, 3, 4, 5])
-    w.add_argument("--split-seed", type=int, default=0)
-    w.add_argument("--no-stratify", action="store_true")
-    w.add_argument("--out", required=True)
 
-    a = sub.add_parser("al", help="paired active-learning comparison")
-    a.add_argument("--features", required=True)
-    a.add_argument("--labels", required=True)
-    a.add_argument("--holdout-frac", type=float, required=True)
+    a = sub.add_parser("al", parents=[_split_parser()],
+                       help="paired active-learning comparison")
     a.add_argument("--selectors", default="fl,dm,us,random")
     a.add_argument("--uncertainty", choices=[m.value for m in UncertaintyMethod],
                    default=UncertaintyMethod.ENTROPY.value)
     a.add_argument("--batch-pct", type=float, required=True)
     a.add_argument("--beta-pct", type=float, required=True)
     a.add_argument("--rounds", type=int, required=True)
-    a.add_argument("--seeds", type=_int_list, default=[1, 2, 3, 4, 5])
     a.add_argument("--seed-size", type=int, default=None)
-    a.add_argument("--split-seed", type=int, default=0)
-    a.add_argument("--no-stratify", action="store_true")
-    a.add_argument("--out", required=True)
     return parser
 
 
@@ -109,6 +97,19 @@ def _cmd_select(args) -> int:
     print(f"selected {len(selection.indices)} of {features.n} "
           f"(objective value {selection.final_value:g}) -> {args.out}")
     return 0
+
+
+def _split_parser() -> argparse.ArgumentParser:
+    """sweep's and al's shared flags: what _split_from_args reads, --seeds, --out."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--features", required=True)
+    p.add_argument("--labels", required=True)
+    p.add_argument("--holdout-frac", type=float, required=True)
+    p.add_argument("--seeds", type=_int_list, default=[1, 2, 3, 4, 5])
+    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--no-stratify", action="store_true")
+    p.add_argument("--out", required=True)
+    return p
 
 
 def _split_from_args(args):

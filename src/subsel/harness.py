@@ -165,13 +165,10 @@ def run_goal2(train: LabeledDataset, holdout: LabeledDataset,
                     [(c.selector, int(c.seed)) for c in cfgs])
     if any(c.selector == "fl" for c in cfgs):  # fail on a zero row before any fit
         cosine_norms(train.features.values.astype(np.float64), np.arange(train.n))
-    records: list[CurveRecord] = []
     memo: dict = {}
-    for cfg in cfgs:
-        for rec in run_al(train, holdout, cfg, _memo=memo):
-            records.append(CurveRecord(cfg.selector, int(cfg.seed), rec.round,
-                                       rec.labeled_count, rec.accuracy))
-    return records
+    return [CurveRecord(cfg.selector, int(cfg.seed), rec.round, rec.labeled_count,
+                        rec.accuracy)
+            for cfg in cfgs for rec in run_al(train, holdout, cfg, _memo=memo)]
 
 
 def emit_csv(records: Iterable[CurveRecord], path) -> None:
@@ -195,9 +192,5 @@ def parse_csv(path) -> list[CurveRecord]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing curve header")
-    records = []
-    for line in lines[1:]:
-        method, seed, x, labeled, acc = line.split(",")
-        records.append(CurveRecord(method, int(seed), float(x), int(labeled),
-                                   float(acc)))
-    return records
+    return [CurveRecord(method, int(seed), float(x), int(labeled), float(acc))
+            for method, seed, x, labeled, acc in (line.split(",") for line in lines[1:])]

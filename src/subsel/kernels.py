@@ -1,25 +1,23 @@
 """Pairwise similarity and distance kernels over a ground set.
 
 Similarities are shifted cosines, ``(1 + cos) / 2``, so they land in
-[0, 1] with an exact unit diagonal. A similarity kernel is dense or
-sparse:
+[0, 1] with an exact unit diagonal. Every similarity kernel is stored by
+column, the order in which facility location reads a candidate. It is
+dense or sparse:
 
 - A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
-  which numpy returns exactly symmetric, and finishes it in place, one
-  block of whole rows at a time (see ``row_blocks``). Entry (i, j) of the
-  finish depends only on g_ij and inv_i * inv_j, and float multiplication
-  commutes, so (i, j) and (j, i) get the same bytes: dense kernels are
-  exactly symmetric (``SimilarityKernel.symmetric`` records it), working
-  memory beyond the result is O(block * n), and every entry goes through
-  the same floating-point operations, in the same order, as the
-  whole-matrix expressions they replace. An allocation that fails raises
-  ``CapacityError``.
+  finishes it in place, one block of whole rows at a time (see
+  ``row_blocks``), in O(block * n) working memory beyond the result, and
+  returns its transpose, a column-major view. numpy returns ``x @ x.T``
+  exactly symmetric, and entry (i, j) of the finish depends only on g_ij
+  and inv_i * inv_j, so the view holds the finished array's bytes. An
+  allocation that fails raises ``CapacityError``.
 - A kappa-sparse kernel keeps each row's kappa largest off-diagonal
-  similarities, stored by column, the order in which facility location
-  reads a candidate; dropped entries read as similarity 0 and the
-  diagonal as an implicit 1. ``cosine_similarity(..., kappa=)`` builds it
-  straight from the features, one row block ``x[lo:hi] @ x.T`` at a time,
-  in O(n * kappa + block * n) memory; ``sparsify_knn`` cuts a dense kernel.
+  similarities, regrouped by column; dropped entries read as similarity 0
+  and the diagonal as an implicit 1. ``cosine_similarity(..., kappa=)``
+  builds it straight from the features, one row block ``x[lo:hi] @ x.T``
+  at a time, in O(n * kappa + block * n) memory; ``sparsify_knn`` cuts a
+  dense kernel.
   Both feed the same per-block top-kappa and column regroup. Which entries
   are kept is decided by ``first_k``, the package's one top-k rule (the
   first k of a stable sort), which the kNN vote in ``models`` shares.
@@ -46,8 +44,10 @@ from .errors import CapacityError, ValidationError
 
 @dataclass(frozen=True)
 class SimilarityKernel:
-    """Pairwise similarities in [0,1]: a dense matrix, or kept entries by
-    column: column j holds rows[col_ptr[j]:col_ptr[j + 1]] (ascending) with
+    """Pairwise similarities in [0,1], stored by column, the order in which
+    facility location reads a candidate: column j of a dense matrix is
+    dense.T[j] (contiguous if dense is column-major); kept entries list
+    column j as rows[col_ptr[j]:col_ptr[j + 1]] (ascending) with
     similarities values[...], an implicit unit diagonal and 0 elsewhere."""
 
     n: int
@@ -55,7 +55,6 @@ class SimilarityKernel:
     col_ptr: Optional[np.ndarray] = None
     rows: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
-    symmetric: bool = False  # dense == dense.T exactly, as the dense cosine build gives
 
     @property
     def is_sparse(self) -> bool:
@@ -217,7 +216,7 @@ def cosine_similarity(m: FeatureMatrix, rows=None,
         np.clip(block, 0.0, 1.0, out=block)
     np.fill_diagonal(sim, 1.0)
     sim.flags.writeable = False
-    return SimilarityKernel(n=x.shape[0], dense=sim, symmetric=True)
+    return SimilarityKernel(n=x.shape[0], dense=sim.T)  # sim is symmetric: same bytes
 
 
 def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:

@@ -5,9 +5,10 @@ training subsets (``knn_accuracy``: the whole set). Distance ties go to
 the lower training index and vote ties to the smallest label: a query's
 k neighbours are ``kernels.first_k`` of its distance row, the first k of
 a stable sort, the rule by which ``sparsify_knn`` keeps its top kappa.
-Its working memory is one holdout x train array of squared distances,
-one subset's column copy at a time (none for the whole set, in order)
-and temporaries of ~_BLOCK_ELEMS elements per ``kernels.row_blocks`` block.
+Its working memory is one holdout x train array of squared distances
+(``CapacityError`` if it cannot be allocated), from which each subset's
+columns are gathered, like every other temporary, ~_BLOCK_ELEMS elements
+per ``kernels.row_blocks`` block at a time.
 The regression is fit by line-search Newton-CG (truncated Newton): each
 step solves the Newton system by conjugate gradient on Hessian-vector
 products, so the Hessian is never formed, and Armijo backtracking keeps
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .kernels import first_k, row_blocks
 
 DEFAULT_L2 = 1e-2
@@ -67,12 +68,16 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
     for s in subsets:
         if cfg.k > s.size:
             raise ValidationError(f"k={cfg.k} exceeds training size {s.size}")
-    d2 = _sq_distances(holdout.features.values.astype(np.float64),
-                       train.features.values.astype(np.float64))
-    y, whole = train.labels.labels, np.arange(train.n)
-    return [float((_vote(d2 if np.array_equal(s, whole) else d2[:, s], y[s],
-                         train.n_classes, cfg.k) == holdout.labels.labels).mean())
-            for s in subsets]
+    nq, y = holdout.n, train.labels.labels
+    try:
+        d2 = _sq_distances(holdout.features.values.astype(np.float64),
+                           train.features.values.astype(np.float64))
+    except MemoryError:
+        raise CapacityError(f"kNN scoring needs a {nq} x {train.n} array of squared "
+                            f"distances, {8 * nq * train.n:,} bytes, more than can be "
+                            "allocated") from None
+    return [float((_vote(d2, s, y[s], train.n_classes, cfg.k)
+                   == holdout.labels.labels).mean()) for s in subsets]
 
 
 def _sq_distances(q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -84,15 +89,16 @@ def _sq_distances(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _vote(d2: np.ndarray, labels: np.ndarray, n_classes: int, k: int) -> np.ndarray:
-    """Majority label among the k smallest entries of each row of d2,
-    chosen by ``first_k``. argmax takes the first maximum, so vote ties go
-    to the smallest label.
+def _vote(d2: np.ndarray, s: np.ndarray, labels: np.ndarray, n_classes: int,
+          k: int) -> np.ndarray:
+    """Majority label among the k smallest entries of each row of d2[:, s],
+    chosen by ``first_k`` and gathered one row block at a time. argmax
+    takes the first maximum, so vote ties go to the smallest label.
     """
-    nq, m = d2.shape
+    nq, m = d2.shape[0], s.size
     preds = np.empty(nq, dtype=np.int64)
     for lo, hi in row_blocks(nq, width=m):
-        rows, cols = np.divmod(np.flatnonzero(first_k(d2[lo:hi], k)), m)
+        rows, cols = np.divmod(np.flatnonzero(first_k(d2[lo:hi, s], k)), m)
         counts = np.bincount(labels[cols] + n_classes * rows,
                              minlength=(hi - lo) * n_classes)
         preds[lo:hi] = counts.reshape(hi - lo, n_classes).argmax(axis=1)

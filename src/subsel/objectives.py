@@ -2,9 +2,10 @@
 
 Facility location credits every ground element with its best selected
 representative and sums the credits; it is monotone submodular, and its
-empty-set value is 0. A candidate's gain is read down its kernel column
-(along its row if ``kernel.symmetric``) by ``gains_of``; ``gain``, ``gains_all``
-and lazy greedy's block refresh all call it, so lazy and naive see the same bytes.
+empty-set value is 0. Candidate j's gain is read down column j of the
+kernel (row j of ``kernel.dense.T`` if dense) by ``gains_of``; ``gain``,
+``gains_all`` and lazy greedy's block refresh all call it, so lazy and
+naive see the same bytes.
 
 Disparity min is the smallest pairwise distance among selected
 elements; it is scored greedily by squared distance-to-selected (the
@@ -77,8 +78,8 @@ def disparity_min_value(kernel: DistanceKernel, X) -> float:
 class FacilityLocation:
     """Incremental facility-location state: per-element best similarity.
 
-    Candidate e is scored down column e: row e of ``_by_candidate`` (the
-    kernel if it is ``symmetric``, else a transposed view) or a sparse column.
+    Candidate e is scored down column e: row e of ``kernel.dense.T``
+    (contiguous when the kernel is column-major) or a sparse column.
     """
 
     monotone_submodular = True
@@ -90,8 +91,6 @@ class FacilityLocation:
         self.selected_mask = np.zeros(self.n, dtype=bool)
         self.best = np.zeros(self.n)
         self.value = 0.0
-        if not kernel.is_sparse:
-            self._by_candidate = kernel.dense if kernel.symmetric else kernel.dense.T
 
     def gain(self, e: int) -> float:
         """Marginal value of adding e: sum of max(0, s_ie - best_i); >= 0."""
@@ -104,7 +103,7 @@ class FacilityLocation:
         k, best = self.kernel, self.best
         cand = np.arange(self.n)[idx]
         if not k.is_sparse:
-            terms = np.ascontiguousarray(self._by_candidate[cand])  # fancy index: a copy
+            terms = np.ascontiguousarray(k.dense.T[cand])  # fancy index: a copy
             np.subtract(terms, best, out=terms)
             np.maximum(terms, 0.0, out=terms)
             return terms.sum(axis=1)
@@ -130,7 +129,7 @@ class FacilityLocation:
         """Select e and fold its column into the per-element maxima."""
         _require_candidate(self, e)
         if not self.kernel.is_sparse:
-            np.maximum(self.best, self._by_candidate[e], out=self.best)
+            np.maximum(self.best, self.kernel.dense.T[e], out=self.best)
         else:
             _fold_column(self.best, self.kernel, e)
         self.selected.append(int(e))

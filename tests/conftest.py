@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from subsel import kernels
+from subsel import kernels, models
 
 from subsel.dataset import FeatureMatrix
 from subsel.kernels import DistanceKernel, SimilarityKernel, euclidean_distance
@@ -18,7 +18,7 @@ def hand_similarity():
     s = np.array([[1.0, 0.9, 0.1],
                   [0.9, 1.0, 0.2],
                   [0.1, 0.2, 1.0]])
-    return SimilarityKernel(n=3, dense=s, symmetric=True)
+    return SimilarityKernel(n=3, dense=s)
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ def random_similarity_kernel(rng: np.random.Generator, n: int) -> SimilarityKern
     upper = np.triu(raw, 1)
     dense = upper + upper.T
     np.fill_diagonal(dense, 1.0)
-    return SimilarityKernel(n=n, dense=dense, symmetric=True)
+    return SimilarityKernel(n=n, dense=dense)
 
 
 def random_distance_kernel(rng: np.random.Generator, n: int, d: int = 3) -> DistanceKernel:
@@ -109,6 +109,17 @@ def no_room_for_products():
         return x.view(_NoRoom), idx
 
     with mock.patch.object(kernels, "_select_rows", rows_without_room):
+        yield
+
+
+@contextmanager
+def no_room_for_distances():
+    """Make kNN scoring's holdout x train squared distances fail to
+    allocate, as a too-large array would, without allocating it."""
+    def distances_without_room(q, x):
+        raise MemoryError("Unable to allocate")
+
+    with mock.patch.object(models, "_sq_distances", distances_without_room):
         yield
 
 

@@ -54,6 +54,15 @@ class TestUncertainty:
             uncertainty([0.9, 0.3], LC)  # does not sum to 1
         with pytest.raises(ValidationError):
             uncertainty([1.2, -0.2], LC)
+        for p in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf],
+                  [-np.inf, 1.0], [np.inf, 0.0]):
+            for method in (LC, MARGIN, ENTROPY):
+                with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+                    uncertainty(p, method)
+        with pytest.raises(ValidationError):
+            uncertainty_scores([[np.nan, np.nan], [0.5, 0.5]], ENTROPY)
+        with pytest.raises(ValidationError):
+            filter_uncertain([[np.nan, np.nan], [0.5, 0.5]], np.arange(2), 50.0, MARGIN)
 
     def test_ranges(self):
         rng = np.random.default_rng(51)

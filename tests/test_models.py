@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import no_room_for_distances
 from subsel import kernels
 from subsel.dataset import (
     FeatureMatrix,
@@ -15,7 +16,7 @@ from subsel.dataset import (
     gen_synthetic,
     split,
 )
-from subsel.errors import ValidationError
+from subsel.errors import CapacityError, ValidationError
 from subsel.models import (
     _ARMIJO_C1,
     _MIN_STEP,
@@ -233,6 +234,33 @@ class TestKnnSubsetAccuracies:
         holdout = make_dataset([[0.0, 1.0]], [0])
         with pytest.raises(ValidationError, match="holdout dimension 2"):
             knn_subset_accuracies(train, holdout, [[0, 1, 2]], KnnConfig(1))
+
+    def test_distances_without_room_are_a_capacity_error(self):
+        rng = np.random.default_rng(49)
+        train = make_dataset(rng.standard_normal((40, 3)), rng.integers(0, 2, 40))
+        holdout = make_dataset(rng.standard_normal((30, 3)), rng.integers(0, 2, 30))
+        with no_room_for_distances():
+            with pytest.raises(CapacityError, match=r"30 x 40 array of squared "
+                                                    r"distances, 9,600 bytes"):
+                knn_subset_accuracies(train, holdout, [np.arange(25)])
+
+    def test_subsets_vote_without_a_copy_of_their_columns(self):
+        # 1,000 queries against 2,000 training rows: the distance array is
+        # 16 MB, a copy of a 1,000-row subset's columns would add 8 MB
+        rng = np.random.default_rng(50)
+        train = make_dataset(rng.standard_normal((2000, 4)), rng.integers(0, 3, 2000))
+        holdout = make_dataset(rng.standard_normal((1000, 4)), rng.integers(0, 3, 1000))
+        subset = rng.permutation(2000)[:1000]
+        tracemalloc.start()
+        try:
+            accuracy = knn_subset_accuracies(train, holdout, [subset], KnnConfig(5))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * holdout.n * (train.n + subset.size // 2)
+        assert accuracy == float((chunked_knn_reference(train.subset(subset),
+                                                        holdout.features.values, 5)
+                                  == holdout.labels.labels).mean())
 
 
 class TestKnnAccuracy:
