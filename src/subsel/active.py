@@ -121,6 +121,8 @@ def select_batch(fset: FilteredSet, features: FeatureMatrix, selector: str,
     if selector not in SELECTORS:
         raise ValidationError(f"unknown selector {selector!r}, expected one of {SELECTORS}")
     F = fset.indices
+    if F.size and (F.min() < 0 or F.max() >= features.n):
+        raise ValidationError(f"filtered-set index out of range for n={features.n}")
     if F.size <= batch_size:
         return [int(i) for i in F]
     if selector == "us":
@@ -130,7 +132,7 @@ def select_batch(fset: FilteredSet, features: FeatureMatrix, selector: str,
             raise ValidationError("random selector requires a seeded generator")
         picks = rng.choice(F.size, size=batch_size, replace=False)
         return [int(F[i]) for i in picks]
-    sel = select_subset(features, selector, batch_size, rows=F)
+    sel = select_subset(FeatureMatrix(features.values[F]), selector, batch_size)
     return [int(F[i]) for i in padded_order(sel, F.size, batch_size)]
 
 

@@ -32,6 +32,7 @@ from .errors import (
 MAGIC = b"SUBSELF1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sHQQ")  # magic, version, n, d
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def round_half_up(x: float | Fraction) -> int:
@@ -129,6 +130,9 @@ class LabeledDataset:
 
     def require_all_classes(self) -> "LabeledDataset":
         """Reject label vectors with unobserved classes (full datasets only)."""
+        if self.n_classes > self.n:
+            raise ValidationError(f"labels run to {self.n_classes - 1}, more classes than "
+                                  f"the {self.n} instances of a full dataset")
         counts = np.bincount(self.labels.labels, minlength=self.n_classes)
         missing = np.flatnonzero(counts == 0)
         if missing.size:
@@ -273,7 +277,7 @@ def _load_features_csv(path: Path) -> FeatureMatrix:
 # ---------------------------------------------------------------------------
 
 def load_labels(path) -> LabelVector:
-    """Read one non-negative integer label per line."""
+    """Read one non-negative int64 label per line, in ASCII digits."""
     path = Path(path)
     text = _read_text(path, ValidationError)
     labels = []
@@ -281,13 +285,14 @@ def load_labels(path) -> LabelVector:
         line = line.strip()
         if not line:
             continue
-        try:
-            value = int(line)
-        except ValueError:
-            raise LabelParseError(lineno, line) from None
-        if value < 0:
+        if not (line.isascii() and line.isdigit()):
             raise LabelParseError(lineno, line)
-        labels.append(value)
+        digits = line.lstrip("0") or "0"
+        # the length first: int() refuses strings of more than 4,300 digits
+        if len(digits) > 19 or int(digits) > _INT64_MAX:
+            raise ValidationError(f"{path}: line {lineno}: label {line} exceeds the "
+                                  "int64 range")
+        labels.append(int(digits))
     if not labels:
         raise ValidationError(f"{path}: empty label file")
     return LabelVector(np.array(labels, dtype=np.int64))

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .active import ALConfig, run_al
-from .dataset import LabeledDataset, atomic_open, round_half_up
+from .dataset import LabeledDataset, _read_text, atomic_open, round_half_up
 from .errors import ValidationError
 from .kernels import cosine_norms
 from .models import KnnConfig, knn_subset_accuracies
@@ -164,7 +164,7 @@ def run_goal2(train: LabeledDataset, holdout: LabeledDataset,
     _reject_repeats("active-learning (selector, seed)",
                     [(c.selector, int(c.seed)) for c in cfgs])
     if any(c.selector == "fl" for c in cfgs):  # fail on a zero row before any fit
-        cosine_norms(train.features.values.astype(np.float64), np.arange(train.n))
+        cosine_norms(train.features.values.astype(np.float64))
     memo: dict = {}
     return [CurveRecord(cfg.selector, int(cfg.seed), rec.round, rec.labeled_count,
                         rec.accuracy)
@@ -189,8 +189,14 @@ def emit_csv(records: Iterable[CurveRecord], path) -> None:
 
 def parse_csv(path) -> list[CurveRecord]:
     """Read a file written by emit_csv back into records."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(Path(path), ValidationError).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing curve header")
-    return [CurveRecord(method, int(seed), float(x), int(labeled), float(acc))
-            for method, seed, x, labeled, acc in (line.split(",") for line in lines[1:])]
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            method, seed, x, labeled, acc = line.split(",")
+            records.append(CurveRecord(method, int(seed), float(x), int(labeled), float(acc)))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+    return records

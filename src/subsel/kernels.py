@@ -139,18 +139,6 @@ def _gemm_blocks(n: int) -> list[tuple[int, int]]:
     return row_blocks(n, min(n, _BLOCK_ELEMS // _GEMM_ROWS))
 
 
-def _select_rows(m: FeatureMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
-    if rows is None:
-        idx = np.arange(m.n, dtype=np.int64)
-    else:
-        idx = np.asarray(rows, dtype=np.int64)
-        if idx.size == 0:
-            raise ValidationError("row selection must be non-empty")
-        if idx.min() < 0 or idx.max() >= m.n:
-            raise ValidationError(f"row index out of range for n={m.n}")
-    return m.values[idx].astype(np.float64), idx
-
-
 def _gram(x: np.ndarray) -> np.ndarray:
     """x @ x.T, the n x n allocation of a dense build; CapacityError if it
     fails. numpy returns it exactly symmetric: it computes one triangle
@@ -174,19 +162,17 @@ def _squared_distances(xa, sqa, xb2, sqb) -> np.ndarray:
     return d2
 
 
-def cosine_norms(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Norms of x's float64 rows; an all-zero row raises, named by idx."""
+def cosine_norms(x: np.ndarray) -> np.ndarray:
+    """Norms of x's float64 rows; an all-zero row raises, named by its index."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValidationError("cosine similarity undefined for all-zero row "
-                              f"{int(idx[zero[0]])}")
+        raise ValidationError(f"cosine similarity undefined for all-zero row {zero[0]}")
     return norms
 
 
-def cosine_similarity(m: FeatureMatrix, rows=None,
-                      kappa: Optional[int] = None) -> SimilarityKernel:
-    """Shifted-cosine similarity kernel over the selected rows: dense, or with
+def cosine_similarity(m: FeatureMatrix, kappa: Optional[int] = None) -> SimilarityKernel:
+    """Shifted-cosine similarity kernel over m's rows: dense, or with
     kappa each row's kappa largest off-diagonal entries, built row block by
     row block without an n x n matrix.
 
@@ -196,8 +182,8 @@ def cosine_similarity(m: FeatureMatrix, rows=None,
     row whose kappa-th and next candidates differ only there can keep the
     other one.
     """
-    x, idx = _select_rows(m, rows)
-    inv_norms = 1.0 / cosine_norms(x, idx)
+    x = m.values.astype(np.float64)
+    inv_norms = 1.0 / cosine_norms(x)
     if kappa is not None:
         def negated_rows(lo, hi):
             block = x[lo:hi] @ x.T
@@ -219,11 +205,11 @@ def cosine_similarity(m: FeatureMatrix, rows=None,
     return SimilarityKernel(n=x.shape[0], dense=sim.T)  # sim is symmetric: same bytes
 
 
-def euclidean_distance(m: FeatureMatrix, rows=None) -> DistanceKernel:
-    """Feature-backed euclidean distance kernel over the selected rows; rows
-    with equal values form one group, found once by sorting the rows' bytes."""
-    x, idx = _select_rows(m, rows)
-    v = m.values[idx] + np.float32(0.0)  # -0.0 + 0.0 is 0.0: equal rows, equal bytes
+def euclidean_distance(m: FeatureMatrix) -> DistanceKernel:
+    """Feature-backed euclidean distance kernel over m's rows; rows with
+    equal values form one group, found once by sorting the rows' bytes."""
+    x = m.values.astype(np.float64)
+    v = m.values + np.float32(0.0)  # -0.0 + 0.0 is 0.0: equal rows, equal bytes
     _, group = np.unique(v.view(np.dtype((np.void, v.itemsize * v.shape[1]))).ravel(),
                          return_inverse=True)
     return DistanceKernel(n=x.shape[0], x=x, sq=np.einsum("ij,ij->i", x, x), group=group)

@@ -174,24 +174,23 @@ def farthest_point(obj: DisparityMin, budget: BudgetSpec) -> Selection:
 
 
 def select_subset(features: FeatureMatrix, objective: str, budget: int,
-                  rows=None, kappa: int | None = None) -> Selection:
+                  kappa: int | None = None) -> Selection:
     """Select up to budget elements of features for objective fl or dm.
 
     fl runs lazy greedy facility location on the dense shifted-cosine
     kernel, or, when kappa is given, on each row's kappa largest
     similarities streamed from the features; dm runs farthest-point greedy
     on feature-backed euclidean distances. Only dense fl builds an n x n
-    matrix. With rows, the ground set is those rows and the selected
-    indices are positions in rows.
+    matrix.
     """
     spec = BudgetSpec(budget)
     if objective == "fl":
-        kernel = cosine_similarity(features, rows=rows, kappa=kappa)
+        kernel = cosine_similarity(features, kappa=kappa)
         return greedy_lazy(FacilityLocation(kernel), spec)
     if objective == "dm":
         if kappa is not None:
             raise ValidationError("--knn-sparsify applies only to the fl objective")
-        return farthest_point(DisparityMin(euclidean_distance(features, rows=rows)), spec)
+        return farthest_point(DisparityMin(euclidean_distance(features)), spec)
     raise ValidationError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
 

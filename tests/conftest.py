@@ -55,14 +55,9 @@ def reference_mirror_upper(a, diagonal):
     return out
 
 
-def reference_rows(m, rows):
-    idx = np.arange(m.n) if rows is None else np.asarray(rows, dtype=np.int64)
-    return m.values[idx].astype(np.float64)
-
-
-def reference_euclidean(m, rows=None):
+def reference_euclidean(m):
     """The n x n euclidean distance matrix, mirrored from its upper triangle."""
-    x = reference_rows(m, rows)
+    x = m.values.astype(np.float64)
     sq = np.einsum("ij,ij->i", x, x)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.clip(d2, 0.0, None, out=d2)
@@ -100,15 +95,15 @@ class _NoRoom(np.ndarray):
 
 @contextmanager
 def no_room_for_products():
-    """Make every kernel builder's rows an array whose x @ x.T fails to
-    allocate, as a too-large n x n result would, without allocating it."""
-    select_rows = kernels._select_rows
+    """Make the dense build's x @ x.T fail to allocate, as a too-large n x n
+    result would, without allocating it; kernels._gram still translates the
+    failure."""
+    gram = kernels._gram
 
-    def rows_without_room(m, rows):
-        x, idx = select_rows(m, rows)
-        return x.view(_NoRoom), idx
+    def gram_without_room(x):
+        return gram(x.view(_NoRoom))
 
-    with mock.patch.object(kernels, "_select_rows", rows_without_room):
+    with mock.patch.object(kernels, "_gram", gram_without_room):
         yield
 
 

@@ -198,6 +198,20 @@ class TestSelectBatch:
         assert len(chosen) == 8 and len(set(chosen)) == 8
         assert set(chosen) <= set(range(10))
 
+    @pytest.mark.parametrize("selector", ["fl", "dm", "us", "random"])
+    def test_out_of_range_indices_rejected(self, selector):
+        features = FeatureMatrix(np.random.default_rng(57).standard_normal((10, 2)))
+        for bad in ([9, 7, -1, 3, 1], [9, 7, 10, 3, 1]):
+            with pytest.raises(ValidationError, match="index out of range for n=10"):
+                select_batch(self._fset(bad), features, selector, 3,
+                             np.random.default_rng(0))
+
+    def test_zero_row_is_named_by_its_position_in_the_set(self):
+        values = np.random.default_rng(58).standard_normal((10, 2))
+        values[7] = 0.0
+        with pytest.raises(ValidationError, match="all-zero row 1$"):
+            select_batch(self._fset([9, 7, 5, 3, 1]), FeatureMatrix(values), "fl", 2)
+
     def test_unknown_selector_rejected(self):
         features = FeatureMatrix(np.zeros((2, 1)) + 1.0)
         with pytest.raises(ValidationError):

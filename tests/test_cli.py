@@ -213,6 +213,21 @@ class TestSweepCommand:
             f"error: {labels}: not UTF-8 text: byte 0xff at offset 0\n")
         assert not out.exists()
 
+    def test_label_beyond_int64_fails_with_an_error_line(self, synth_files, tmp_path,
+                                                         capsys):
+        features, labels = synth_files
+        lines = labels.read_text(encoding="utf-8").splitlines()
+        lines[2] = "100000000000000000000"
+        labels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels}: line 3: label 100000000000000000000 exceeds the int64 "
+            "range\n")
+        assert not out.exists()
+
     def test_fractions_below_k_are_skipped_on_a_small_pool(self, tmp_path):
         features, labels = tmp_path / "f.bin", tmp_path / "l.txt"
         assert main(["gen-synth", "--out", str(features), "--labels", str(labels),

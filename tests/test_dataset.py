@@ -1,6 +1,7 @@
 import struct
 import zlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,18 +193,41 @@ class TestLabels:
             LabeledDataset(features, v).require_all_classes()
 
     def test_non_integer_line_reports_line_number(self, tmp_path):
+        # int() would read all but "cat" and "1.0": "1_0" as 10, "+2" as 2,
+        # the Arabic-Indic digit three as 3
         path = tmp_path / "l.txt"
-        path.write_text("cat\n")
-        with pytest.raises(LabelParseError) as err:
-            load_labels(path)
-        assert err.value.line_number == 1
+        for content in ("cat", "1_0", "+2", "\u0663", "1.0", "1 0"):
+            path.write_text(f"0\n{content}\n", encoding="utf-8")
+            with pytest.raises(LabelParseError) as err:
+                load_labels(path)
+            assert (err.value.line_number, err.value.content) == (2, content)
 
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "l.txt"
-        path.write_text("0\n-1\n")
-        with pytest.raises(LabelParseError) as err:
-            load_labels(path)
-        assert err.value.line_number == 2
+        for content in ("-1", "-0"):
+            path.write_text(f"0\n{content}\n")
+            with pytest.raises(LabelParseError) as err:
+                load_labels(path)
+            assert err.value.line_number == 2
+
+    def test_labels_beyond_int64_name_the_line(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_text("0\n9223372036854775807\n007\n")
+        assert load_labels(path).labels.tolist() == [0, 2 ** 63 - 1, 7]
+        for content in ("9223372036854775808", "100000000000000000000", "9" * 5000):
+            path.write_text(f"0\n{content}\n")
+            with pytest.raises(ValidationError,
+                               match=f"line 2: label {content} exceeds the int64 range"):
+                load_labels(path)
+
+    def test_more_classes_than_instances_rejected_before_counting(self):
+        features = FeatureMatrix(np.zeros((20, 1), dtype=np.float32))
+        labels = LabelVector(np.append(np.arange(19), 10 ** 9))
+        with mock.patch("numpy.bincount", side_effect=AssertionError) as count:
+            with pytest.raises(ValidationError, match="labels run to 1000000000, more "
+                                                      "classes than the 20 instances"):
+                LabeledDataset(features, labels).require_all_classes()
+        assert count.call_count == 0
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "l.txt"

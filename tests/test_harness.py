@@ -259,6 +259,18 @@ class TestCsv:
         assert sorted(back, key=lambda r: (r.method, r.seed, r.x)) == \
                sorted(records, key=lambda r: (r.method, r.seed, r.x))
 
+    @pytest.mark.parametrize("content,message", [
+        (b"fl,0,10,5\n", r"line 3: not enough values to unpack"),
+        (b"fl,0,ten,5,0.5\n", r"line 3: could not convert string to float: 'ten'"),
+        (b"fl,0,10,5,0.5\xff\n", r"not UTF-8 text: byte 0xff at offset 69"),
+    ], ids=["short", "non-numeric", "non-utf8"])
+    def test_a_bad_row_is_a_validation_error(self, tmp_path, content, message):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"method,seed,x,labeled_count,accuracy\ndm,0,10,5,0.250000\n"
+                         + content)
+        with pytest.raises(ValidationError, match=f"{path}: {message}"):
+            parse_csv(path)
+
     def test_emission_is_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(self._records(), a)

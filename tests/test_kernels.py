@@ -12,7 +12,6 @@ from conftest import (
     random_similarity_kernel,
     reference_euclidean,
     reference_mirror_upper,
-    reference_rows,
 )
 from subsel import kernels
 from subsel.dataset import FeatureMatrix
@@ -37,8 +36,8 @@ BLOCK_ELEMS = st.sampled_from([1, 7, 40, kernels._BLOCK_ELEMS])
 # Whole-matrix reference implementations: the blocked kernels must give
 # the same bytes.
 
-def reference_cosine(m, rows=None):
-    x = reference_rows(m, rows)
+def reference_cosine(m):
+    x = m.values.astype(np.float64)
     inv_norms = 1.0 / np.sqrt(np.einsum("ij,ij->i", x, x))
     gram = x @ x.T
     sim = 0.5 * (1.0 + gram * np.outer(inv_norms, inv_norms))
@@ -77,7 +76,9 @@ def same_bytes(a, b):
 
 
 @st.composite
-def features_and_rows(draw):
+def ground_sets(draw):
+    """Random features, or a draw of their rows (repeats allowed), as
+    select_batch slices a filtered set out of the pool."""
     n = draw(st.integers(1, 30))
     d = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2 ** 32 - 1))
@@ -85,7 +86,7 @@ def features_and_rows(draw):
     if draw(st.booleans()):
         values[draw(st.integers(0, n - 1))] = values[0]  # an exact duplicate row
     rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=40))
-    return FeatureMatrix(values), rows
+    return FeatureMatrix(values if rows is None else values[rows])
 
 
 @st.composite
@@ -149,14 +150,14 @@ class TestCosine:
     def test_symmetry_is_exact(self):
         # symmetry comes from numpy's x @ x.T, so check it at the benchmark's
         # shapes too: select's 2,100 x 64, sweep's 536 x 32 training split,
-        # and al's row selections from 600 x 128 features
+        # and al's filtered sets of rows from 600 x 128 features
         rng = np.random.default_rng(2)
-        cases = [(random_features(rng, 12, 5), None) for _ in range(20)]
-        cases += [(random_features(rng, 2100, 64), None),
-                  (random_features(rng, 536, 32), None),
-                  (random_features(rng, 600, 128), rng.permutation(600)[:70])]
-        for m, rows in cases:
-            k = cosine_similarity(m, rows=rows)
+        cases = [random_features(rng, 12, 5) for _ in range(20)]
+        cases += [random_features(rng, 2100, 64), random_features(rng, 536, 32)]
+        pool = random_features(rng, 600, 128)
+        cases.append(FeatureMatrix(pool.values[rng.permutation(600)[:70]]))
+        for m in cases:
+            k = cosine_similarity(m)
             assert k.dense.T.flags.c_contiguous
             assert np.abs(k.dense - k.dense.T).max() == 0.0
 
@@ -166,11 +167,11 @@ class TestCosine:
         with pytest.raises(ValidationError, match="2"):
             cosine_similarity(FeatureMatrix(values))
 
-    def test_zero_norm_error_uses_original_index_under_row_selection(self):
+    def test_zero_norm_error_names_the_position_in_a_row_slice(self):
         values = np.ones((5, 2))
         values[3] = 0.0
-        with pytest.raises(ValidationError, match="3"):
-            cosine_similarity(FeatureMatrix(values), rows=[0, 3, 4])
+        with pytest.raises(ValidationError, match="all-zero row 1"):
+            cosine_similarity(FeatureMatrix(values[[0, 3, 4]]))
 
 
 def all_distances(kernel):
@@ -202,10 +203,9 @@ class TestEuclidean:
     def test_matches_the_whole_matrix_reference(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            m = random_features(rng, 10, 3)
-            rows = rng.permutation(10)[:7]
-            k = euclidean_distance(m, rows=rows)
-            ref = reference_euclidean(m, rows)
+            m = FeatureMatrix(random_features(rng, 10, 3).values[rng.permutation(10)[:7]])
+            k = euclidean_distance(m)
+            ref = reference_euclidean(m)
             np.testing.assert_allclose(all_distances(k), ref, rtol=1e-12, atol=1e-12)
             for e in range(k.n):
                 np.testing.assert_allclose(k.sq_row(e), ref[e] ** 2, rtol=1e-12, atol=1e-12)
@@ -291,12 +291,11 @@ class TestSparsify:
 
 class TestBlockedBuildsMatchReference:
     @PROPERTY
-    @given(features_and_rows(), BLOCK_ELEMS)
-    def test_cosine_is_byte_identical(self, case, block_elems):
-        m, rows = case
+    @given(ground_sets(), BLOCK_ELEMS)
+    def test_cosine_is_byte_identical(self, m, block_elems):
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            built = cosine_similarity(m, rows=rows).dense
-        assert same_bytes(built, reference_cosine(m, rows))
+            built = cosine_similarity(m).dense
+        assert same_bytes(built, reference_cosine(m))
 
     @PROPERTY
     @given(tied_kernels(), BLOCK_ELEMS)
@@ -345,7 +344,7 @@ def test_a_dense_build_that_cannot_be_allocated_is_a_capacity_error(build):
 def test_row_selection_builds_subkernel():
     m = random_features(np.random.default_rng(10), 10, 4)
     rows = [7, 2, 5]
-    sub = cosine_similarity(m, rows=rows)
+    sub = cosine_similarity(FeatureMatrix(m.values[rows]))
     full = cosine_similarity(m)
     for a, ia in enumerate(rows):
         for b, ib in enumerate(rows):
@@ -370,9 +369,9 @@ class TestStreamedTopKappa:
     pair may round differently)."""
 
     @staticmethod
-    def check(m, rows, kappa):
-        streamed = cosine_similarity(m, rows=rows, kappa=kappa)
-        cut = sparsify_knn(cosine_similarity(m, rows=rows), kappa)
+    def check(m, kappa):
+        streamed = cosine_similarity(m, kappa=kappa)
+        cut = sparsify_knn(cosine_similarity(m), kappa)
         assert streamed.n == cut.n and streamed.is_sparse
         assert same_bytes(streamed.col_ptr, cut.col_ptr)
         assert same_bytes(streamed.rows, cut.rows)
@@ -380,19 +379,17 @@ class TestStreamedTopKappa:
         assert max_abs_diff(streamed.values, cut.values) <= 4 * np.finfo(float).eps
 
     @PROPERTY
-    @given(features_and_rows(), BLOCK_ELEMS)
-    def test_keeps_the_entries_of_the_dense_cut_for_every_kappa(self, case, block_elems):
-        m, rows = case
-        n = m.n if rows is None else len(rows)
+    @given(ground_sets(), BLOCK_ELEMS)
+    def test_keeps_the_entries_of_the_dense_cut_for_every_kappa(self, m, block_elems):
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            for kappa in range(1, n):
-                self.check(m, rows, kappa)
+            for kappa in range(1, m.n):
+                self.check(m, kappa)
 
     def test_keeps_the_entries_of_the_dense_cut_at_benchmark_scale(self):
         m = random_features(np.random.default_rng(40), 2100, 64)
         assert len(kernels._gemm_blocks(2100)) > 1
         for kappa in (1, 25):
-            self.check(m, None, kappa)
+            self.check(m, kappa)
 
     def test_kappa_out_of_range(self):
         m = random_features(np.random.default_rng(41), 5, 3)
@@ -403,8 +400,8 @@ class TestStreamedTopKappa:
     def test_zero_norm_row_names_the_row(self):
         values = np.ones((5, 2))
         values[3] = 0.0
-        with pytest.raises(ValidationError, match="all-zero row 3"):
-            cosine_similarity(FeatureMatrix(values), rows=[0, 3, 4], kappa=1)
+        with pytest.raises(ValidationError, match="all-zero row 1"):
+            cosine_similarity(FeatureMatrix(values[[0, 3, 4]]), kappa=1)
 
     def test_peaks_far_below_one_n_by_n_array(self):
         n = 1000

@@ -221,11 +221,11 @@ class TestFarthestPoint:
 
 class TestFeatureBackedFarthestPoint:
     @staticmethod
-    def both(m, b, rows=None):
+    def both(m, b):
         """reference_farthest_point over the dense reference matrix, and the
         feature-backed farthest point."""
-        feat = farthest_point(DisparityMin(euclidean_distance(m, rows=rows)), BudgetSpec(b))
-        return reference_farthest_point(reference_euclidean(m, rows), b), feat
+        feat = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(b))
+        return reference_farthest_point(reference_euclidean(m), b), feat
 
     def test_picks_the_dense_indices_on_the_test_corpus(self):
         # distinct points: with exact copies the reference matrix holds a
@@ -234,10 +234,10 @@ class TestFeatureBackedFarthestPoint:
         for _ in range(150):
             n, d = int(rng.integers(2, 40)), int(rng.integers(1, 9))
             m = random_features(rng, n, d)
-            rows = None if rng.integers(2) else rng.permutation(n)[:int(rng.integers(2, n + 1))]
-            size = n if rows is None else rows.size
-            for b in {1, 2, int(rng.integers(1, size + 1)), size}:
-                (indices, steps), feat = self.both(m, b, rows)
+            if not rng.integers(2):
+                m = FeatureMatrix(m.values[rng.permutation(n)[:int(rng.integers(2, n + 1))]])
+            for b in {1, 2, int(rng.integers(1, m.n + 1)), m.n}:
+                (indices, steps), feat = self.both(m, b)
                 assert feat.indices == indices
                 np.testing.assert_allclose(feat.step_values, steps, rtol=1e-12, atol=0)
 
@@ -421,15 +421,17 @@ class TestSelectSubset:
     @pytest.mark.parametrize("objective,kappa", [("fl", None), ("fl", 4), ("dm", None)])
     def test_route_matches_the_direct_composition(self, objective, kappa, rows):
         features = random_features(np.random.default_rng(38), 30, 5)
+        if rows is not None:
+            features = FeatureMatrix(features.values[rows])
         if objective == "fl":
-            kernel = cosine_similarity(features, rows=rows)
+            kernel = cosine_similarity(features)
             if kappa is not None:
                 kernel = sparsify_knn(kernel, kappa)
             direct = greedy_lazy(FacilityLocation(kernel), BudgetSpec(6))
         else:
-            direct = farthest_point(DisparityMin(euclidean_distance(features, rows=rows)),
+            direct = farthest_point(DisparityMin(euclidean_distance(features)),
                                     BudgetSpec(6))
-        routed = select_subset(features, objective, 6, rows=rows, kappa=kappa)
+        routed = select_subset(features, objective, 6, kappa=kappa)
         assert routed.indices == direct.indices
         assert routed.step_values == direct.step_values
 
