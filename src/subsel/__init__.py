@@ -55,7 +55,6 @@ from .kernels import (
     sparsify_knn,
 )
 from .models import (
-    KnnConfig,
     LogRegModel,
     knn_accuracy,
     knn_subset_accuracies,
@@ -68,7 +67,6 @@ from .objectives import (
     facility_location_value,
 )
 from .optimize import (
-    BudgetSpec,
     Selection,
     brute_force,
     farthest_point,

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -175,7 +175,8 @@ def atomic_open(path, mode: str = "w", **kwargs):
     """Open a sibling temporary file that replaces path when the block ends.
 
     If the block raises, the temporary file is removed and path is left
-    untouched, so readers never see a half-written file.
+    untouched, so readers never see a half-written file. An OSError is
+    raised again as one that names path, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -183,8 +184,11 @@ def atomic_open(path, mode: str = "w", **kwargs):
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -195,22 +199,19 @@ def atomic_open(path, mode: str = "w", **kwargs):
 def save_features(m: FeatureMatrix, path) -> None:
     """Write a feature matrix; binary by default, CSV when path ends .csv."""
     path = Path(path)
-    try:
-        if path.suffix.lower() == ".csv":
-            # shortest-repr float32 formatting parses back bit-exactly
-            with atomic_open(path, "w", encoding="utf-8") as fh:
-                for row in m.values:
-                    fh.write(",".join(np.format_float_positional(v, trim="0")
-                                      for v in row))
-                    fh.write("\n")
-        else:
-            payload = m.values.astype("<f4", copy=False).tobytes()
-            header = _HEADER.pack(MAGIC, FORMAT_VERSION, m.n, m.d)
-            crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-            with atomic_open(path, "wb") as fh:
-                fh.write(header + payload + crc)
-    except OSError as exc:
-        raise OSError(f"cannot write feature file {path}: {exc}") from exc
+    if path.suffix.lower() == ".csv":
+        # shortest-repr float32 formatting parses back bit-exactly
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            for row in m.values:
+                fh.write(",".join(np.format_float_positional(v, trim="0")
+                                  for v in row))
+                fh.write("\n")
+    else:
+        payload = m.values.astype("<f4", copy=False).tobytes()
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, m.n, m.d)
+        crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        with atomic_open(path, "wb") as fh:
+            fh.write(header + payload + crc)
 
 
 def load_features(path) -> FeatureMatrix:
@@ -263,6 +264,8 @@ def _load_features_csv(path: Path) -> FeatureMatrix:
             raise FeatureFormatError(
                 f"{path}: line {lineno} has {len(parts)} columns, expected {d}"
             )
+        if not line.isascii() or "_" in line:  # float() takes both
+            raise FeatureFormatError(f"{path}: line {lineno}: not a row of ASCII reals")
         try:
             rows.append(np.array(parts, dtype=np.float32))
         except ValueError as exc:
@@ -286,7 +289,7 @@ def load_labels(path) -> LabelVector:
         if not line:
             continue
         if not (line.isascii() and line.isdigit()):
-            raise LabelParseError(lineno, line)
+            raise LabelParseError(path, lineno, line)
         digits = line.lstrip("0") or "0"
         # the length first: int() refuses strings of more than 4,300 digits
         if len(digits) > 19 or int(digits) > _INT64_MAX:
@@ -299,12 +302,8 @@ def load_labels(path) -> LabelVector:
 
 
 def save_labels(v: LabelVector, path) -> None:
-    path = Path(path)
-    try:
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(f"{x}\n" for x in v.labels))
-    except OSError as exc:
-        raise OSError(f"cannot write label file {path}: {exc}") from exc
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{x}\n" for x in v.labels))
 
 
 def load_dataset(features_path, labels_path) -> LabeledDataset:

@@ -20,10 +20,11 @@ class TruncationError(FeatureFormatError):
 class LabelParseError(SubsetSelectionError, ValueError):
     """A label file line is not a non-negative integer."""
 
-    def __init__(self, line_number: int, content: str):
+    def __init__(self, path, line_number: int, content: str):
         self.line_number = line_number
         self.content = content
-        super().__init__(f"line {line_number}: not a non-negative integer: {content!r}")
+        super().__init__(f"{path}: line {line_number}: not a non-negative integer: "
+                         f"{content!r}")
 
 
 class CapacityError(SubsetSelectionError):

@@ -24,7 +24,7 @@ from .active import ALConfig, run_al
 from .dataset import LabeledDataset, _read_text, atomic_open, round_half_up
 from .errors import ValidationError
 from .kernels import cosine_norms
-from .models import KnnConfig, knn_subset_accuracies
+from .models import knn_subset_accuracies
 from .optimize import OBJECTIVES, padded_order, select_subset
 
 logger = logging.getLogger(__name__)
@@ -72,7 +72,8 @@ class SweepConfig:
             raise ValidationError(f"sweep seeds must be non-negative, got {self.seeds}")
         if "random" in self.methods and not self.seeds:
             raise ValidationError("the random sweep method needs at least one seed")
-        KnnConfig(self.k)  # its k >= 1 check, before any greedy order is computed
+        if self.k < 1:  # before any greedy order is computed
+            raise ValidationError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,7 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
             else:
                 arms.append((method, DETERMINISTIC_SEED, p, budget,
                              orders[method][:budget]))
-    accs = knn_subset_accuracies(train, holdout, [arm[-1] for arm in arms],
-                                 KnnConfig(cfg.k))
+    accs = knn_subset_accuracies(train, holdout, [arm[-1] for arm in arms], cfg.k)
     return [CurveRecord(method, seed, p, budget, acc)
             for (method, seed, p, budget, _), acc in zip(arms, accs)]
 
@@ -177,14 +177,11 @@ def emit_csv(records: Iterable[CurveRecord], path) -> None:
     The file is replaced atomically: if any row fails, path is untouched.
     """
     rows = sorted(records, key=lambda r: (r.method, r.seed, r.x))
-    try:
-        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in rows:
-                fh.write(f"{r.method},{r.seed},{r.x:g},{r.labeled_count},"
-                         f"{r.accuracy:.6f}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write curve file {path}: {exc}") from exc
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for r in rows:
+            fh.write(f"{r.method},{r.seed},{r.x:g},{r.labeled_count},"
+                     f"{r.accuracy:.6f}\n")
 
 
 def parse_csv(path) -> list[CurveRecord]:

@@ -36,26 +36,14 @@ _ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking search
 _MIN_STEP = 1e-10  # backtracking gives up below this step length
 
 
-@dataclass(frozen=True)
-class KnnConfig:
-    """Neighbour count for euclidean kNN; the metric is fixed."""
-
-    k: int = 5
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
-
-
-def knn_accuracy(train: LabeledDataset, holdout: LabeledDataset,
-                 cfg: KnnConfig = KnnConfig()) -> float:
+def knn_accuracy(train: LabeledDataset, holdout: LabeledDataset, k: int = 5) -> float:
     """Fraction of holdout points whose kNN prediction matches their label."""
-    return knn_subset_accuracies(train, holdout, [np.arange(train.n)], cfg)[0]
+    return knn_subset_accuracies(train, holdout, [np.arange(train.n)], k)[0]
 
 
 def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subsets,
-                          cfg: KnnConfig = KnnConfig()) -> list[float]:
-    """knn_accuracy(train.subset(s), holdout, cfg) for each index array s.
+                          k: int = 5) -> list[float]:
+    """knn_accuracy(train.subset(s), holdout, k) for each index array s.
 
     The holdout x train squared distances are computed once; each subset
     votes on their columns s, in s's own order, so distance ties go to
@@ -64,10 +52,12 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
     if holdout.features.d != train.features.d:
         raise ValidationError(f"holdout dimension {holdout.features.d} incompatible "
                               f"with d={train.features.d}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
     for s in subsets:
-        if cfg.k > s.size:
-            raise ValidationError(f"k={cfg.k} exceeds training size {s.size}")
+        if k > s.size:
+            raise ValidationError(f"k={k} exceeds training size {s.size}")
     nq, y = holdout.n, train.labels.labels
     try:
         d2 = _sq_distances(holdout.features.values.astype(np.float64),
@@ -76,7 +66,7 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
         raise CapacityError(f"kNN scoring needs a {nq} x {train.n} array of squared "
                             f"distances, {8 * nq * train.n:,} bytes, more than can be "
                             "allocated") from None
-    return [float((_vote(d2, s, y[s], train.n_classes, cfg.k)
+    return [float((_vote(d2, s, y[s], train.n_classes, k)
                    == holdout.labels.labels).mean()) for s in subsets]
 
 

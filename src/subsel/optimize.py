@@ -33,17 +33,6 @@ _REFRESH_BLOCK = 16  # stale heap entries scored per gains_of call
 OBJECTIVES = ("fl", "dm")
 
 
-@dataclass(frozen=True)
-class BudgetSpec:
-    """Cardinality budget; must not exceed the ground-set size in use."""
-
-    b: int
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise ValidationError(f"budget must be >= 1, got {self.b}")
-
-
 @dataclass
 class Selection:
     """Ordered chosen indices with the objective value after each step."""
@@ -54,14 +43,21 @@ class Selection:
     gain_evals: int = field(default=0, compare=False)
 
 
-def _check_budget(obj, budget: BudgetSpec) -> int:
-    if obj.n < 1:
+def _check_budget(n: int, b: int) -> None:
+    """Raise a ValidationError unless the budget b lies in [1, n]."""
+    if n < 1:
         raise ValidationError("ground set is empty")
-    if budget.b > obj.n:
-        raise ValidationError(f"budget {budget.b} exceeds ground-set size {obj.n}")
+    if b < 1:
+        raise ValidationError(f"budget must be >= 1, got {b}")
+    if b > n:
+        raise ValidationError(f"budget {b} exceeds ground-set size {n}")
+
+
+def _check_start(obj, b: int) -> None:
+    """_check_budget for obj's ground set, and a fresh objective state."""
+    _check_budget(obj.n, b)
     if obj.selected:
         raise ValidationError("optimizer requires a fresh objective state")
-    return budget.b
 
 
 def _argmax_fill(obj, b: int, steps: list[float], evals: int) -> int:
@@ -97,20 +93,20 @@ def padded_order(sel: Selection, n: int, b: int) -> np.ndarray:
     return order
 
 
-def greedy_naive(obj, budget: BudgetSpec) -> Selection:
+def greedy_naive(obj, b: int) -> Selection:
     """Add the argmax-gain element per step; lowest index wins ties.
 
     Stops at the budget or as soon as the best gain is zero; zero-gain
     elements are never added.
     """
-    b = _check_budget(obj, budget)
+    _check_start(obj, b)
     steps: list[float] = []
     evals = _argmax_fill(obj, b, steps, 0)
     return Selection(list(obj.selected), steps, obj.value if steps else 0.0,
                      gain_evals=evals)
 
 
-def greedy_lazy(obj, budget: BudgetSpec) -> Selection:
+def greedy_lazy(obj, b: int) -> Selection:
     """Priority-queue greedy with stale gains; matches greedy_naive exactly.
 
     Keys are (-gain, index, step scored); a stale top has up to _REFRESH_BLOCK
@@ -121,7 +117,7 @@ def greedy_lazy(obj, budget: BudgetSpec) -> Selection:
         raise UnsupportedObjectiveError(
             "lazy greedy requires a monotone submodular objective"
         )
-    b = _check_budget(obj, budget)
+    _check_start(obj, b)
     gains = obj.gains_all()
     evals = obj.n
     heap = [(-float(gains[e]), e, 0) for e in range(obj.n)]
@@ -147,7 +143,7 @@ def greedy_lazy(obj, budget: BudgetSpec) -> Selection:
                      gain_evals=evals)
 
 
-def farthest_point(obj: DisparityMin, budget: BudgetSpec) -> Selection:
+def farthest_point(obj: DisparityMin, b: int) -> Selection:
     """Dispersion greedy: seed, then repeatedly add the farthest element.
 
     The seed is the exact maximum-distance pair (lowest index pair on
@@ -160,7 +156,7 @@ def farthest_point(obj: DisparityMin, budget: BudgetSpec) -> Selection:
     """
     if not isinstance(obj, DisparityMin):
         raise UnsupportedObjectiveError("farthest_point requires a dispersion objective")
-    b = _check_budget(obj, budget)
+    _check_start(obj, b)
     if b == 1:
         obj.add(0)
         return Selection([0], [INF], INF)
@@ -183,24 +179,24 @@ def select_subset(features: FeatureMatrix, objective: str, budget: int,
     on feature-backed euclidean distances. Only dense fl builds an n x n
     matrix.
     """
-    spec = BudgetSpec(budget)
+    _check_budget(features.n, budget)
     if objective == "fl":
         kernel = cosine_similarity(features, kappa=kappa)
-        return greedy_lazy(FacilityLocation(kernel), spec)
+        return greedy_lazy(FacilityLocation(kernel), budget)
     if objective == "dm":
         if kappa is not None:
             raise ValidationError("--knn-sparsify applies only to the fl objective")
-        return farthest_point(DisparityMin(euclidean_distance(features)), spec)
+        return farthest_point(DisparityMin(euclidean_distance(features)), budget)
     raise ValidationError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
 
-def brute_force(obj, budget: BudgetSpec) -> Selection:
+def brute_force(obj, b: int) -> Selection:
     """Exact optimum by enumerating all budget-sized subsets.
 
     Combinations are visited in lexicographic order and only strict
     improvements are kept, so ties resolve to the smallest index set.
     """
-    b = _check_budget(obj, budget)
+    _check_start(obj, b)
     if math.comb(obj.n, b) > BRUTE_FORCE_CAP:
         raise CapacityError(
             f"C({obj.n},{b}) = {math.comb(obj.n, b)} exceeds cap {BRUTE_FORCE_CAP}"

@@ -17,7 +17,7 @@ from subsel.dataset import FeatureMatrix, SplitSpec, gen_synthetic, load_feature
 from subsel.harness import SweepConfig, run_goal2, sweep_goal1
 from subsel.models import logreg_fit, softmax_gradients, softmax_objective
 from subsel.objectives import DisparityMin, FacilityLocation
-from subsel.optimize import BudgetSpec, brute_force, farthest_point, greedy_lazy, greedy_naive
+from subsel.optimize import brute_force, farthest_point, greedy_lazy, greedy_naive
 
 
 # Criteria 5 and 6 share one dataset. At this separation the classes
@@ -46,14 +46,14 @@ def warm_kernels():
     # (1 and 2) exclude one-time costs such as lazy imports and BLAS start-up
     m = FeatureMatrix(np.random.default_rng(0).standard_normal((8, 3)))
     from subsel.kernels import cosine_similarity, euclidean_distance
-    from subsel.models import KnnConfig, knn_accuracy
+    from subsel.models import knn_accuracy
     from subsel.dataset import LabeledDataset, LabelVector
 
     k = cosine_similarity(m)
     euclidean_distance(m)
-    greedy_naive(FacilityLocation(k), BudgetSpec(3))
+    greedy_naive(FacilityLocation(k), 3)
     ds = LabeledDataset(m, LabelVector(np.arange(8) % 2))
-    knn_accuracy(ds, ds, KnnConfig(1))
+    knn_accuracy(ds, ds, 1)
 
 
 def test_criterion_1_greedy_guarantee():
@@ -66,8 +66,8 @@ def test_criterion_1_greedy_guarantee():
         n = int(rng.integers(2, 13))
         b = int(rng.integers(1, min(4, n) + 1))
         kernel = random_similarity_kernel(rng, n)
-        greedy = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
-        exact = brute_force(FacilityLocation(kernel), BudgetSpec(b))
+        greedy = greedy_naive(FacilityLocation(kernel), b)
+        exact = brute_force(FacilityLocation(kernel), b)
         ratios.append(greedy.final_value / exact.final_value)
         if greedy.final_value < bound * exact.final_value - 1e-12:
             violations += 1
@@ -89,8 +89,8 @@ def test_criterion_2_lazy_equivalence():
         n = int(rng.integers(2, 61))
         b = int(rng.integers(1, min(10, n) + 1))
         kernel = random_similarity_kernel(rng, n)
-        naive = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
-        lazy = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
+        naive = greedy_naive(FacilityLocation(kernel), b)
+        lazy = greedy_lazy(FacilityLocation(kernel), b)
         if lazy.indices != naive.indices or lazy.step_values != naive.step_values:
             mismatches += 1
     elapsed = time.perf_counter() - start
@@ -108,8 +108,8 @@ def test_criterion_3_dispersion_bound():
         n = int(rng.integers(2, 13))
         b = int(rng.integers(1, min(4, n) + 1))
         kernel = random_distance_kernel(rng, n)
-        greedy = farthest_point(DisparityMin(kernel), BudgetSpec(b))
-        exact = brute_force(DisparityMin(kernel), BudgetSpec(b))
+        greedy = farthest_point(DisparityMin(kernel), b)
+        exact = brute_force(DisparityMin(kernel), b)
         if greedy.final_value < 0.5 * exact.final_value - 1e-12:
             violations += 1
     ok = violations == 0

@@ -8,7 +8,7 @@ from subsel.dataset import FeatureMatrix, load_features, load_labels, save_featu
 from subsel.harness import parse_csv
 from subsel.kernels import cosine_similarity
 from subsel.objectives import FacilityLocation
-from subsel.optimize import BudgetSpec, greedy_lazy
+from subsel.optimize import greedy_lazy
 
 
 @pytest.fixture()
@@ -49,8 +49,7 @@ class TestSelect:
         assert rc == 0
         got = [int(line) for line in out.read_text().splitlines()]
         direct = greedy_lazy(
-            FacilityLocation(cosine_similarity(load_features(features))),
-            BudgetSpec(12))
+            FacilityLocation(cosine_similarity(load_features(features))), 12)
         assert got == direct.indices
 
     def test_sparsified_selection_runs(self, synth_files, tmp_path):
@@ -100,6 +99,16 @@ class TestSelect:
         assert capsys.readouterr().err == (
             f"error: {features}: not UTF-8 text: byte 0xff at offset 11\n")
         assert not out.exists()
+
+    def test_unwritable_output_names_the_target(self, synth_files, tmp_path, capsys):
+        features, _ = synth_files
+        out = tmp_path / "missing" / "idx.txt"
+        rc = main(["select", "--features", str(features), "--objective", "dm",
+                   "--budget", "3", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+        assert not out.parent.exists()
 
     def test_missing_file_reports_error(self, tmp_path, capsys):
         rc = main(["select", "--features", str(tmp_path / "nope.bin"),

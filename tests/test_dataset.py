@@ -169,9 +169,12 @@ class TestCsvFallback:
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("1.0,abc\n")
-        with pytest.raises(FeatureFormatError):
-            load_features(path)
+        # float() would read "1_0" as 10 and the Arabic-Indic digit three as 3
+        for content in ("1.0,abc", "1_0,2", "\u0663,4"):
+            path.write_text(f"0,0\n{content}\n", encoding="utf-8")
+            with pytest.raises(FeatureFormatError) as err:
+                load_features(path)
+            assert str(err.value).startswith(f"{path}: line 2: ")
 
 
 class TestLabels:
@@ -201,6 +204,7 @@ class TestLabels:
             with pytest.raises(LabelParseError) as err:
                 load_labels(path)
             assert (err.value.line_number, err.value.content) == (2, content)
+            assert str(err.value).startswith(f"{path}: line 2: ")
 
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "l.txt"

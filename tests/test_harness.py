@@ -18,9 +18,9 @@ from subsel.harness import (
     sweep_goal1,
 )
 from subsel.kernels import cosine_similarity, euclidean_distance
-from subsel.models import KnnConfig, knn_accuracy
+from subsel.models import knn_accuracy
 from subsel.objectives import DisparityMin, FacilityLocation
-from subsel.optimize import BudgetSpec, farthest_point, greedy_lazy
+from subsel.optimize import farthest_point, greedy_lazy
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +44,9 @@ class TestSweep:
         dm_order = selection_order(train, "dm")
         for p in (10, 30, 60):
             b = round(p / 100 * train.n)
-            direct = greedy_lazy(FacilityLocation(cosine_similarity(train.features)),
-                                 BudgetSpec(b))
+            direct = greedy_lazy(FacilityLocation(cosine_similarity(train.features)), b)
             assert fl_order[:b].tolist() == direct.indices
-            direct_dm = farthest_point(DisparityMin(euclidean_distance(train.features)),
-                                       BudgetSpec(b))
+            direct_dm = farthest_point(DisparityMin(euclidean_distance(train.features)), b)
             assert dm_order[:b].tolist() == direct_dm.indices
 
     def test_labeled_counts_follow_half_up_rounding(self, problem):
@@ -114,7 +112,6 @@ class TestSweep:
 def per_arm_sweep(train, hold, cfg):
     """sweep_goal1 as it was before the shared distance matrix: one kNN
     call on a copied training subset per (fraction, method, seed)."""
-    knn_cfg = KnnConfig(cfg.k)
     orders = {m: selection_order(train, m) for m in cfg.methods if m != "random"}
     records = []
     for p in cfg.fractions:
@@ -126,11 +123,11 @@ def per_arm_sweep(train, hold, cfg):
                 for seed in cfg.seeds:
                     rng = np.random.default_rng([int(seed), int(p)])
                     subset = np.sort(rng.choice(train.n, size=budget, replace=False))
-                    acc = knn_accuracy(train.subset(subset), hold, knn_cfg)
+                    acc = knn_accuracy(train.subset(subset), hold, cfg.k)
                     records.append(CurveRecord("random", int(seed), p, budget, acc))
             else:
                 subset = orders[method][:budget]
-                acc = knn_accuracy(train.subset(subset), hold, knn_cfg)
+                acc = knn_accuracy(train.subset(subset), hold, cfg.k)
                 records.append(CurveRecord(method, 0, p, budget, acc))
     return records
 

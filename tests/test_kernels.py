@@ -24,7 +24,7 @@ from subsel.kernels import (
     sparsify_knn,
 )
 from subsel.objectives import FacilityLocation
-from subsel.optimize import BudgetSpec, greedy_naive
+from subsel.optimize import greedy_naive
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -258,8 +258,8 @@ class TestSparsify:
         for _ in range(5):
             dense = cosine_similarity(random_features(rng, 14, 4))
             sparse = sparsify_knn(dense, 13)
-            a = greedy_naive(FacilityLocation(dense), BudgetSpec(5))
-            b = greedy_naive(FacilityLocation(sparse), BudgetSpec(5))
+            a = greedy_naive(FacilityLocation(dense), 5)
+            b = greedy_naive(FacilityLocation(sparse), 5)
             assert a.indices == b.indices
             assert a.step_values == b.step_values
 
@@ -272,8 +272,8 @@ class TestSparsify:
             m = random_features(rng, 50, 8)
             dense = cosine_similarity(m)
             sparse = sparsify_knn(dense, 10)
-            vd = greedy_naive(FacilityLocation(dense), BudgetSpec(10)).final_value
-            vs = greedy_naive(FacilityLocation(sparse), BudgetSpec(10)).final_value
+            vd = greedy_naive(FacilityLocation(dense), 10).final_value
+            vs = greedy_naive(FacilityLocation(sparse), 10).final_value
             worst = min(worst, vs / vd)
         assert worst >= 0.98
 

@@ -21,7 +21,6 @@ from subsel.models import (
     _ARMIJO_C1,
     _MIN_STEP,
     DEFAULT_TOL,
-    KnnConfig,
     LogRegModel,
     _newton_cg_direction,
     _row_softmax,
@@ -43,7 +42,7 @@ def make_dataset(values, labels):
 def predicts(train, query, label, k):
     """Whether kNN on train labels the query point with label: knn_accuracy
     on the one-point holdout it makes is exactly 1."""
-    return knn_accuracy(train, make_dataset([query], [label]), KnnConfig(k)) == 1.0
+    return knn_accuracy(train, make_dataset([query], [label]), k) == 1.0
 
 
 class TestKnnPredict:
@@ -84,8 +83,8 @@ class TestKnnPredict:
         perm = rng.permutation(30)
         shuffled = make_dataset(values[perm], labels[perm])
         holdout = reference_holdout(train, queries, 5)
-        assert knn_accuracy(train, holdout, KnnConfig(5)) == 1.0
-        assert knn_accuracy(shuffled, holdout, KnnConfig(5)) == 1.0
+        assert knn_accuracy(train, holdout, 5) == 1.0
+        assert knn_accuracy(shuffled, holdout, 5) == 1.0
 
 
 def chunked_knn_reference(train, queries, k, chunk=256):
@@ -139,7 +138,7 @@ class TestKnnRowBlocks:
         train, queries, k = case
         holdout = reference_holdout(train, queries, k)
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            assert knn_accuracy(train, holdout, KnnConfig(k)) == 1.0
+            assert knn_accuracy(train, holdout, k) == 1.0
 
     def test_peak_memory_at_the_sweep_shape(self):
         # 264 queries against 536 training rows in d = 32: the distance
@@ -149,7 +148,7 @@ class TestKnnRowBlocks:
         holdout = reference_holdout(train, rng.standard_normal((264, 32)), 5)
         tracemalloc.start()
         try:
-            accuracy = knn_accuracy(train, holdout, KnnConfig(5))
+            accuracy = knn_accuracy(train, holdout, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,9 +203,8 @@ class TestKnnSubsetAccuracies:
     @given(case=subset_knn_cases())
     def test_equal_to_knn_on_each_subset_copy(self, case):
         train, holdout, subsets, k = case
-        cfg = KnnConfig(k)
         queries = holdout.features.values
-        assert knn_subset_accuracies(train, holdout, subsets, cfg) == [
+        assert knn_subset_accuracies(train, holdout, subsets, k) == [
             float((chunked_knn_reference(train.subset(s), queries, k)
                    == holdout.labels.labels).mean()) for s in subsets]
 
@@ -218,7 +216,7 @@ class TestKnnSubsetAccuracies:
         holdout = make_dataset(rng.standard_normal((264, 32)), rng.integers(0, 3, 264))
         tracemalloc.start()
         try:
-            accuracy = knn_accuracy(train, holdout, KnnConfig(5))
+            accuracy = knn_accuracy(train, holdout, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -230,10 +228,16 @@ class TestKnnSubsetAccuracies:
     def test_k_above_a_subset_size_or_a_dimension_mismatch_rejected(self):
         train = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
         with pytest.raises(ValidationError, match="k=3 exceeds training size 2"):
-            knn_subset_accuracies(train, train, [[0, 1, 2], [2, 0]], KnnConfig(3))
+            knn_subset_accuracies(train, train, [[0, 1, 2], [2, 0]], 3)
         holdout = make_dataset([[0.0, 1.0]], [0])
         with pytest.raises(ValidationError, match="holdout dimension 2"):
-            knn_subset_accuracies(train, holdout, [[0, 1, 2]], KnnConfig(1))
+            knn_subset_accuracies(train, holdout, [[0, 1, 2]], 1)
+
+    def test_k_below_one_rejected(self):
+        train = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
+        for k in (0, -1):
+            with pytest.raises(ValidationError, match=f"^k must be >= 1, got {k}$"):
+                knn_subset_accuracies(train, train, [[0, 1, 2]], k=k)
 
     def test_distances_without_room_are_a_capacity_error(self):
         rng = np.random.default_rng(49)
@@ -253,7 +257,7 @@ class TestKnnSubsetAccuracies:
         subset = rng.permutation(2000)[:1000]
         tracemalloc.start()
         try:
-            accuracy = knn_subset_accuracies(train, holdout, [subset], KnnConfig(5))[0]
+            accuracy = knn_subset_accuracies(train, holdout, [subset], 5)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -267,20 +271,20 @@ class TestKnnAccuracy:
     def test_self_train_k1_is_perfect(self):
         rng = np.random.default_rng(42)
         ds = make_dataset(rng.standard_normal((20, 3)), rng.integers(0, 2, 20))
-        assert knn_accuracy(ds, ds, KnnConfig(1)) == 1.0
+        assert knn_accuracy(ds, ds, 1) == 1.0
 
     def test_single_class_dataset_is_perfect_for_any_k(self):
         rng = np.random.default_rng(43)
         ds = make_dataset(rng.standard_normal((10, 2)), np.zeros(10, dtype=int))
         for k in (1, 3, 10):
-            assert knn_accuracy(ds, ds, KnnConfig(k)) == 1.0
+            assert knn_accuracy(ds, ds, k) == 1.0
 
     def test_synthetic_anchor(self):
         # regression anchor recorded at build time: this configuration
         # classifies the holdout perfectly
         ds = gen_synthetic(600, 16, 3, 4.0, 42)
         train, hold = split(ds, SplitSpec(holdout_fraction=1 / 3, seed=0))
-        acc = knn_accuracy(train, hold, KnnConfig(5))
+        acc = knn_accuracy(train, hold, 5)
         assert acc >= 0.9
         assert acc == 1.0
 

@@ -29,7 +29,7 @@ from subsel.objectives import (
     disparity_min_value,
     facility_location_value,
 )
-from subsel.optimize import BudgetSpec, greedy_lazy, greedy_naive
+from subsel.optimize import greedy_lazy, greedy_naive
 
 
 def scratch_fl(dense, selected):
@@ -249,8 +249,8 @@ class TestDenseGainReads:
             n = int(rng.integers(3, 14))
             kernel = asymmetric_kernels(rng, n)[kind]
             b = int(rng.integers(1, n + 1))
-            lazy = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
-            naive = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
+            lazy = greedy_lazy(FacilityLocation(kernel), b)
+            naive = greedy_naive(FacilityLocation(kernel), b)
             assert lazy.indices == naive.indices
             assert lazy.step_values == naive.step_values
 
@@ -280,8 +280,8 @@ class TestDenseGainReads:
                         == np.array([strided.gain(int(e)) for e in free]).tobytes())
                 cols.add(pick)
                 strided.add(pick)
-            by_column = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
-            by_strided = greedy_lazy(FacilityLocation(c_order), BudgetSpec(b))
+            by_column = greedy_lazy(FacilityLocation(kernel), b)
+            by_strided = greedy_lazy(FacilityLocation(c_order), b)
             assert by_column.indices == by_strided.indices
             assert by_column.step_values == by_strided.step_values
             assert by_column.final_value == by_strided.final_value

@@ -25,7 +25,6 @@ from subsel.kernels import (
 )
 from subsel.objectives import DisparityMin, FacilityLocation
 from subsel.optimize import (
-    BudgetSpec,
     brute_force,
     farthest_point,
     greedy_lazy,
@@ -36,17 +35,17 @@ from subsel.optimize import (
 
 class TestNaiveGreedy:
     def test_budget_one_picks_best_singleton(self, hand_similarity):
-        sel = greedy_naive(FacilityLocation(hand_similarity), BudgetSpec(1))
+        sel = greedy_naive(FacilityLocation(hand_similarity), 1)
         assert sel.indices == [1]
         assert abs(sel.final_value - 2.1) < 1e-9
 
     def test_budget_two(self, hand_similarity):
-        sel = greedy_naive(FacilityLocation(hand_similarity), BudgetSpec(2))
+        sel = greedy_naive(FacilityLocation(hand_similarity), 2)
         assert sel.indices == [1, 2]
         assert abs(sel.final_value - 2.9) < 1e-9
 
     def test_gain_evals_count_every_scanned_candidate(self, hand_similarity):
-        sel = greedy_naive(FacilityLocation(hand_similarity), BudgetSpec(2))
+        sel = greedy_naive(FacilityLocation(hand_similarity), 2)
         assert sel.gain_evals == 3 + 2
 
     def test_full_budget_reaches_ground_set_value(self):
@@ -54,7 +53,7 @@ class TestNaiveGreedy:
         for _ in range(10):
             n = int(rng.integers(2, 10))
             kernel = random_similarity_kernel(rng, n)
-            sel = greedy_naive(FacilityLocation(kernel), BudgetSpec(n))
+            sel = greedy_naive(FacilityLocation(kernel), n)
             full = FacilityLocation(kernel).scratch_value(list(range(n)))
             assert abs(sel.final_value - full) < 1e-9
 
@@ -65,23 +64,33 @@ class TestNaiveGreedy:
                           [0.2, 0.2, 1.0]])
         from subsel.kernels import SimilarityKernel
 
-        sel = greedy_naive(FacilityLocation(SimilarityKernel(n=3, dense=dense)),
-                           BudgetSpec(3))
+        sel = greedy_naive(FacilityLocation(SimilarityKernel(n=3, dense=dense)), 3)
         assert sel.indices == [0, 2]  # element 1 has zero gain and stays out
 
     def test_step_values_non_decreasing(self):
         rng = np.random.default_rng(32)
         kernel = random_similarity_kernel(rng, 15)
-        sel = greedy_naive(FacilityLocation(kernel), BudgetSpec(8))
+        sel = greedy_naive(FacilityLocation(kernel), 8)
         assert all(b >= a for a, b in zip(sel.step_values, sel.step_values[1:]))
 
     def test_budget_above_ground_set_rejected(self, hand_similarity):
         with pytest.raises(ValidationError):
-            greedy_naive(FacilityLocation(hand_similarity), BudgetSpec(4))
+            greedy_naive(FacilityLocation(hand_similarity), 4)
 
-    def test_budget_spec_validates(self):
-        with pytest.raises(ValidationError):
-            BudgetSpec(0)
+
+@pytest.mark.parametrize("b", [0, 4])
+def test_every_optimizer_rejects_budgets_outside_one_to_n(hand_similarity, line_distance, b):
+    message = "budget must be >= 1, got 0" if b == 0 else "budget 4 exceeds ground-set size 3"
+    features = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    calls = [lambda: greedy_naive(FacilityLocation(hand_similarity), b),
+             lambda: greedy_lazy(FacilityLocation(hand_similarity), b),
+             lambda: farthest_point(DisparityMin(line_distance), b),
+             lambda: brute_force(FacilityLocation(hand_similarity), b),
+             lambda: select_subset(features, "fl", b),
+             lambda: select_subset(features, "dm", b)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
 
 
 @st.composite
@@ -117,7 +126,7 @@ def tie_dense_streamed_kernels(draw):
 
 class TestLazyGreedy:
     def test_matches_naive_on_the_hand_kernel(self, hand_similarity):
-        sel = greedy_lazy(FacilityLocation(hand_similarity), BudgetSpec(2))
+        sel = greedy_lazy(FacilityLocation(hand_similarity), 2)
         assert sel.indices == [1, 2]
 
     def test_equivalent_to_naive_on_100_random_instances(self):
@@ -126,8 +135,8 @@ class TestLazyGreedy:
             n = int(rng.integers(2, 61))
             b = int(rng.integers(1, min(10, n) + 1))
             kernel = random_similarity_kernel(rng, n)
-            naive = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
-            lazy = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
+            naive = greedy_naive(FacilityLocation(kernel), b)
+            lazy = greedy_lazy(FacilityLocation(kernel), b)
             assert lazy.indices == naive.indices
             assert lazy.step_values == naive.step_values
             assert lazy.gain_evals <= naive.gain_evals
@@ -136,8 +145,8 @@ class TestLazyGreedy:
     @given(tie_dense_kernels())
     def test_equivalent_to_naive_on_tie_dense_kernels(self, case):
         kernel, b = case
-        naive = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
-        lazy = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
+        naive = greedy_naive(FacilityLocation(kernel), b)
+        lazy = greedy_lazy(FacilityLocation(kernel), b)
         assert lazy.indices == naive.indices
         assert lazy.step_values == naive.step_values
         assert lazy.gain_evals <= naive.gain_evals
@@ -146,41 +155,41 @@ class TestLazyGreedy:
     @given(tie_dense_streamed_kernels())
     def test_equivalent_to_naive_on_streamed_kernels(self, case):
         kernel, b = case
-        naive = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
-        lazy = greedy_lazy(FacilityLocation(kernel), BudgetSpec(b))
+        naive = greedy_naive(FacilityLocation(kernel), b)
+        lazy = greedy_lazy(FacilityLocation(kernel), b)
         assert lazy.indices == naive.indices
         assert lazy.step_values == naive.step_values
         assert lazy.gain_evals <= naive.gain_evals
 
     def test_rejects_non_submodular_objective(self, line_distance):
         with pytest.raises(UnsupportedObjectiveError):
-            greedy_lazy(DisparityMin(line_distance), BudgetSpec(2))
+            greedy_lazy(DisparityMin(line_distance), 2)
 
 
 class TestFarthestPoint:
     def test_seeds_with_the_max_distance_pair(self, line_distance):
-        sel = farthest_point(DisparityMin(line_distance), BudgetSpec(2))
+        sel = farthest_point(DisparityMin(line_distance), 2)
         assert sel.indices == [0, 2]
         assert sel.final_value == 10.0
 
     def test_budget_three_is_forced(self, line_distance):
-        sel = farthest_point(DisparityMin(line_distance), BudgetSpec(3))
+        sel = farthest_point(DisparityMin(line_distance), 3)
         assert sel.indices == [0, 2, 1]
         assert sel.final_value == 1.0
 
     def test_gain_evals_count_the_pair_seed_and_each_scan(self, line_distance):
-        sel = farthest_point(DisparityMin(line_distance), BudgetSpec(3))
+        sel = farthest_point(DisparityMin(line_distance), 3)
         assert sel.gain_evals == 3 + 1  # all 3 pairs, then 1 candidate left
 
     def test_budget_one_returns_lowest_index_singleton(self, line_distance):
-        sel = farthest_point(DisparityMin(line_distance), BudgetSpec(1))
+        sel = farthest_point(DisparityMin(line_distance), 1)
         assert sel.indices == [0]
         assert math.isinf(sel.final_value)
 
     def test_pair_tie_breaks_lexicographically(self):
         # pairs (0,1) and (0,2) tie at 10; 1 and 2 are copies
         m = FeatureMatrix(np.array([[0.0], [10.0], [10.0]]))
-        sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(2))
+        sel = farthest_point(DisparityMin(euclidean_distance(m)), 2)
         assert sel.indices == [0, 1]
 
     @pytest.mark.parametrize("block_elems", [1, 7, 40, kernels._BLOCK_ELEMS])
@@ -201,7 +210,7 @@ class TestFarthestPoint:
             flat = int(np.argmax(np.where(np.tri(m.n, dtype=bool), -1.0,
                                           reference_euclidean(m))))
             with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-                sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(2))
+                sel = farthest_point(DisparityMin(euclidean_distance(m)), 2)
             assert sel.indices == list(divmod(flat, m.n))
 
     def test_half_approximation_against_brute_force(self):
@@ -210,13 +219,13 @@ class TestFarthestPoint:
             n = int(rng.integers(3, 13))
             b = int(rng.integers(2, min(4, n) + 1))
             kernel = random_distance_kernel(rng, n)
-            greedy = farthest_point(DisparityMin(kernel), BudgetSpec(b))
-            exact = brute_force(DisparityMin(kernel), BudgetSpec(b))
+            greedy = farthest_point(DisparityMin(kernel), b)
+            exact = brute_force(DisparityMin(kernel), b)
             assert greedy.final_value >= 0.5 * exact.final_value - 1e-12
 
     def test_rejects_facility_location(self, hand_similarity):
         with pytest.raises(UnsupportedObjectiveError):
-            farthest_point(FacilityLocation(hand_similarity), BudgetSpec(2))
+            farthest_point(FacilityLocation(hand_similarity), 2)
 
 
 class TestFeatureBackedFarthestPoint:
@@ -224,7 +233,7 @@ class TestFeatureBackedFarthestPoint:
     def both(m, b):
         """reference_farthest_point over the dense reference matrix, and the
         feature-backed farthest point."""
-        feat = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(b))
+        feat = farthest_point(DisparityMin(euclidean_distance(m)), b)
         return reference_farthest_point(reference_euclidean(m), b), feat
 
     def test_picks_the_dense_indices_on_the_test_corpus(self):
@@ -256,7 +265,7 @@ class TestFeatureBackedFarthestPoint:
         t = np.array([1, -2, 3, -2, 3, 0, 1, 3, -2])
         m = FeatureMatrix(t[:, None] * np.array([3.0, 4.0]))
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
-            sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(2))
+            sel = farthest_point(DisparityMin(euclidean_distance(m)), 2)
         assert sel.indices == [1, 2]  # the pairs of -2 and 3 tie at 25
         assert sel.step_values == [math.inf, 25.0]
 
@@ -301,7 +310,7 @@ class TestFeatureBackedFarthestPoint:
         # (2, 3) an ulp higher here
         p, q = np.array([0.38, -2.61, 0.25]), np.array([-0.06, 0.08, -1.08])
         m = FeatureMatrix(np.stack((p, 0.5 * (p + q), q, p)))
-        sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(2))
+        sel = farthest_point(DisparityMin(euclidean_distance(m)), 2)
         assert sel.indices == [0, 2]
 
     def test_never_selects_two_copies_of_a_row(self):
@@ -317,7 +326,7 @@ class TestFeatureBackedFarthestPoint:
             distinct = np.unique(m.values, axis=0).shape[0]
             assert (kernel.among(np.arange(n))[copies] == 0.0).all()  # diagonal too
             for b in range(1, n + 1):
-                sel = farthest_point(DisparityMin(kernel), BudgetSpec(b))
+                sel = farthest_point(DisparityMin(kernel), b)
                 if distinct == 1 and b > 1:
                     assert sel.indices == [0, 1] and sel.final_value == 0.0
                     continue
@@ -341,7 +350,7 @@ class TestFeatureBackedFarthestPoint:
 
     def test_budget_one_returns_the_lowest_index_singleton(self):
         m = random_features(np.random.default_rng(47), 6, 3)
-        sel = farthest_point(DisparityMin(euclidean_distance(m)), BudgetSpec(1))
+        sel = farthest_point(DisparityMin(euclidean_distance(m)), 1)
         assert sel.indices == [0] and math.isinf(sel.final_value)
 
     def test_half_approximation_against_brute_force(self):
@@ -350,36 +359,36 @@ class TestFeatureBackedFarthestPoint:
             n = int(rng.integers(3, 13))
             b = int(rng.integers(2, min(4, n) + 1))
             kernel = euclidean_distance(random_features(rng, n, 3))
-            greedy = farthest_point(DisparityMin(kernel), BudgetSpec(b))
-            exact = brute_force(DisparityMin(kernel), BudgetSpec(b))
+            greedy = farthest_point(DisparityMin(kernel), b)
+            exact = brute_force(DisparityMin(kernel), b)
             assert greedy.final_value >= 0.5 * exact.final_value - 1e-12
 
     def test_memory_stays_far_below_one_n_by_n_array(self):
         n = 1000
         m = random_features(np.random.default_rng(49), n, 16)
         state = DisparityMin(euclidean_distance(m))
-        assert peak_bytes(lambda: farthest_point(state, BudgetSpec(100))) <= 0.25 * 8 * n * n
+        assert peak_bytes(lambda: farthest_point(state, 100)) <= 0.25 * 8 * n * n
 
 
 class TestBruteForce:
     def test_hand_kernel_prefers_lexicographically_smallest(self, hand_similarity):
-        sel = brute_force(FacilityLocation(hand_similarity), BudgetSpec(2))
+        sel = brute_force(FacilityLocation(hand_similarity), 2)
         assert sel.indices == [0, 2]  # ties {0,2} and {1,2} at 2.9
         assert abs(sel.final_value - 2.9) < 1e-9
 
     def test_line_points(self, line_distance):
-        sel = brute_force(DisparityMin(line_distance), BudgetSpec(2))
+        sel = brute_force(DisparityMin(line_distance), 2)
         assert sel.indices == [0, 2]
         assert sel.final_value == 10.0
 
     def test_full_budget_returns_whole_ground_set(self, hand_similarity):
-        sel = brute_force(FacilityLocation(hand_similarity), BudgetSpec(3))
+        sel = brute_force(FacilityLocation(hand_similarity), 3)
         assert sel.indices == [0, 1, 2]
 
     def test_capacity_cap(self):
         kernel = random_similarity_kernel(np.random.default_rng(35), 80)
         with pytest.raises(CapacityError):
-            brute_force(FacilityLocation(kernel), BudgetSpec(10))
+            brute_force(FacilityLocation(kernel), 10)
 
 
 class TestGuarantees:
@@ -390,13 +399,13 @@ class TestGuarantees:
             n = int(rng.integers(3, 13))
             b = int(rng.integers(1, min(4, n) + 1))
             kernel = random_similarity_kernel(rng, n)
-            greedy = greedy_naive(FacilityLocation(kernel), BudgetSpec(b))
-            exact = brute_force(FacilityLocation(kernel), BudgetSpec(b))
+            greedy = greedy_naive(FacilityLocation(kernel), b)
+            exact = brute_force(FacilityLocation(kernel), b)
             assert greedy.final_value >= bound * exact.final_value - 1e-12
 
     def test_selections_are_deterministic(self, hand_similarity):
-        a = greedy_naive(FacilityLocation(hand_similarity), BudgetSpec(2))
-        b = greedy_naive(FacilityLocation(hand_similarity), BudgetSpec(2))
+        a = greedy_naive(FacilityLocation(hand_similarity), 2)
+        b = greedy_naive(FacilityLocation(hand_similarity), 2)
         assert a.indices == b.indices and a.step_values == b.step_values
 
     def test_selections_respect_budget_and_distinctness(self):
@@ -404,8 +413,7 @@ class TestGuarantees:
         for _ in range(20):
             n = int(rng.integers(2, 20))
             b = int(rng.integers(1, n + 1))
-            sel = greedy_naive(FacilityLocation(random_similarity_kernel(rng, n)),
-                               BudgetSpec(b))
+            sel = greedy_naive(FacilityLocation(random_similarity_kernel(rng, n)), b)
             assert len(sel.indices) <= b
             assert len(set(sel.indices)) == len(sel.indices)
 
@@ -413,7 +421,7 @@ class TestGuarantees:
         obj = FacilityLocation(hand_similarity)
         obj.add(0)
         with pytest.raises(ValidationError):
-            greedy_naive(obj, BudgetSpec(2))
+            greedy_naive(obj, 2)
 
 
 class TestSelectSubset:
@@ -427,10 +435,9 @@ class TestSelectSubset:
             kernel = cosine_similarity(features)
             if kappa is not None:
                 kernel = sparsify_knn(kernel, kappa)
-            direct = greedy_lazy(FacilityLocation(kernel), BudgetSpec(6))
+            direct = greedy_lazy(FacilityLocation(kernel), 6)
         else:
-            direct = farthest_point(DisparityMin(euclidean_distance(features)),
-                                    BudgetSpec(6))
+            direct = farthest_point(DisparityMin(euclidean_distance(features)), 6)
         routed = select_subset(features, objective, 6, kappa=kappa)
         assert routed.indices == direct.indices
         assert routed.step_values == direct.step_values
@@ -443,3 +450,16 @@ class TestSelectSubset:
         features = random_features(np.random.default_rng(39), 10, 3)
         with pytest.raises(ValidationError, match=message):
             select_subset(features, objective, 3, kappa=kappa)
+
+    @pytest.mark.parametrize("budget", [0, 11])
+    @pytest.mark.parametrize("objective,kappa", [("fl", None), ("fl", 2), ("dm", None)])
+    def test_budget_outside_one_to_n_rejected_before_any_kernel(self, monkeypatch, objective,
+                                                                kappa, budget):
+        def no_build(*args, **kwargs):
+            pytest.fail("a kernel was built for a budget outside [1, n]")
+
+        monkeypatch.setattr("subsel.optimize.cosine_similarity", no_build)
+        monkeypatch.setattr("subsel.optimize.euclidean_distance", no_build)
+        features = random_features(np.random.default_rng(40), 10, 3)
+        with pytest.raises(ValidationError, match="^budget "):
+            select_subset(features, objective, budget, kappa=kappa)
