@@ -13,7 +13,6 @@ from .active import (
     filter_uncertain,
     run_al,
     select_batch,
-    uncertainty,
     uncertainty_scores,
 )
 from .dataset import (
@@ -63,15 +62,12 @@ from .models import (
 from .objectives import (
     DisparityMin,
     FacilityLocation,
-    disparity_min_value,
     facility_location_value,
 )
 from .optimize import (
     Selection,
-    brute_force,
     farthest_point,
     greedy_lazy,
-    greedy_naive,
     padded_order,
     select_subset,
 )

@@ -63,11 +63,6 @@ def uncertainty_scores(probs, method: UncertaintyMethod) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def uncertainty(p, method: UncertaintyMethod) -> float:
-    """Uncertainty of a single probability vector."""
-    return float(uncertainty_scores(np.asarray(p, dtype=np.float64)[None, :], method)[0])
-
-
 @dataclass(frozen=True)
 class FilteredSet:
     """Filter output: pool indices in descending-uncertainty order."""

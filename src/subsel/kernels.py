@@ -60,16 +60,6 @@ class SimilarityKernel:
     def is_sparse(self) -> bool:
         return self.dense is None
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize consumer semantics as a dense matrix."""
-        if not self.is_sparse:
-            return self.dense
-        out = np.zeros((self.n, self.n))
-        cols = np.repeat(np.arange(self.n), np.diff(self.col_ptr))
-        out[self.rows, cols] = self.values
-        np.fill_diagonal(out, 1.0)
-        return out
-
 
 @dataclass(frozen=True)
 class DistanceKernel:
@@ -88,13 +78,6 @@ class DistanceKernel:
         d2 = _squared_distances(self.x, self.sq, -2.0 * self.x[e], self.sq[e])
         d2[self.group == self.group[e]] = 0.0
         return d2
-
-    def among(self, idx: np.ndarray) -> np.ndarray:
-        """Distances among the elements idx, as a len(idx)^2 array."""
-        x, sq, g = self.x[idx], self.sq[idx], self.group[idx]
-        d2 = _squared_distances(x, sq, -2.0 * x, sq)
-        d2[g[:, None] == g] = 0.0
-        return np.sqrt(np.maximum(d2, 0.0))
 
     def max_pair(self) -> tuple[int, int]:
         """The lexicographically smallest pair i < j of different groups at

@@ -106,10 +106,6 @@ class LogRegModel:
     converged: bool = False
     objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[0]
-
     def predict_proba(self, x) -> np.ndarray:
         """Class posterior for one feature vector: predict_proba_batch's row."""
         return self.predict_proba_batch(np.reshape(x, (1, -1)))[0]
@@ -139,18 +135,9 @@ def _row_softmax(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def softmax_objective(weights, bias, X, y, l2: float) -> float:
-    """Mean cross-entropy plus (l2/2)||W||^2; the quantity the fit minimizes."""
-    return _objective(X @ weights.T + bias, weights, y, l2)
-
-
-def softmax_gradients(weights, bias, X, y, l2: float):
-    """Analytic gradients of softmax_objective w.r.t. weights and bias."""
-    return _gradients(_row_softmax(X @ weights.T + bias), weights, X, y, l2)
-
-
 def _objective(S, W, y, l2: float) -> float:
-    """softmax_objective from the scores S = X @ W.T + b; S is not changed."""
+    """The objective the fit minimizes, mean cross-entropy plus (l2/2)||W||^2,
+    from the scores S = X @ W.T + b; S is not changed."""
     m = S.max(axis=1, keepdims=True)
     log_norm = m[:, 0] + np.log(np.exp(S - m).sum(axis=1))
     ce = float((log_norm - S[np.arange(S.shape[0]), y]).mean())
@@ -158,8 +145,8 @@ def _objective(S, W, y, l2: float) -> float:
 
 
 def _gradients(P, W, X, y, l2: float):
-    """softmax_gradients from the class probabilities P = softmax(X @ W.T + b);
-    P is not changed."""
+    """Gradients of _objective w.r.t. W and b, from the class probabilities
+    P = softmax(X @ W.T + b); P is not changed."""
     n = X.shape[0]
     R = P.copy()
     R[np.arange(n), y] -= 1.0
@@ -168,7 +155,8 @@ def _gradients(P, W, X, y, l2: float):
 
 
 def _softmax_hvp(P, X, V, c, l2: float):
-    """Hessian of softmax_objective applied to the direction (V, c).
+    """Hessian of _objective (as a function of W and b) applied to the
+    direction (V, c).
 
     P holds the class probabilities (n, C) at the point of expansion. Each
     row's cross-entropy Hessian in score space is diag(p) - p p^T, so the

@@ -4,8 +4,9 @@ Facility location credits every ground element with its best selected
 representative and sums the credits; it is monotone submodular, and its
 empty-set value is 0. Candidate j's gain is read down column j of the
 kernel (row j of ``kernel.dense.T`` if dense) by ``gains_of``; ``gain``,
-``gains_all`` and lazy greedy's block refresh all call it, so lazy and
-naive see the same bytes.
+``gains_all`` and lazy greedy's block refresh all call it, so a gain
+reads the same bytes however it is batched, and lazy greedy matches the
+naive argmax scan the tests hold as its reference.
 
 Disparity min is the smallest pairwise distance among selected
 elements; it is scored greedily by squared distance-to-selected (the
@@ -63,16 +64,6 @@ def facility_location_value(kernel: SimilarityKernel, X) -> float:
     for j in idx:
         _fold_column(best, kernel, j)
     return float(best.sum())
-
-
-def disparity_min_value(kernel: DistanceKernel, X) -> float:
-    """Minimum pairwise distance within X; +inf sentinel when |X| <= 1."""
-    idx = _check_subset(X, kernel.n)
-    if idx.size <= 1:
-        return INF
-    sub = kernel.among(idx)
-    iu = np.triu_indices(idx.size, k=1)
-    return float(sub[iu].min())
 
 
 class FacilityLocation:
@@ -138,9 +129,6 @@ class FacilityLocation:
         # order-insensitive function of the selected set
         self.value = float(self.best.sum())
 
-    def scratch_value(self, X) -> float:
-        return facility_location_value(self.kernel, X)
-
 
 class DisparityMin:
     """Incremental max-min dispersion state: per-element squared distance to X.
@@ -182,6 +170,3 @@ class DisparityMin:
         self.selected_mask[e] = True
         np.minimum(self.mindist, self.kernel.sq_row(e), out=self.mindist)
         self.mindist[e] = -1.0
-
-    def scratch_value(self, X) -> float:
-        return disparity_min_value(self.kernel, X)

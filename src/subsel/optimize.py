@@ -1,10 +1,10 @@
 """Budget-constrained subset maximization.
 
-Four routes: naive greedy (any gain-scored objective), lazy greedy
-(monotone submodular only; identical output to naive, fewer gain
-evaluations, stale gains rescored in blocks), farthest-point greedy for
-dispersion, seeded with the exact maximum-distance pair at every
-ground-set size, and an exhaustive oracle for tests. Ties always break
+Two routes: lazy greedy for monotone submodular objectives (stale gains
+rescored in blocks; it picks exactly what a naive greedy scanning every
+gain each step would, and the tests hold that naive greedy as its
+reference), and farthest-point greedy for dispersion, seeded with the
+exact maximum-distance pair at every ground-set size. Ties always break
 toward the lowest index, so every optimizer is deterministic.
 
 ``select_subset`` pairs each objective name, fl or dm, with its kernel
@@ -17,18 +17,15 @@ point from the features in O(n * d + block * n) memory.
 from __future__ import annotations
 
 import heapq
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import CapacityError, UnsupportedObjectiveError, ValidationError
+from .errors import UnsupportedObjectiveError, ValidationError
 from .kernels import cosine_similarity, euclidean_distance
 from .objectives import INF, DisparityMin, FacilityLocation
 
-BRUTE_FORCE_CAP = 10 ** 6
 _REFRESH_BLOCK = 16  # stale heap entries scored per gains_of call
 OBJECTIVES = ("fl", "dm")
 
@@ -93,21 +90,9 @@ def padded_order(sel: Selection, n: int, b: int) -> np.ndarray:
     return order
 
 
-def greedy_naive(obj, b: int) -> Selection:
-    """Add the argmax-gain element per step; lowest index wins ties.
-
-    Stops at the budget or as soon as the best gain is zero; zero-gain
-    elements are never added.
-    """
-    _check_start(obj, b)
-    steps: list[float] = []
-    evals = _argmax_fill(obj, b, steps, 0)
-    return Selection(list(obj.selected), steps, obj.value if steps else 0.0,
-                     gain_evals=evals)
-
-
 def greedy_lazy(obj, b: int) -> Selection:
-    """Priority-queue greedy with stale gains; matches greedy_naive exactly.
+    """Priority-queue greedy with stale gains; picks exactly what the naive
+    argmax scan (the tests' reference) picks, with fewer gain evaluations.
 
     Keys are (-gain, index, step scored); a stale top has up to _REFRESH_BLOCK
     stale entries rescored by one gains_of call. Fresh keys are exact, stale
@@ -189,24 +174,3 @@ def select_subset(features: FeatureMatrix, objective: str, budget: int,
         return farthest_point(DisparityMin(euclidean_distance(features)), budget)
     raise ValidationError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
-
-def brute_force(obj, b: int) -> Selection:
-    """Exact optimum by enumerating all budget-sized subsets.
-
-    Combinations are visited in lexicographic order and only strict
-    improvements are kept, so ties resolve to the smallest index set.
-    """
-    _check_start(obj, b)
-    if math.comb(obj.n, b) > BRUTE_FORCE_CAP:
-        raise CapacityError(
-            f"C({obj.n},{b}) = {math.comb(obj.n, b)} exceeds cap {BRUTE_FORCE_CAP}"
-        )
-    best_set: tuple[int, ...] | None = None
-    best_value = -INF
-    for combo in itertools.combinations(range(obj.n), b):
-        value = obj.scratch_value(combo)
-        if value > best_value:
-            best_value = value
-            best_set = combo
-    steps = [obj.scratch_value(best_set[:t + 1]) for t in range(len(best_set))]
-    return Selection(list(best_set), steps, best_value)

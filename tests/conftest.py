@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -10,6 +11,8 @@ from subsel import kernels, models
 
 from subsel.dataset import FeatureMatrix
 from subsel.kernels import DistanceKernel, SimilarityKernel, euclidean_distance
+from subsel.objectives import INF, FacilityLocation, _check_subset, facility_location_value
+from subsel.optimize import Selection, _argmax_fill, _check_start
 
 
 @pytest.fixture
@@ -84,6 +87,74 @@ def reference_farthest_point(dist, b):
         picks.append(e)
         steps.append(min(steps[-1], float(mindist[e])))
     return picks, steps
+
+
+def to_dense(kernel: SimilarityKernel) -> np.ndarray:
+    """The similarities a consumer reads, as a dense matrix: a sparse
+    kernel's dropped entries read 0 and its diagonal 1."""
+    if not kernel.is_sparse:
+        return kernel.dense
+    out = np.zeros((kernel.n, kernel.n))
+    cols = np.repeat(np.arange(kernel.n), np.diff(kernel.col_ptr))
+    out[kernel.rows, cols] = kernel.values
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def distances_among(kernel: DistanceKernel, idx) -> np.ndarray:
+    """Distances among the elements idx, as a len(idx)^2 array, read as the
+    kernel reads them: two rows of one group at exactly 0."""
+    x, sq, g = kernel.x[idx], kernel.sq[idx], kernel.group[idx]
+    d2 = kernels._squared_distances(x, sq, -2.0 * x, sq)
+    d2[g[:, None] == g] = 0.0
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def disparity_min_value(kernel: DistanceKernel, X) -> float:
+    """Minimum pairwise distance within X; +inf sentinel when |X| <= 1."""
+    idx = _check_subset(X, kernel.n)
+    if idx.size <= 1:
+        return INF
+    sub = distances_among(kernel, idx)
+    return float(sub[np.triu_indices(idx.size, k=1)].min())
+
+
+# Optimizer references: lazy greedy and farthest point are checked against
+# them.
+
+def greedy_naive(obj, b: int) -> Selection:
+    """Add the argmax-gain element per step (lowest index on ties) until the
+    budget or a zero best gain, scanning every gain each step; lazy greedy
+    must match it exactly."""
+    _check_start(obj, b)
+    steps: list[float] = []
+    evals = _argmax_fill(obj, b, steps, 0)
+    return Selection(list(obj.selected), steps, obj.value if steps else 0.0,
+                     gain_evals=evals)
+
+
+def brute_force(obj, b: int) -> Selection:
+    """Exact optimum over every b-subset, scored from scratch. Subsets are
+    visited in lexicographic order and the first maximum kept, so ties go
+    to the smallest index set."""
+    _check_start(obj, b)
+    score = facility_location_value if isinstance(obj, FacilityLocation) else disparity_min_value
+    best = max(itertools.combinations(range(obj.n), b), key=lambda X: score(obj.kernel, X))
+    steps = [score(obj.kernel, best[:t + 1]) for t in range(b)]
+    return Selection(list(best), steps, steps[-1])
+
+
+# The fit's objective and gradients from raw parameters, composed of the
+# pieces logreg_fit calls, for the finite-difference checks.
+
+def softmax_objective(weights, bias, X, y, l2: float) -> float:
+    """Mean cross-entropy plus (l2/2)||W||^2; the quantity the fit minimizes."""
+    return models._objective(X @ weights.T + bias, weights, y, l2)
+
+
+def softmax_gradients(weights, bias, X, y, l2: float):
+    """Analytic gradients of softmax_objective w.r.t. weights and bias."""
+    return models._gradients(models._row_softmax(X @ weights.T + bias), weights, X, y, l2)
 
 
 class _NoRoom(np.ndarray):

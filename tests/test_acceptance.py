@@ -10,14 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_distance_kernel, random_similarity_kernel
-from subsel.active import ALConfig, UncertaintyMethod, filter_uncertain, uncertainty
+from conftest import (
+    brute_force,
+    greedy_naive,
+    random_distance_kernel,
+    random_similarity_kernel,
+    softmax_gradients,
+    softmax_objective,
+)
+from subsel.active import ALConfig, UncertaintyMethod, filter_uncertain, uncertainty_scores
 from subsel.cli import main
 from subsel.dataset import FeatureMatrix, SplitSpec, gen_synthetic, load_features, save_features, split
 from subsel.harness import SweepConfig, run_goal2, sweep_goal1
-from subsel.models import logreg_fit, softmax_gradients, softmax_objective
+from subsel.models import logreg_fit
 from subsel.objectives import DisparityMin, FacilityLocation
-from subsel.optimize import brute_force, farthest_point, greedy_lazy, greedy_naive
+from subsel.optimize import farthest_point, greedy_lazy
 
 
 # Criteria 5 and 6 share one dataset. At this separation the classes
@@ -226,17 +233,17 @@ def test_criterion_7_uncertainty_formulas():
     entropy = UncertaintyMethod.ENTROPY
     checks = []
     uniform = [0.25] * 4
-    checks.append(abs(uncertainty(uniform, lc) - 0.75) <= 1e-6)
-    checks.append(abs(uncertainty(uniform, margin) - 1.0) <= 1e-6)
-    checks.append(abs(uncertainty(uniform, entropy) - 2.0) <= 1e-6)
+    checks.append(abs(uncertainty_scores([uniform], lc)[0] - 0.75) <= 1e-6)
+    checks.append(abs(uncertainty_scores([uniform], margin)[0] - 1.0) <= 1e-6)
+    checks.append(abs(uncertainty_scores([uniform], entropy)[0] - 2.0) <= 1e-6)
     one_hot = [0.0, 1.0, 0.0]
-    checks.append(abs(uncertainty(one_hot, lc)) <= 1e-6)
-    checks.append(abs(uncertainty(one_hot, margin)) <= 1e-6)
-    checks.append(abs(uncertainty(one_hot, entropy)) <= 1e-6)
+    checks.append(abs(uncertainty_scores([one_hot], lc)[0]) <= 1e-6)
+    checks.append(abs(uncertainty_scores([one_hot], margin)[0]) <= 1e-6)
+    checks.append(abs(uncertainty_scores([one_hot], entropy)[0]) <= 1e-6)
     worked = [0.5, 0.3, 0.2]
-    checks.append(abs(uncertainty(worked, lc) - 0.5) <= 1e-6)
-    checks.append(abs(uncertainty(worked, margin) - 0.8) <= 1e-6)
-    checks.append(abs(uncertainty(worked, entropy) - 1.4854752972273343) <= 1e-6)
+    checks.append(abs(uncertainty_scores([worked], lc)[0] - 0.5) <= 1e-6)
+    checks.append(abs(uncertainty_scores([worked], margin)[0] - 0.8) <= 1e-6)
+    checks.append(abs(uncertainty_scores([worked], entropy)[0] - 1.4854752972273343) <= 1e-6)
 
     probs = np.array([[0.55, 0.45], [0.75, 0.25], [0.75, 0.25], [0.95, 0.05]])
     fset = filter_uncertain(probs, np.arange(4), 50.0, margin)

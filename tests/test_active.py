@@ -13,7 +13,6 @@ from subsel.active import (
     initial_state,
     run_al,
     select_batch,
-    uncertainty,
     uncertainty_scores,
 )
 from subsel.dataset import FeatureMatrix, SplitSpec, gen_synthetic, split
@@ -28,37 +27,37 @@ ENTROPY = UncertaintyMethod.ENTROPY
 class TestUncertainty:
     def test_uniform_over_four_classes(self):
         p = [0.25, 0.25, 0.25, 0.25]
-        assert uncertainty(p, LC) == 0.75
-        assert uncertainty(p, MARGIN) == 1.0
-        assert uncertainty(p, ENTROPY) == 2.0
+        assert uncertainty_scores([p], LC)[0] == 0.75
+        assert uncertainty_scores([p], MARGIN)[0] == 1.0
+        assert uncertainty_scores([p], ENTROPY)[0] == 2.0
 
     def test_one_hot_is_certain(self):
         p = [0.0, 1.0, 0.0]
-        assert uncertainty(p, LC) == 0.0
-        assert uncertainty(p, MARGIN) == 0.0
-        assert uncertainty(p, ENTROPY) == 0.0
+        assert uncertainty_scores([p], LC)[0] == 0.0
+        assert uncertainty_scores([p], MARGIN)[0] == 0.0
+        assert uncertainty_scores([p], ENTROPY)[0] == 0.0
 
     def test_worked_three_class_vector(self):
         p = [0.5, 0.3, 0.2]
-        assert abs(uncertainty(p, LC) - 0.5) <= 1e-6
-        assert abs(uncertainty(p, MARGIN) - 0.8) <= 1e-6
+        assert abs(uncertainty_scores([p], LC)[0] - 0.5) <= 1e-6
+        assert abs(uncertainty_scores([p], MARGIN)[0] - 0.8) <= 1e-6
         # high-precision reference: 1.4854752972273343195 bits
-        assert abs(uncertainty(p, ENTROPY) - 1.4854752972273343) <= 1e-6
+        assert abs(uncertainty_scores([p], ENTROPY)[0] - 1.4854752972273343) <= 1e-6
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
-            uncertainty([1.0], LC)
+            uncertainty_scores([[1.0]], LC)
 
     def test_invalid_vectors_rejected(self):
         with pytest.raises(ValidationError):
-            uncertainty([0.9, 0.3], LC)  # does not sum to 1
+            uncertainty_scores([[0.9, 0.3]], LC)  # does not sum to 1
         with pytest.raises(ValidationError):
-            uncertainty([1.2, -0.2], LC)
+            uncertainty_scores([[1.2, -0.2]], LC)
         for p in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf],
                   [-np.inf, 1.0], [np.inf, 0.0]):
             for method in (LC, MARGIN, ENTROPY):
                 with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
-                    uncertainty(p, method)
+                    uncertainty_scores([p], method)
         with pytest.raises(ValidationError):
             uncertainty_scores([[np.nan, np.nan], [0.5, 0.5]], ENTROPY)
         with pytest.raises(ValidationError):

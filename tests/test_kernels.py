@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    distances_among,
+    greedy_naive,
     no_room_for_products,
     peak_bytes,
     random_features,
     random_similarity_kernel,
     reference_euclidean,
     reference_mirror_upper,
+    to_dense,
 )
 from subsel import kernels
 from subsel.dataset import FeatureMatrix
@@ -24,7 +27,6 @@ from subsel.kernels import (
     sparsify_knn,
 )
 from subsel.objectives import FacilityLocation
-from subsel.optimize import greedy_naive
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -175,7 +177,7 @@ class TestCosine:
 
 
 def all_distances(kernel):
-    return kernel.among(np.arange(kernel.n))
+    return distances_among(kernel, np.arange(kernel.n))
 
 
 class TestEuclidean:
@@ -225,7 +227,7 @@ class TestSparsify:
         from subsel.kernels import SimilarityKernel
 
         sparse = sparsify_knn(SimilarityKernel(n=3, dense=dense), 1)
-        dense_view = sparse.to_dense()
+        dense_view = to_dense(sparse)
         assert dense_view[0, 1] == 0.9
         assert dense_view[0, 2] == 0.0  # dropped entries read as zero
         assert dense_view[0, 0] == 1.0  # implicit diagonal
@@ -285,7 +287,7 @@ class TestSparsify:
         rebuilt = np.zeros((8, 8))
         rebuilt[np.repeat(np.arange(8), 3), col_idx] = values
         np.fill_diagonal(rebuilt, 1.0)
-        assert np.array_equal(kernel.to_dense(), rebuilt)
+        assert np.array_equal(to_dense(kernel), rebuilt)
         assert (np.diff(kernel.col_ptr) == np.bincount(col_idx, minlength=8)).all()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import no_room_for_distances
+from conftest import no_room_for_distances, softmax_gradients, softmax_objective
 from subsel import kernels
 from subsel.dataset import (
     FeatureMatrix,
@@ -29,8 +29,6 @@ from subsel.models import (
     knn_accuracy,
     knn_subset_accuracies,
     logreg_fit,
-    softmax_gradients,
-    softmax_objective,
 )
 
 

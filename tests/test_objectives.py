@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    disparity_min_value,
+    greedy_naive,
     random_distance_kernel,
     random_features,
     random_similarity_kernel,
     reference_euclidean,
+    to_dense,
 )
 from subsel import kernels
 from subsel.dataset import FeatureMatrix
@@ -26,10 +29,9 @@ from subsel.objectives import (
     INF,
     DisparityMin,
     FacilityLocation,
-    disparity_min_value,
     facility_location_value,
 )
-from subsel.optimize import greedy_lazy, greedy_naive
+from subsel.optimize import greedy_lazy
 
 
 def scratch_fl(dense, selected):
@@ -151,7 +153,7 @@ class TestSparseConsumers:
         rng = np.random.default_rng(24)
         dense_kernel = random_similarity_kernel(rng, 8)
         sparse = sparsify_knn(dense_kernel, 3)
-        equivalent = SimilarityKernel(n=8, dense=sparse.to_dense())
+        equivalent = SimilarityKernel(n=8, dense=to_dense(sparse))
         for _ in range(10):
             subset = rng.permutation(8)[:int(rng.integers(1, 5))].tolist()
             np.testing.assert_allclose(
@@ -163,7 +165,7 @@ class TestSparseConsumers:
         rng = np.random.default_rng(25)
         dense_kernel = random_similarity_kernel(rng, 9)
         sparse = sparsify_knn(dense_kernel, 4)
-        equivalent = SimilarityKernel(n=9, dense=sparse.to_dense())
+        equivalent = SimilarityKernel(n=9, dense=to_dense(sparse))
         a = FacilityLocation(sparse)
         b = FacilityLocation(equivalent)
         for e in (2, 7, 0):
@@ -217,7 +219,7 @@ def asymmetric_kernels(rng, n):
     raw = rng.uniform(0.0, 1.0, size=(n, n))
     np.fill_diagonal(raw, 1.0)
     while True:  # a small top-kappa kernel can be symmetric by chance
-        topk = sparsify_knn(random_similarity_kernel(rng, n), max(1, n // 3)).to_dense()
+        topk = to_dense(sparsify_knn(random_similarity_kernel(rng, n), max(1, n // 3)))
         if not np.array_equal(topk, topk.T):
             break
     return [SimilarityKernel(n=n, dense=raw), SimilarityKernel(n=n, dense=topk)]
@@ -298,8 +300,8 @@ class TestDenseGainsAll:
         raw = 10.0 ** rng.uniform(-16.0, 0.0, size=(n, n))
         upper = np.triu(raw, 1)
         symmetric = upper + upper.T + np.diag(np.diag(raw))
-        topk = sparsify_knn(SimilarityKernel(n=n, dense=symmetric),
-                            max(1, n // 3)).to_dense()
+        topk = to_dense(sparsify_knn(SimilarityKernel(n=n, dense=symmetric),
+                                     max(1, n // 3)))
         best = 10.0 ** rng.uniform(-16.0, 0.0, size=n)
         for dense in (raw, symmetric, topk):
             state = FacilityLocation(SimilarityKernel(n=n, dense=dense))
@@ -510,12 +512,13 @@ class TestFeatureBackedDisparityMin:
             n = int(rng.integers(2, 12))
             m = random_features(rng, n, 3)
             dist = reference_euclidean(m)
-            feat = DisparityMin(euclidean_distance(m))
+            kernel = euclidean_distance(m)
+            feat = DisparityMin(kernel)
             for e in rng.permutation(n)[:int(rng.integers(1, n + 1))]:
                 feat.add(int(e))
                 expected = scratch_dm(dist, feat.selected)
                 assert math.isclose(feat.value, expected, rel_tol=1e-12)
-                assert math.isclose(feat.value, feat.scratch_value(feat.selected),
+                assert math.isclose(feat.value, disparity_min_value(kernel, feat.selected),
                                     rel_tol=1e-12)
                 gains = feat.gains_all()
                 assert not gains.flags.writeable

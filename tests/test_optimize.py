@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_force,
+    distances_among,
+    greedy_naive,
     peak_bytes,
     random_distance_kernel,
     random_features,
@@ -16,21 +19,15 @@ from conftest import (
 )
 from subsel import kernels
 from subsel.dataset import FeatureMatrix
-from subsel.errors import CapacityError, UnsupportedObjectiveError, ValidationError
+from subsel.errors import UnsupportedObjectiveError, ValidationError
 from subsel.kernels import (
     SimilarityKernel,
     cosine_similarity,
     euclidean_distance,
     sparsify_knn,
 )
-from subsel.objectives import DisparityMin, FacilityLocation
-from subsel.optimize import (
-    brute_force,
-    farthest_point,
-    greedy_lazy,
-    greedy_naive,
-    select_subset,
-)
+from subsel.objectives import DisparityMin, FacilityLocation, facility_location_value
+from subsel.optimize import farthest_point, greedy_lazy, select_subset
 
 
 class TestNaiveGreedy:
@@ -54,7 +51,7 @@ class TestNaiveGreedy:
             n = int(rng.integers(2, 10))
             kernel = random_similarity_kernel(rng, n)
             sel = greedy_naive(FacilityLocation(kernel), n)
-            full = FacilityLocation(kernel).scratch_value(list(range(n)))
+            full = facility_location_value(kernel, list(range(n)))
             assert abs(sel.final_value - full) < 1e-9
 
     def test_zero_gain_elements_are_not_added(self):
@@ -324,7 +321,7 @@ class TestFeatureBackedFarthestPoint:
             kernel = euclidean_distance(m)
             copies = (m.values[:, None] == m.values[None]).all(axis=2)
             distinct = np.unique(m.values, axis=0).shape[0]
-            assert (kernel.among(np.arange(n))[copies] == 0.0).all()  # diagonal too
+            assert (distances_among(kernel, np.arange(n))[copies] == 0.0).all()  # diagonal too
             for b in range(1, n + 1):
                 sel = farthest_point(DisparityMin(kernel), b)
                 if distinct == 1 and b > 1:
@@ -384,11 +381,6 @@ class TestBruteForce:
     def test_full_budget_returns_whole_ground_set(self, hand_similarity):
         sel = brute_force(FacilityLocation(hand_similarity), 3)
         assert sel.indices == [0, 1, 2]
-
-    def test_capacity_cap(self):
-        kernel = random_similarity_kernel(np.random.default_rng(35), 80)
-        with pytest.raises(CapacityError):
-            brute_force(FacilityLocation(kernel), 10)
 
 
 class TestGuarantees:
