@@ -4,8 +4,9 @@ and deterministic CSV output.
 Sweep curves for the greedy methods come from a single full-budget run
 truncated per fraction, so the per-fraction subsets are nested prefixes.
 The random baseline is redrawn independently per (fraction, seed). All
-subsets of a sweep are scored against one holdout x train matrix of
-squared distances, computed once (models.knn_subset_accuracies). CSV
+subsets of a sweep are scored by one models.knn_subset_accuracies call,
+which screens each holdout row's nearest training rows once and holds no
+holdout x train array. CSV
 rows are sorted by (method, seed, x) and accuracies printed with six
 decimals, making emitted files byte-stable.
 """
@@ -108,8 +109,8 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
     A fraction p's budget is the exact share p/100 * n, as ceil_pct takes
     it, rounded half up. A fraction whose budget is below k is skipped
     with a warning; a sweep that would skip every fraction is an error.
-    All subsets are scored by one knn_subset_accuracies call, against one
-    holdout x train distance matrix.
+    All subsets are scored by one knn_subset_accuracies call, which shares
+    one screen of each holdout row's nearest training rows among them.
     """
     budgets = {p: round_half_up(Fraction(str(p)) * train.n / 100) for p in cfg.fractions}
     if budgets[cfg.fractions[-1]] < cfg.k:

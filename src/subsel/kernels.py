@@ -116,10 +116,10 @@ def row_blocks(n: int, width: Optional[int] = None) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _gemm_blocks(n: int) -> list[tuple[int, int]]:
-    """row_blocks(n) of at least _GEMM_ROWS rows (~_BLOCK_ELEMS / _GEMM_ROWS
-    elements a row), for the passes that stream products of x."""
-    return row_blocks(n, min(n, _BLOCK_ELEMS // _GEMM_ROWS))
+def _gemm_blocks(n: int, width: Optional[int] = None) -> list[tuple[int, int]]:
+    """row_blocks(n, width) of at least _GEMM_ROWS rows (~_BLOCK_ELEMS /
+    _GEMM_ROWS elements a row), for the passes that stream products of x."""
+    return row_blocks(n, min(n if width is None else width, _BLOCK_ELEMS // _GEMM_ROWS))
 
 
 def _gram(x: np.ndarray) -> np.ndarray:

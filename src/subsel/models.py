@@ -5,10 +5,10 @@ training subsets (``knn_accuracy``: the whole set). Distance ties go to
 the lower training index and vote ties to the smallest label: a query's
 k neighbours are ``kernels.first_k`` of its distance row, the first k of
 a stable sort, the rule by which ``sparsify_knn`` keeps its top kappa.
-Its working memory is one holdout x train array of squared distances
-(``CapacityError`` if it cannot be allocated), from which each subset's
-columns are gathered, like every other temporary, ~_BLOCK_ELEMS elements
-per ``kernels.row_blocks`` block at a time.
+No holdout x train array of them is held: GEMMs screen each holdout row's
+nearest training rows, a proven rounding margin certifies from them the k
+nearest the distances would pick, and the distances themselves are
+computed only where it cannot, in O(block * train + holdout * window).
 The regression is fit by line-search Newton-CG (truncated Newton): each
 step solves the Newton system by conjugate gradient on Hessian-vector
 products, so the Hessian is never formed, and Armijo backtracking keeps
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import CapacityError, ValidationError
-from .kernels import first_k, row_blocks
+from .errors import ValidationError
+from .kernels import _gemm_blocks, _squared_distances, first_k, row_blocks
 
 DEFAULT_L2 = 1e-2
 DEFAULT_TOL = 1e-6
@@ -45,29 +45,120 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
                           k: int = 5) -> list[float]:
     """knn_accuracy(train.subset(s), holdout, k) for each index array s.
 
-    The holdout x train squared distances are computed once; each subset
-    votes on their columns s, in s's own order, so distance ties go to
-    the lower position in s as they would in train.subset(s).
+    Each subset votes with its k nearest rows under the per-pair squared
+    distances D, ties to the lower position in s, as in train.subset(s).
+    A subset of m distinct rows with reach = ceil(2(k+1)n/m) + 16 <= n/4
+    reads row r's members among the first reach entries of its _screen
+    window, in ascending GEMM form A. A(k) is the k-th member's and A(k+1)
+    the next member's, each the reach-th entry's if there is none: r is
+    certified when A(k+1) - A(k) > 2 eps_r, and votes with the first k.
+    Proof: |A - D| <= eps_r (_margins). Every other member lies later in A
+    order, so its D >= A(k+1) - eps_r > A(k) + eps_r, above the D of each
+    of the first k: they are the unique k nearest, with no tie. Other rows,
+    and all rows of other subsets, go to _subset_votes.
     """
     if holdout.features.d != train.features.d:
         raise ValidationError(f"holdout dimension {holdout.features.d} incompatible "
                               f"with d={train.features.d}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
-    for s in subsets:
+    n, nq = train.n, holdout.n
+    pos = np.full(n, -1, dtype=np.int32)  # each training row's position in s, or -1
+    checked, reach = [], []
+    for s in map(np.asarray, subsets):
         if k > s.size:
             raise ValidationError(f"k={k} exceeds training size {s.size}")
-    nq, y = holdout.n, train.labels.labels
-    try:
-        d2 = _sq_distances(holdout.features.values.astype(np.float64),
-                           train.features.values.astype(np.float64))
-    except MemoryError:
-        raise CapacityError(f"kNN scoring needs a {nq} x {train.n} array of squared "
-                            f"distances, {8 * nq * train.n:,} bytes, more than can be "
-                            "allocated") from None
-    return [float((_vote(d2, s, y[s], train.n_classes, k)
-                   == holdout.labels.labels).mean()) for s in subsets]
+        if s.dtype.kind not in "iu":
+            raise ValidationError(f"subset indices must be integers, got dtype {s.dtype}")
+        bad = np.flatnonzero((s < 0) | (s >= n))
+        if bad.size:
+            raise ValidationError(f"subset index {s[bad[0]]} out of range for "
+                                  f"training size {n}")
+        checked.append(s.astype(np.int64, copy=False))
+        pos[s] = np.arange(s.size)  # a repeated index keeps one position: reads differ
+        distinct = (pos[s] == np.arange(s.size)).all()
+        pos[s] = -1
+        r = -(-2 * (k + 1) * n // s.size) + 16
+        reach.append(r if distinct and 4 * r <= n else 0)
+    q = holdout.features.values.astype(np.float64)
+    x = train.features.values.astype(np.float64)
+    y, n_classes = train.labels.labels, train.n_classes
+    if max(reach, default=0):
+        cols, vals, eps = _screen(q, x, max(reach))
+    accs, every = [], np.arange(nq)
+    for s, r in zip(checked, reach):
+        preds, redo = np.empty(nq, dtype=np.int64), every
+        if r:
+            pos[s] = np.arange(s.size)
+            member = pos[cols[:, :r]] >= 0
+            pos[s] = -1
+            rank = np.cumsum(member, axis=1, dtype=np.int32)  # members up to here
+            # window entries of the k-th and (k+1)-th members, or the reach-th
+            kth = np.minimum(np.count_nonzero(rank < k, axis=1), r - 1)
+            nxt = np.minimum(np.count_nonzero(rank <= k, axis=1), r - 1)
+            redo = np.flatnonzero(~(vals[every, nxt] - vals[every, kth] > 2.0 * eps))
+            rows, at = np.nonzero(member & (rank <= k))
+            preds = _vote(y[cols[rows, at]], rows, nq, n_classes)
+        if redo.size:
+            preds[redo] = _subset_votes(q[redo], x[s], y[s], n_classes, k)
+        accs.append(float((preds == holdout.labels.labels).mean()))
+    return accs
+
+
+def _margins(sq_q: np.ndarray, sq_x: np.ndarray, d: int) -> np.ndarray:
+    """eps_r >= |A_rj - D_rj| for every training row j, from the computed
+    squared norms. A and D each lie within 2 gamma_(d+2) (|q_r|^2 + |x_j|^2)
+    of the exact squared distance, gamma_m = mu / (1 - mu), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3):
+    D by its differences, squares and sum, A by its dot product, norms and
+    two additions; float32 features leave no product to underflow. 4.5, not
+    4, covers the rounding of the norms, of this formula and of the
+    certificate's subtraction. A non-finite norm certifies nothing."""
+    gamma = (d + 2) * 2.0 ** -53 / (1.0 - (d + 2) * 2.0 ** -53)
+    return 4.5 * gamma * (sq_q + sq_x.max())
+
+
+def _screen(q: np.ndarray, x: np.ndarray, width: int):
+    """Each query's width nearest training rows under the GEMM form
+    A = (|q|^2 + |x|^2) - 2 q.x, in ascending A: their columns (int32) and
+    A values, and the queries' margins. Columns past the window have A at
+    least its last value (argpartition). One block of queries at a time."""
+    sq_q, sq_x = np.einsum("ij,ij->i", q, q), np.einsum("ij,ij->i", x, x)
+    x2 = -2.0 * x
+    cols = np.empty((q.shape[0], width), dtype=np.int32)
+    vals = np.empty((q.shape[0], width))
+    for lo, hi in _gemm_blocks(q.shape[0], width=x.shape[0]):
+        a = _squared_distances(q[lo:hi], sq_q[lo:hi], x2, sq_x)
+        near = np.argpartition(a, width - 1, axis=1)[:, :width]
+        near_a = np.take_along_axis(a, near, axis=1)
+        order = np.argsort(near_a, axis=1)
+        cols[lo:hi] = np.take_along_axis(near, order, axis=1)
+        vals[lo:hi] = np.take_along_axis(near_a, order, axis=1)
+    return cols, vals, _margins(sq_q, sq_x, q.shape[1])
+
+
+def _subset_votes(q: np.ndarray, xs: np.ndarray, labels: np.ndarray, n_classes: int,
+                  k: int) -> np.ndarray:
+    """Majority label among each query's k nearest rows of xs, one block of
+    queries at a time. One GEMM gives their A; a query whose k-th and
+    (k+1)-th smallest A differ by more than 2 eps (every query, if xs has k
+    rows) takes first_k of A, the unique k nearest under D by the proof in
+    knn_subset_accuracies; the others take first_k of D (_sq_distances),
+    ties to the lower row of xs. A repeated row of xs has one A, so its
+    copies fall on one side of a certified gap."""
+    m = xs.shape[0]
+    sq_q, sq_xs = np.einsum("ij,ij->i", q, q), np.einsum("ij,ij->i", xs, xs)
+    eps, xs2 = _margins(sq_q, sq_xs, q.shape[1]), -2.0 * xs
+    preds = np.empty(q.shape[0], dtype=np.int64)
+    for lo, hi in _gemm_blocks(q.shape[0], width=m):
+        a = _squared_distances(q[lo:hi], sq_q[lo:hi], xs2, sq_xs)
+        if m > k:
+            t = np.partition(a, (k - 1, k), axis=1)
+            redo = np.flatnonzero(~(t[:, k] - t[:, k - 1] > 2.0 * eps[lo:hi]))
+            a[redo] = _sq_distances(q[lo + redo], xs)
+        rows, cols = np.divmod(np.flatnonzero(first_k(a, k)), m)
+        preds[lo:hi] = _vote(labels[cols], rows, hi - lo, n_classes)
+    return preds
 
 
 def _sq_distances(q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -79,20 +170,11 @@ def _sq_distances(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _vote(d2: np.ndarray, s: np.ndarray, labels: np.ndarray, n_classes: int,
-          k: int) -> np.ndarray:
-    """Majority label among the k smallest entries of each row of d2[:, s],
-    chosen by ``first_k`` and gathered one row block at a time. argmax
-    takes the first maximum, so vote ties go to the smallest label.
-    """
-    nq, m = d2.shape[0], s.size
-    preds = np.empty(nq, dtype=np.int64)
-    for lo, hi in row_blocks(nq, width=m):
-        rows, cols = np.divmod(np.flatnonzero(first_k(d2[lo:hi, s], k)), m)
-        counts = np.bincount(labels[cols] + n_classes * rows,
-                             minlength=(hi - lo) * n_classes)
-        preds[lo:hi] = counts.reshape(hi - lo, n_classes).argmax(axis=1)
-    return preds
+def _vote(labels: np.ndarray, rows: np.ndarray, n_rows: int, n_classes: int) -> np.ndarray:
+    """Majority of the labels cast for each of n_rows rows; argmax takes the
+    first maximum, so vote ties go to the smallest label."""
+    counts = np.bincount(labels + n_classes * rows, minlength=n_rows * n_classes)
+    return counts.reshape(n_rows, n_classes).argmax(axis=1)
 
 
 @dataclass

@@ -178,17 +178,6 @@ def no_room_for_products():
         yield
 
 
-@contextmanager
-def no_room_for_distances():
-    """Make kNN scoring's holdout x train squared distances fail to
-    allocate, as a too-large array would, without allocating it."""
-    def distances_without_room(q, x):
-        raise MemoryError("Unable to allocate")
-
-    with mock.patch.object(models, "_sq_distances", distances_without_room):
-        yield
-
-
 def peak_bytes(fn):
     """Peak bytes newly allocated while fn runs (numpy reports to tracemalloc)."""
     tracemalloc.start()

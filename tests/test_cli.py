@@ -2,7 +2,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import no_room_for_distances, no_room_for_products
+from conftest import no_room_for_products
 from subsel.cli import main
 from subsel.dataset import FeatureMatrix, load_features, load_labels, save_features
 from subsel.harness import parse_csv
@@ -139,20 +139,6 @@ class TestSweepCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_distances_without_room_fail_with_an_error_line(self, synth_files, tmp_path,
-                                                           capsys):
-        features, labels = synth_files
-        out = tmp_path / "curve.csv"
-        with no_room_for_distances():
-            rc = main(["sweep", "--features", str(features), "--labels", str(labels),
-                       "--holdout-frac", "0.3", "--methods", "dm,random", "--step", "50",
-                       "--seeds", "1", "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err == ("error: kNN scoring needs a 27 x 63 array of squared distances, "
-                       "13,608 bytes, more than can be allocated\n")
-        assert not out.exists()
 
     @pytest.mark.parametrize("step", ["0", "-5"])
     def test_step_below_one_fails_with_an_error_line(self, synth_files, tmp_path,

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import no_room_for_distances, softmax_gradients, softmax_objective
-from subsel import kernels
+from conftest import peak_bytes, softmax_gradients, softmax_objective
+from subsel import kernels, models
 from subsel.dataset import (
     FeatureMatrix,
     LabeledDataset,
@@ -16,12 +17,13 @@ from subsel.dataset import (
     gen_synthetic,
     split,
 )
-from subsel.errors import CapacityError, ValidationError
+from subsel.errors import ValidationError
 from subsel.models import (
     _ARMIJO_C1,
     _MIN_STEP,
     DEFAULT_TOL,
     LogRegModel,
+    _margins,
     _newton_cg_direction,
     _row_softmax,
     _softmax_hvp,
@@ -154,6 +156,13 @@ class TestKnnRowBlocks:
         assert accuracy == 1.0
 
 
+def jittered(rng, base, rows):
+    """rows rows, each a random row of base plus 1e-9 jitter: near-duplicate
+    groups whose distances differ only in their last bits."""
+    return (base[rng.integers(0, base.shape[0], size=rows)]
+            + 1e-9 * rng.standard_normal((rows, base.shape[1])))
+
+
 class TestKnnDistances:
     """The blocked distance pass gives the per-pair expression's bytes."""
 
@@ -164,8 +173,7 @@ class TestKnnDistances:
         # are inexact and differ only in their last bits within a group
         rng = np.random.default_rng(47)
         base = rng.standard_normal((5, d))
-        x = base[rng.integers(0, 5, size=m)] + 1e-9 * rng.standard_normal((m, d))
-        q = base[rng.integers(0, 5, size=30)] + 1e-9 * rng.standard_normal((30, d))
+        x, q = jittered(rng, base, m), jittered(rng, base, 30)
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
             d2 = _sq_distances(q, x)
         expected = ((q[:, None, :] - x[None]) ** 2).sum(axis=2)
@@ -237,15 +245,6 @@ class TestKnnSubsetAccuracies:
             with pytest.raises(ValidationError, match=f"^k must be >= 1, got {k}$"):
                 knn_subset_accuracies(train, train, [[0, 1, 2]], k=k)
 
-    def test_distances_without_room_are_a_capacity_error(self):
-        rng = np.random.default_rng(49)
-        train = make_dataset(rng.standard_normal((40, 3)), rng.integers(0, 2, 40))
-        holdout = make_dataset(rng.standard_normal((30, 3)), rng.integers(0, 2, 30))
-        with no_room_for_distances():
-            with pytest.raises(CapacityError, match=r"30 x 40 array of squared "
-                                                    r"distances, 9,600 bytes"):
-                knn_subset_accuracies(train, holdout, [np.arange(25)])
-
     def test_subsets_vote_without_a_copy_of_their_columns(self):
         # 1,000 queries against 2,000 training rows: the distance array is
         # 16 MB, a copy of a 1,000-row subset's columns would add 8 MB
@@ -263,6 +262,159 @@ class TestKnnSubsetAccuracies:
         assert accuracy == float((chunked_knn_reference(train.subset(subset),
                                                         holdout.features.values, 5)
                                   == holdout.labels.labels).mean())
+
+
+def per_pair_predictions(train, queries, subsets, k):
+    """kNN predictions of each subset from the per-pair expression alone: one
+    whole queries x train array of squared distances, and a stable argsort
+    of each subset's columns."""
+    x = train.features.values.astype(np.float64)
+    q = np.asarray(queries, dtype=np.float64)
+    d2 = ((q[:, None, :] - x[None]) ** 2).sum(axis=2)
+    y = train.labels.labels
+    return [np.array([np.bincount(votes, minlength=train.n_classes).argmax()
+                      for votes in y[s][np.argsort(d2[:, s], axis=1, kind="stable")[:, :k]]])
+            for s in subsets]
+
+
+@st.composite
+def screened_knn_cases(draw):
+    """Training sets wide enough for the screen's window: near-tie groups
+    (jittered, the generator of TestKnnDistances), rows a few float32 steps
+    from a far point (exact ties in D, which the GEMM form's rounding splits
+    either way), or exact duplicates of generic rows; and subsets of exactly
+    k rows, tiny ones, ones that repeat indices, and larger sorted, permuted
+    and whole ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, nq = draw(st.integers(80, 300)), draw(st.integers(1, 30))
+    d, k = draw(st.sampled_from([1, 3, 32])), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["jittered", "far", "duplicates"]))
+    if kind == "jittered":
+        base = rng.standard_normal((draw(st.integers(1, 40)), d))
+        x, q = jittered(rng, base, n), jittered(rng, base, nq)
+    elif kind == "far":  # float32 steps at 1000 are 2^-14
+        x = 1000.0 + 2.0 ** -14 * rng.integers(-2, 3, size=(n, d))
+        q = 1000.0 + 2.0 ** -14 * rng.integers(-2, 3, size=(nq, d))
+    else:
+        distinct = rng.standard_normal((draw(st.integers(1, n)), d))
+        x = distinct[rng.integers(0, distinct.shape[0], size=n)]
+        q = np.vstack([x[rng.integers(0, n, size=nq // 2)],
+                       rng.standard_normal((nq - nq // 2, d))])
+    train = make_dataset(x, rng.integers(0, draw(st.integers(1, 4)), size=n))
+    subsets = [rng.permutation(n)[:k]]
+    for kind in draw(st.lists(st.sampled_from(["tiny", "repeats", "sorted", "permuted",
+                                               "whole"]), min_size=1, max_size=4)):
+        size = int(rng.integers(k, 3 * k + 1) if kind == "tiny" else rng.integers(k, n + 1))
+        if kind == "repeats":
+            subsets.append(rng.integers(0, n, size=size))
+        elif kind == "sorted":
+            subsets.append(np.sort(rng.choice(n, size=size, replace=False)))
+        elif kind == "whole":
+            subsets.append(np.arange(n))
+        else:
+            subsets.append(rng.permutation(n)[:size])
+    return train, q.astype(np.float32), subsets, k  # as a holdout stores them
+
+
+def routed_rows(score):
+    """score()'s result, the holdout rows it sent to _subset_votes, and those
+    it scored by the per-pair expression."""
+    with mock.patch.object(models, "_subset_votes", wraps=models._subset_votes) as subset, \
+            mock.patch.object(models, "_sq_distances", wraps=models._sq_distances) as per_pair:
+        result = score()
+    return (result, *(sum(call.args[0].shape[0] for call in fn.call_args_list)
+                      for fn in (subset, per_pair)))
+
+
+class TestScreenedKnn:
+    """The screened GEMM and its margin pick each row's k nearest exactly as
+    the per-pair expression does, holding no holdout x train array."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=screened_knn_cases())
+    def test_equal_to_the_per_pair_expression(self, case):
+        train, queries, subsets, k = case
+        preds = per_pair_predictions(train, queries, subsets, k)
+        for labels in preds:  # a holdout labelled by each subset's predictions
+            holdout = make_dataset(queries, labels)
+            assert knn_subset_accuracies(train, holdout, subsets, k) == [
+                float((p == labels).mean()) for p in preds]
+
+    def test_generic_rows_stay_in_the_window_and_ties_leave_it(self):
+        rng = np.random.default_rng(53)
+        x, q = rng.standard_normal((2000, 16)), rng.standard_normal((300, 16))
+        subsets = [np.arange(2000)] + [rng.permutation(2000)[:m] for m in (250, 500, 1000)]
+        train = make_dataset(x, rng.integers(0, 3, 2000))
+        holdout = make_dataset(q, rng.integers(0, 3, 300))
+        _, subset_rows, per_pair_rows = routed_rows(
+            lambda: knn_subset_accuracies(train, holdout, subsets, 5))
+        assert subset_rows <= 3 and per_pair_rows == 0
+        # each training row twice: the k-th and (k+1)-th nearest often tie
+        twice = make_dataset(np.vstack([x[:1000], x[:1000]]), rng.integers(0, 3, 2000))
+        accs, _, per_pair_rows = routed_rows(
+            lambda: knn_subset_accuracies(twice, holdout, subsets, 5))
+        assert per_pair_rows > 100
+        assert accs == [float((p == holdout.labels.labels).mean()) for p in
+                        per_pair_predictions(twice, holdout.features.values, subsets, 5)]
+
+    def test_no_row_is_certified_on_an_order_rounding_made(self):
+        # rows a few float32 steps (2^-14) from (1000, ..., 1000): D takes
+        # multiples of 2^-28, which the GEMM form's rounding (~1e-8) reorders
+        rng = np.random.default_rng(56)
+        x = 1000.0 + 2.0 ** -14 * rng.integers(-2, 3, size=(400, 32))
+        q = (1000.0 + 2.0 ** -14 * rng.integers(-2, 3, size=(60, 32))).astype(np.float32)
+        train = make_dataset(x, rng.integers(0, 4, 400))
+        subsets = [np.arange(400), rng.permutation(400)[:200]]
+        preds = per_pair_predictions(train, q, subsets, 5)
+        for labels in preds:
+            assert knn_subset_accuracies(train, make_dataset(q, labels), subsets, 5) == [
+                float((p == labels).mean()) for p in preds]
+
+    @pytest.mark.parametrize("d", [1, 32, 300])
+    def test_margin_bounds_the_difference_of_the_two_forms(self, d):
+        # norms near 1e3, differences near 1e-6: A cancels ~1e6 to ~1e-12
+        rng = np.random.default_rng(54)
+        base = rng.standard_normal(d)
+        base *= 1e3 / np.linalg.norm(base)
+        x = base + 1e-6 * rng.standard_normal((200, d))
+        q = base + 1e-6 * rng.standard_normal((50, d))
+        sq_q, sq_x = np.einsum("ij,ij->i", q, q), np.einsum("ij,ij->i", x, x)
+        gap = np.abs(kernels._squared_distances(q, sq_q, -2.0 * x, sq_x) - _sq_distances(q, x))
+        eps = _margins(sq_q, sq_x, d)
+        assert gap.max() > 0
+        assert (gap <= eps[:, None]).all()
+
+    def test_a_non_finite_norm_certifies_no_gap(self):
+        gaps = np.array([0.0, 1.0, 1e300, np.inf])
+        for sq_q, sq_x in [([np.inf], [1.0]), ([np.nan], [1.0]), ([1.0], [1.0, np.inf]),
+                           ([1.0], [np.nan, 1.0])]:
+            eps = _margins(np.array(sq_q), np.array(sq_x), 4)
+            assert not (gaps > 2.0 * eps).any()
+
+    @pytest.mark.parametrize("subset,message", [
+        ([0, 1, 7], "subset index 7 out of range for training size 6"),
+        ([-1, 0, 1], "subset index -1 out of range for training size 6"),
+        ([0.5, 1, 2], "subset indices must be integers, got dtype float64"),
+    ])
+    def test_bad_subset_indices_rejected(self, subset, message):
+        train = make_dataset(np.arange(6.0)[:, None], [0, 1, 0, 1, 0, 1])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            knn_subset_accuracies(train, train, [[0, 1], subset], 1)
+
+    def test_scoring_peaks_below_a_quarter_of_one_holdout_by_train_array(self):
+        # 1,000 queries against 2,000 training rows: one float64 holdout x
+        # train array is 16 MB
+        rng = np.random.default_rng(55)
+        train = make_dataset(rng.standard_normal((2000, 4)), rng.integers(0, 3, 2000))
+        holdout = make_dataset(rng.standard_normal((1000, 4)), rng.integers(0, 3, 1000))
+        subsets = [np.arange(2000), rng.permutation(2000)[:1000], rng.permutation(2000)[:20]]
+        accs = []
+        peak = peak_bytes(lambda: accs.extend(knn_subset_accuracies(train, holdout,
+                                                                    subsets, 5)))
+        assert peak < 8 * holdout.n * train.n // 4
+        assert accs == [float((chunked_knn_reference(train.subset(s), holdout.features.values,
+                                                     5) == holdout.labels.labels).mean())
+                        for s in subsets]
 
 
 class TestKnnAccuracy:
