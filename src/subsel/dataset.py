@@ -303,7 +303,7 @@ def load_labels(path) -> LabelVector:
 
 def save_labels(v: LabelVector, path) -> None:
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{x}\n" for x in v.labels))
+        fh.write("".join(f"{x}\n" for x in v.labels.tolist()))
 
 
 def load_dataset(features_path, labels_path) -> LabeledDataset:

@@ -5,13 +5,14 @@ Similarities are shifted cosines, ``(1 + cos) / 2``, so they land in
 column, the order in which facility location reads a candidate. It is
 dense or sparse:
 
-- A dense build allocates one n x n array, the Gram matrix ``x @ x.T``,
-  finishes it in place, one block of whole rows at a time (see
-  ``row_blocks``), in O(block * n) working memory beyond the result, and
-  returns its transpose, a column-major view. numpy returns ``x @ x.T``
-  exactly symmetric, and entry (i, j) of the finish depends only on g_ij
-  and inv_i * inv_j, so the view holds the finished array's bytes. An
-  allocation that fails raises ``CapacityError``.
+- A dense kernel is one n x n float32 array, column-major. The build
+  computes the upper triangle in float64, one block of rows at a time
+  (see ``_gemm_blocks``), ``x[lo:hi] @ x[lo:].T`` finished in place, then
+  rounds each block to float32 and writes it to its rows and, transposed,
+  to its columns below the diagonal. So the kernel is exactly symmetric
+  and holds 4 n^2 bytes plus O(block * n) working memory, and no n x n
+  float64 array is ever made. An allocation that fails raises
+  ``CapacityError``.
 - A kappa-sparse kernel keeps each row's kappa largest off-diagonal
   similarities, regrouped by column; dropped entries read as similarity 0
   and the diagonal as an implicit 1. ``cosine_similarity(..., kappa=)``
@@ -48,7 +49,9 @@ class SimilarityKernel:
     facility location reads a candidate: column j of a dense matrix is
     dense.T[j] (contiguous if dense is column-major); kept entries list
     column j as rows[col_ptr[j]:col_ptr[j + 1]] (ascending) with
-    similarities values[...], an implicit unit diagonal and 0 elsewhere."""
+    similarities values[...], an implicit unit diagonal and 0 elsewhere.
+    cosine_similarity stores dense kernels in float32 and kept entries in
+    float64; a kernel built by hand may hold either."""
 
     n: int
     dense: Optional[np.ndarray] = None
@@ -122,16 +125,14 @@ def _gemm_blocks(n: int, width: Optional[int] = None) -> list[tuple[int, int]]:
     return row_blocks(n, min(n if width is None else width, _BLOCK_ELEMS // _GEMM_ROWS))
 
 
-def _gram(x: np.ndarray) -> np.ndarray:
-    """x @ x.T, the n x n allocation of a dense build; CapacityError if it
-    fails. numpy returns it exactly symmetric: it computes one triangle
-    (BLAS syrk) and copies it onto the other."""
+def _dense_array(n: int) -> np.ndarray:
+    """An uninitialised n x n float32 column-major array, the one n x n
+    allocation of a dense build; CapacityError if it fails."""
     try:
-        return x @ x.T
+        return np.empty((n, n), dtype=np.float32, order="F")
     except MemoryError:
-        n = x.shape[0]
         raise CapacityError(
-            f"a dense {n} x {n} kernel needs {8 * n * n:,} bytes, more than can be "
+            f"a dense {n} x {n} kernel needs {4 * n * n:,} bytes, more than can be "
             "allocated; fl with --knn-sparsify KAPPA, and dm, build no n x n matrix"
         ) from None
 
@@ -155,17 +156,18 @@ def cosine_norms(x: np.ndarray) -> np.ndarray:
 
 
 def cosine_similarity(m: FeatureMatrix, kappa: Optional[int] = None) -> SimilarityKernel:
-    """Shifted-cosine similarity kernel over m's rows: dense, or with
-    kappa each row's kappa largest off-diagonal entries, built row block by
-    row block without an n x n matrix.
+    """Shifted-cosine similarity kernel over m's rows: dense float32, or with
+    kappa each row's kappa largest off-diagonal entries in float64, built row
+    block by row block without an n x n float64 matrix.
 
-    The kappa-sparse kernel keeps what sparsify_knn of the dense kernel
-    keeps, but each row's values come from its own block's product, so a
-    value can differ from the dense one in its last bit, and a
-    row whose kappa-th and next candidates differ only there can keep the
-    other one.
+    The kappa-sparse kernel keeps what sparsify_knn would keep of the dense
+    finish before its rounding to float32, but each row's values come from
+    its own block's product, so a value can differ from that finish in its
+    last bit, and a row whose kappa-th and next candidates differ only there
+    can keep the other one.
     """
     x = m.values.astype(np.float64)
+    n = x.shape[0]
     inv_norms = 1.0 / cosine_norms(x)
     if kappa is not None:
         def negated_rows(lo, hi):
@@ -175,17 +177,23 @@ def cosine_similarity(m: FeatureMatrix, kappa: Optional[int] = None) -> Similari
             block *= -0.5  # the dense finish, negated: sign flips are exact
             np.clip(block, -1.0, 0.0, out=block)
             return block
-        return _top_kappa(x.shape[0], kappa, negated_rows)
-    sim = _gram(x)
-    for lo, hi in row_blocks(x.shape[0]):
-        block = sim[lo:hi]
-        block *= np.outer(inv_norms[lo:hi], inv_norms)
+        return _top_kappa(n, kappa, negated_rows)
+    sim = _dense_array(n)
+    for lo, hi in _gemm_blocks(n):
+        block = x[lo:hi] @ x[lo:].T
+        block *= np.outer(inv_norms[lo:hi], inv_norms[lo:])
         block += 1.0
         block *= 0.5
         np.clip(block, 0.0, 1.0, out=block)
-    np.fill_diagonal(sim, 1.0)
+        upper = block.astype(np.float32)
+        tile = upper[:, :hi - lo]  # the diagonal tile: mirror its upper triangle
+        i, j = np.triu_indices(hi - lo, 1)
+        tile[j, i] = tile[i, j]
+        np.fill_diagonal(tile, 1.0)
+        sim[lo:hi, lo:] = upper
+        sim[hi:, lo:hi] = upper[:, hi - lo:].T
     sim.flags.writeable = False
-    return SimilarityKernel(n=x.shape[0], dense=sim.T)  # sim is symmetric: same bytes
+    return SimilarityKernel(n=n, dense=sim)
 
 
 def euclidean_distance(m: FeatureMatrix) -> DistanceKernel:

@@ -6,7 +6,10 @@ empty-set value is 0. Candidate j's gain is read down column j of the
 kernel (row j of ``kernel.dense.T`` if dense) by ``gains_of``; ``gain``,
 ``gains_all`` and lazy greedy's block refresh all call it, so a gain
 reads the same bytes however it is batched, and lazy greedy matches the
-naive argmax scan the tests hold as its reference.
+naive argmax scan the tests hold as its reference. The per-element
+maxima are kept in the kernel's value dtype (float32 for the dense
+cosine kernel), and a gain's terms and a value's maxima are summed in
+float64.
 
 Disparity min is the smallest pairwise distance among selected
 elements; it is scored greedily by squared distance-to-selected (the
@@ -59,7 +62,7 @@ def facility_location_value(kernel: SimilarityKernel, X) -> float:
     if idx.size == 0:
         return 0.0
     if not kernel.is_sparse:
-        return float(kernel.dense[:, idx].max(axis=1).sum())
+        return float(kernel.dense[:, idx].max(axis=1).sum(dtype=np.float64))
     best = np.zeros(kernel.n)
     for j in idx:
         _fold_column(best, kernel, j)
@@ -80,7 +83,8 @@ class FacilityLocation:
         self.n = kernel.n
         self.selected: list[int] = []
         self.selected_mask = np.zeros(self.n, dtype=bool)
-        self.best = np.zeros(self.n)
+        self.best = np.zeros(self.n, dtype=(kernel.values if kernel.is_sparse
+                                            else kernel.dense).dtype)
         self.value = 0.0
 
     def gain(self, e: int) -> float:
@@ -90,14 +94,15 @@ class FacilityLocation:
 
     def gains_of(self, idx) -> np.ndarray:
         """Gains of candidates idx (index array or slice), in idx's order, selected
-        or not; dense terms summed per C-ordered row, sparse ones in entry order."""
+        or not; dense terms summed in float64 per C-ordered row, sparse ones in
+        entry order."""
         k, best = self.kernel, self.best
         cand = np.arange(self.n)[idx]
         if not k.is_sparse:
             terms = np.ascontiguousarray(k.dense.T[cand])  # fancy index: a copy
             np.subtract(terms, best, out=terms)
             np.maximum(terms, 0.0, out=terms)
-            return terms.sum(axis=1)
+            return terms.sum(axis=1, dtype=np.float64)
         count = k.col_ptr[cand + 1] - k.col_ptr[cand]
         seg = np.repeat(np.arange(cand.size), count)  # each gathered entry's candidate
         # the entries of each candidate's column, segment after segment
@@ -127,7 +132,7 @@ class FacilityLocation:
         self.selected_mask[e] = True
         # summing the maxima (not accumulating gains) keeps the value an
         # order-insensitive function of the selected set
-        self.value = float(self.best.sum())
+        self.value = float(self.best.sum(dtype=np.float64))
 
 
 class DisparityMin:

@@ -9,9 +9,9 @@ toward the lowest index, so every optimizer is deterministic.
 
 ``select_subset`` pairs each objective name, fl or dm, with its kernel
 and optimizer; no other module makes that choice. Dense fl holds one
-n x n kernel, since lazy greedy reads all of it; kappa-sparse fl keeps
-O(n * kappa) entries streamed from the features, and dm runs farthest
-point from the features in O(n * d + block * n) memory.
+n x n float32 kernel, since lazy greedy reads all of it; kappa-sparse fl
+keeps O(n * kappa) entries streamed from the features, and dm runs
+farthest point from the features in O(n * d + block * n) memory.
 """
 
 from __future__ import annotations

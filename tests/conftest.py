@@ -39,6 +39,12 @@ def random_similarity_kernel(rng: np.random.Generator, n: int) -> SimilarityKern
     return SimilarityKernel(n=n, dense=dense)
 
 
+def rounded_to_float32(kernel: SimilarityKernel) -> SimilarityKernel:
+    """A dense kernel's entries rounded to float32 and stored column-major,
+    as cosine_similarity stores a dense kernel."""
+    return SimilarityKernel(n=kernel.n, dense=np.asfortranarray(kernel.dense, dtype=np.float32))
+
+
 def random_distance_kernel(rng: np.random.Generator, n: int, d: int = 3) -> DistanceKernel:
     """Euclidean distances between random points (a true metric)."""
     return euclidean_distance(random_features(rng, n, d))
@@ -157,24 +163,18 @@ def softmax_gradients(weights, bias, X, y, l2: float):
     return models._gradients(models._row_softmax(X @ weights.T + bias), weights, X, y, l2)
 
 
-class _NoRoom(np.ndarray):
-    """A float64 array whose matrix products cannot be allocated."""
-
-    def __matmul__(self, other):
-        raise MemoryError("Unable to allocate")
-
-
 @contextmanager
-def no_room_for_products():
-    """Make the dense build's x @ x.T fail to allocate, as a too-large n x n
-    result would, without allocating it; kernels._gram still translates the
+def no_room_for_dense_kernels():
+    """Make the dense build's n x n allocation fail, as a too-large one
+    would, without allocating it; kernels._dense_array still translates the
     failure."""
-    gram = kernels._gram
+    allocate = kernels._dense_array
 
-    def gram_without_room(x):
-        return gram(x.view(_NoRoom))
+    def allocate_without_room(n):
+        with mock.patch.object(np, "empty", side_effect=MemoryError("Unable to allocate")):
+            return allocate(n)
 
-    with mock.patch.object(kernels, "_gram", gram_without_room):
+    with mock.patch.object(kernels, "_dense_array", allocate_without_room):
         yield
 
 

@@ -2,7 +2,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import no_room_for_products
+from conftest import no_room_for_dense_kernels
 from subsel.cli import main
 from subsel.dataset import FeatureMatrix, load_features, load_labels, save_features
 from subsel.harness import parse_csv
@@ -80,12 +80,12 @@ class TestSelect:
                                                                 capsys):
         features, _ = synth_files
         out = tmp_path / "idx.txt"
-        with no_room_for_products():
+        with no_room_for_dense_kernels():
             rc = main(["select", "--features", str(features), "--objective", "fl",
                        "--budget", "5", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: a dense 90 x 90 kernel needs 64,800 bytes")
+        assert err.startswith("error: a dense 90 x 90 kernel needs 32,400 bytes")
         assert "--knn-sparsify" in err
         assert not out.exists()
 

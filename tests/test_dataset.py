@@ -245,6 +245,13 @@ class TestLabels:
         save_labels(v, path)
         assert np.array_equal(load_labels(path).labels, v.labels)
 
+    def test_saved_bytes_format_each_label_in_decimal(self, tmp_path):
+        labels = np.array([0, 7, 10, 1234567, 2 ** 63 - 1, 3], dtype=np.int64)
+        path = tmp_path / "l.txt"
+        save_labels(LabelVector(labels), path)
+        assert path.read_bytes() == "".join(f"{x}\n" for x in labels).encode()
+        assert path.read_bytes().splitlines()[4] == b"9223372036854775807"
+
 
 class TestSplit:
     def _dataset(self, n, labels=None):

@@ -1,3 +1,4 @@
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     distances_among,
     greedy_naive,
-    no_room_for_products,
+    no_room_for_dense_kernels,
     peak_bytes,
     random_features,
     random_similarity_kernel,
@@ -75,6 +76,41 @@ def reference_csc(dense, kappa):
 
 def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_rounds_the_reference(built, m):
+    """built is a float32, column-major, exactly symmetric kernel with a
+    unit diagonal, and each entry is reference_cosine(m)'s, rounded to the
+    nearest float32, or the other float32 neighbour where the reference
+    lies within delta of a rounding midpoint.
+
+    The build and the reference finish entry (i, j), i != j, by the same
+    float64 operations, clip(0.5 * fl(1 + fl(g * p))), with the same
+    p = fl(inv_i inv_j), from two computed dot products g of rows i and j: a
+    GEMM block's and numpy's x @ x.T. Each g lies within gamma_d |x_i| |x_j|
+    of the exact product (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3, and Cauchy-Schwarz), gamma_d = d u / (1 - d u),
+    u = 2^-53, and p |x_i| |x_j| is within gamma_d + 5 u of 1 (the norms'
+    sums, square roots and divisions). So the two g * p differ by at most
+    2.02 gamma_d and are at most 1.01 in magnitude; their roundings, the
+    sums with 1 and the sums' roundings add at most 6.1 u, the halving is
+    exact, and the clip moves no two values apart: the two finishes differ
+    by at most 1.01 gamma_d + 3.1 u. delta = 2 gamma_d + 8 u covers that
+    and the rounding of r -/+ delta below. Rounding to float32 is monotone,
+    so the built entry lies between the float32 roundings of r - delta and
+    r + delta, and those are one value unless r lies within delta of a
+    midpoint. The diagonals are exactly 1 in both.
+    """
+    ref = reference_cosine(m)
+    d = m.values.shape[1]
+    u = 2.0 ** -53
+    delta = 2.0 * d * u / (1.0 - d * u) + 8.0 * u
+    assert built.dtype == np.float32 and built.shape == ref.shape
+    assert built.flags.f_contiguous
+    assert np.array_equal(built, built.T)
+    assert (np.diag(built) == 1.0).all()
+    low, high = (ref - delta).astype(np.float32), (ref + delta).astype(np.float32)
+    assert ((low <= built) & (built <= high)).all()
 
 
 @st.composite
@@ -150,9 +186,10 @@ class TestCosine:
             assert k.dense.min() >= 0.0 and k.dense.max() <= 1.0
 
     def test_symmetry_is_exact(self):
-        # symmetry comes from numpy's x @ x.T, so check it at the benchmark's
-        # shapes too: select's 2,100 x 64, sweep's 536 x 32 training split,
-        # and al's filtered sets of rows from 600 x 128 features
+        # the build writes each upper-triangle block to both triangles, so
+        # check it at the benchmark's shapes too: select's 2,100 x 64, sweep's
+        # 536 x 32 training split, and al's filtered sets of rows from
+        # 600 x 128 features
         rng = np.random.default_rng(2)
         cases = [random_features(rng, 12, 5) for _ in range(20)]
         cases += [random_features(rng, 2100, 64), random_features(rng, 536, 32)]
@@ -162,6 +199,17 @@ class TestCosine:
             k = cosine_similarity(m)
             assert k.dense.T.flags.c_contiguous
             assert np.abs(k.dense - k.dense.T).max() == 0.0
+
+    @pytest.mark.parametrize("block_elems", [40, kernels._BLOCK_ELEMS])
+    def test_symmetric_when_the_two_products_of_a_pair_differ(self, block_elems):
+        # the build must not rely on a GEMM rounding (i, j) and (j, i) alike
+        m = random_features(np.random.default_rng(3), 70, 5)
+        uneven = SimpleNamespace(values=m.values.view(_UnevenProducts))
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            dense = cosine_similarity(uneven).dense
+        assert np.array_equal(dense, dense.T)
+        assert (np.diag(dense) == 1.0).all()
+        assert not np.array_equal(dense, cosine_similarity(m).dense)  # the noise shows
 
     def test_zero_norm_row_names_the_row(self):
         values = np.ones((4, 3))
@@ -174,6 +222,15 @@ class TestCosine:
         values[3] = 0.0
         with pytest.raises(ValidationError, match="all-zero row 1"):
             cosine_similarity(FeatureMatrix(values[[0, 3, 4]]))
+
+
+class _UnevenProducts(np.ndarray):
+    """Rows whose matrix products carry a different error, within 1e-3, in
+    every entry: the two products of a pair never agree."""
+
+    def __matmul__(self, other):
+        product = np.asarray(np.matmul(np.asarray(self), np.asarray(other)))
+        return product + np.random.default_rng(product.size).uniform(-1e-3, 1e-3, product.shape)
 
 
 def all_distances(kernel):
@@ -294,10 +351,10 @@ class TestSparsify:
 class TestBlockedBuildsMatchReference:
     @PROPERTY
     @given(ground_sets(), BLOCK_ELEMS)
-    def test_cosine_is_byte_identical(self, m, block_elems):
+    def test_cosine_rounds_the_reference(self, m, block_elems):
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
             built = cosine_similarity(m).dense
-        assert same_bytes(built, reference_cosine(m))
+        assert_rounds_the_reference(built, m)
 
     @PROPERTY
     @given(tied_kernels(), BLOCK_ELEMS)
@@ -322,8 +379,8 @@ class TestBlockedBuildsMatchReference:
 
     def test_builds_match_reference_across_several_default_blocks(self):
         m = random_features(np.random.default_rng(12), 600, 8)
-        assert len(kernels.row_blocks(600)) > 1
-        assert same_bytes(cosine_similarity(m).dense, reference_cosine(m))
+        assert len(kernels._gemm_blocks(600)) > 1
+        assert_rounds_the_reference(cosine_similarity(m).dense, m)
 
 
 class TestPeakMemory:
@@ -331,14 +388,14 @@ class TestPeakMemory:
     def test_dense_build_peaks_near_one_n_by_n_array(self, build):
         n = 1000
         m = random_features(np.random.default_rng(14), n, 16)
-        assert peak_bytes(lambda: build(m)) <= 1.5 * 8 * n * n
+        assert peak_bytes(lambda: build(m)) <= 1.5 * 4 * n * n
 
 
 @pytest.mark.parametrize("build", [cosine_similarity])
 def test_a_dense_build_that_cannot_be_allocated_is_a_capacity_error(build):
     m = random_features(np.random.default_rng(43), 100, 4)
-    with no_room_for_products():
-        with pytest.raises(CapacityError, match=r"100 x 100 kernel needs 80,000 bytes"
+    with no_room_for_dense_kernels():
+        with pytest.raises(CapacityError, match=r"100 x 100 kernel needs 40,000 bytes"
                                                 r".*--knn-sparsify"):
             build(m)
 
@@ -366,32 +423,34 @@ def max_abs_diff(a, b):
 
 
 class TestStreamedTopKappa:
-    """cosine_similarity(m, kappa=) against sparsify_knn of the dense kernel:
-    the same entries, values within a few ulp of 1 (the two products of a
-    pair may round differently)."""
+    """cosine_similarity(m, kappa=) against the top-kappa cut of the float64
+    reference kernel: the same entries, values within a few ulp of 1 (the
+    two products of a pair may round differently)."""
 
     @staticmethod
-    def check(m, kappa):
+    def check(m, kappa, reference):
         streamed = cosine_similarity(m, kappa=kappa)
-        cut = sparsify_knn(cosine_similarity(m), kappa)
-        assert streamed.n == cut.n and streamed.is_sparse
-        assert same_bytes(streamed.col_ptr, cut.col_ptr)
-        assert same_bytes(streamed.rows, cut.rows)
-        assert streamed.values.dtype == cut.values.dtype
-        assert max_abs_diff(streamed.values, cut.values) <= 4 * np.finfo(float).eps
+        col_ptr, rows, values = reference_csc(reference, kappa)
+        assert streamed.n == m.n and streamed.is_sparse
+        assert same_bytes(streamed.col_ptr, col_ptr)
+        assert same_bytes(streamed.rows, rows)
+        assert streamed.values.dtype == values.dtype
+        assert max_abs_diff(streamed.values, values) <= 4 * np.finfo(float).eps
 
     @PROPERTY
     @given(ground_sets(), BLOCK_ELEMS)
     def test_keeps_the_entries_of_the_dense_cut_for_every_kappa(self, m, block_elems):
+        reference = reference_cosine(m)
         with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
             for kappa in range(1, m.n):
-                self.check(m, kappa)
+                self.check(m, kappa, reference)
 
     def test_keeps_the_entries_of_the_dense_cut_at_benchmark_scale(self):
         m = random_features(np.random.default_rng(40), 2100, 64)
         assert len(kernels._gemm_blocks(2100)) > 1
+        reference = reference_cosine(m)
         for kappa in (1, 25):
-            self.check(m, kappa)
+            self.check(m, kappa, reference)
 
     def test_kappa_out_of_range(self):
         m = random_features(np.random.default_rng(41), 5, 3)

@@ -14,6 +14,7 @@ from conftest import (
     random_features,
     random_similarity_kernel,
     reference_euclidean,
+    rounded_to_float32,
     to_dense,
 )
 from subsel import kernels
@@ -128,24 +129,68 @@ class TestFacilityLocationState:
         rng = np.random.default_rng(23)
         for _ in range(30)[:30]:
             n = int(rng.integers(2, 7))
-            dense = random_similarity_kernel(rng, n).dense
-            values = {}
-            for mask in range(1 << n):
-                sel = [i for i in range(n) if mask >> i & 1]
-                values[mask] = scratch_fl(dense, sel)
-            for b_mask in range(1 << n):
-                a_mask = b_mask
-                while True:
-                    for x in range(n):
-                        if b_mask >> x & 1:
-                            continue
-                        bit = 1 << x
-                        gain_a = values[a_mask | bit] - values[a_mask]
-                        gain_b = values[b_mask | bit] - values[b_mask]
-                        assert gain_a >= gain_b - 1e-9
-                    if a_mask == 0:
-                        break
-                    a_mask = (a_mask - 1) & b_mask
+            kernel = random_similarity_kernel(rng, n)
+            for dense in (kernel.dense, rounded_to_float32(kernel).dense.astype(np.float64)):
+                values = {}
+                for mask in range(1 << n):
+                    sel = [i for i in range(n) if mask >> i & 1]
+                    values[mask] = scratch_fl(dense, sel)
+                for b_mask in range(1 << n):
+                    a_mask = b_mask
+                    while True:
+                        for x in range(n):
+                            if b_mask >> x & 1:
+                                continue
+                            bit = 1 << x
+                            gain_a = values[a_mask | bit] - values[a_mask]
+                            gain_b = values[b_mask | bit] - values[b_mask]
+                            assert gain_a >= gain_b - 1e-9
+                        if a_mask == 0:
+                            break
+                        a_mask = (a_mask - 1) & b_mask
+
+
+class TestFloat32DenseKernels:
+    """Facility location on float32 dense kernels, as cosine_similarity
+    builds them: maxima kept in float32, gains and values summed in float64."""
+
+    @staticmethod
+    def kernels(rng, count):
+        """count random float32 kernels, then dense cosine kernels of
+        features with repeated rows."""
+        cases = [rounded_to_float32(random_similarity_kernel(rng, int(rng.integers(2, 12))))
+                 for _ in range(count)]
+        for _ in range(count // 4):
+            n = int(rng.integers(2, 40))
+            m = FeatureMatrix(rng.choice([-1.0, 1.0, 2.0], size=(n, int(rng.integers(1, 4)))))
+            cases.append(cosine_similarity(m))
+        return cases
+
+    def test_value_equals_the_from_scratch_value(self):
+        rng = np.random.default_rng(26)
+        for kernel in self.kernels(rng, 60):
+            assert kernel.dense.dtype == np.float32
+            state = FacilityLocation(kernel)
+            assert state.best.dtype == np.float32
+            for e in rng.permutation(kernel.n)[:int(rng.integers(1, kernel.n + 1))]:
+                state.add(int(e))
+                assert state.value == facility_location_value(kernel, state.selected)
+                assert state.value == float(kernel.dense[:, state.selected]
+                                            .astype(np.float64).max(axis=1).sum())
+
+    def test_computed_gains_never_rise(self):
+        # lazy greedy keeps stale gains as upper bounds: the gains as
+        # computed, float32 differences and all, must not rise as maxima do
+        rng = np.random.default_rng(28)
+        for kernel in self.kernels(rng, 40):
+            state = FacilityLocation(kernel)
+            everyone = np.arange(kernel.n)
+            gains = state.gains_of(everyone)
+            for e in rng.permutation(kernel.n):
+                state.add(int(e))
+                now = state.gains_of(everyone)
+                assert (now <= gains).all()
+                gains = now
 
 
 class TestSparseConsumers:
@@ -179,8 +224,9 @@ class TestSparseConsumers:
 
 
 def column_gain(dense, best, e):
-    """The gain of e read down column e of the kernel, whole-array form."""
-    return float(np.maximum(dense[:, e] - best, 0.0).sum())
+    """The gain of e read down column e of the kernel, whole-array form,
+    summed in float64."""
+    return float(np.maximum(dense[:, e] - best, 0.0).sum(dtype=np.float64))
 
 
 def candidate_gains_all(dense, best):
@@ -362,19 +408,22 @@ class TestSparseGainsAll:
 
 def wide_range_states(rng, n):
     """FacilityLocation states on a column-major symmetric kernel (read
-    down contiguous columns), a C-order asymmetric one (strided columns)
-    and a kappa-sparse kernel, entries and per-element maxima spread over
-    16 orders of magnitude so that a change in summation order shows in
-    the last bits, each with a few elements selected."""
+    down contiguous columns), a C-order asymmetric one (strided columns),
+    a kappa-sparse kernel and the symmetric one in float32, entries and
+    per-element maxima spread over 16 orders of magnitude so that a change
+    in summation order shows in the last bits, each with a few elements
+    selected."""
     raw = 10.0 ** rng.uniform(-16.0, 0.0, size=(n, n))
     upper = np.triu(raw, 1)
     symmetric = upper + upper.T + np.diag(np.diag(raw))
     states = [FacilityLocation(SimilarityKernel(n=n, dense=np.asfortranarray(symmetric))),
               FacilityLocation(SimilarityKernel(n=n, dense=raw)),
               FacilityLocation(sparsify_knn(SimilarityKernel(n=n, dense=raw),
-                                            max(1, n // 4)))]
+                                            max(1, n // 4))),
+              FacilityLocation(SimilarityKernel(
+                  n=n, dense=np.asfortranarray(symmetric, dtype=np.float32)))]
     for state in states:
-        state.best = 10.0 ** rng.uniform(-16.0, 0.0, size=n)
+        state.best = (10.0 ** rng.uniform(-16.0, 0.0, size=n)).astype(state.best.dtype)
         for pick in rng.permutation(n)[:min(3, n - 1)]:
             state.add(int(pick))
     return states

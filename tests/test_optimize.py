@@ -16,6 +16,7 @@ from conftest import (
     random_similarity_kernel,
     reference_euclidean,
     reference_farthest_point,
+    rounded_to_float32,
 )
 from subsel import kernels
 from subsel.dataset import FeatureMatrix
@@ -121,6 +122,16 @@ def tie_dense_streamed_kernels(draw):
     return kernel, draw(st.integers(1, n))
 
 
+@st.composite
+def tie_dense_float32_kernels(draw):
+    """Dense float32 cosine kernels over features in {-1, 1, 2}: repeated
+    rows and equal cosines, so many equal gains; and a budget."""
+    n, d = draw(st.integers(9, 120)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = FeatureMatrix(rng.choice([-1.0, 1.0, 2.0], size=(n, d)))
+    return cosine_similarity(m), draw(st.integers(1, n))
+
+
 class TestLazyGreedy:
     def test_matches_naive_on_the_hand_kernel(self, hand_similarity):
         sel = greedy_lazy(FacilityLocation(hand_similarity), 2)
@@ -132,11 +143,12 @@ class TestLazyGreedy:
             n = int(rng.integers(2, 61))
             b = int(rng.integers(1, min(10, n) + 1))
             kernel = random_similarity_kernel(rng, n)
-            naive = greedy_naive(FacilityLocation(kernel), b)
-            lazy = greedy_lazy(FacilityLocation(kernel), b)
-            assert lazy.indices == naive.indices
-            assert lazy.step_values == naive.step_values
-            assert lazy.gain_evals <= naive.gain_evals
+            for k in (kernel, rounded_to_float32(kernel)):
+                naive = greedy_naive(FacilityLocation(k), b)
+                lazy = greedy_lazy(FacilityLocation(k), b)
+                assert lazy.indices == naive.indices
+                assert lazy.step_values == naive.step_values
+                assert lazy.gain_evals <= naive.gain_evals
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(tie_dense_kernels())
@@ -152,6 +164,17 @@ class TestLazyGreedy:
     @given(tie_dense_streamed_kernels())
     def test_equivalent_to_naive_on_streamed_kernels(self, case):
         kernel, b = case
+        naive = greedy_naive(FacilityLocation(kernel), b)
+        lazy = greedy_lazy(FacilityLocation(kernel), b)
+        assert lazy.indices == naive.indices
+        assert lazy.step_values == naive.step_values
+        assert lazy.gain_evals <= naive.gain_evals
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tie_dense_float32_kernels())
+    def test_equivalent_to_naive_on_dense_float32_cosine_kernels(self, case):
+        kernel, b = case
+        assert kernel.dense.dtype == np.float32
         naive = greedy_naive(FacilityLocation(kernel), b)
         lazy = greedy_lazy(FacilityLocation(kernel), b)
         assert lazy.indices == naive.indices
@@ -391,9 +414,10 @@ class TestGuarantees:
             n = int(rng.integers(3, 13))
             b = int(rng.integers(1, min(4, n) + 1))
             kernel = random_similarity_kernel(rng, n)
-            greedy = greedy_naive(FacilityLocation(kernel), b)
-            exact = brute_force(FacilityLocation(kernel), b)
-            assert greedy.final_value >= bound * exact.final_value - 1e-12
+            for k in (kernel, rounded_to_float32(kernel)):
+                greedy = greedy_naive(FacilityLocation(k), b)
+                exact = brute_force(FacilityLocation(k), b)
+                assert greedy.final_value >= bound * exact.final_value - 1e-12
 
     def test_selections_are_deterministic(self, hand_similarity):
         a = greedy_naive(FacilityLocation(hand_similarity), 2)
@@ -424,9 +448,7 @@ class TestSelectSubset:
         if rows is not None:
             features = FeatureMatrix(features.values[rows])
         if objective == "fl":
-            kernel = cosine_similarity(features)
-            if kappa is not None:
-                kernel = sparsify_knn(kernel, kappa)
+            kernel = cosine_similarity(features, kappa=kappa)
             direct = greedy_lazy(FacilityLocation(kernel), 6)
         else:
             direct = farthest_point(DisparityMin(euclidean_distance(features)), 6)
