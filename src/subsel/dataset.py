@@ -284,7 +284,7 @@ def load_labels(path) -> LabelVector:
     path = Path(path)
     text = _read_text(path, ValidationError)
     labels = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

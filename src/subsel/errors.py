@@ -28,9 +28,8 @@ class LabelParseError(SubsetSelectionError, ValueError):
 
 
 class CapacityError(SubsetSelectionError):
-    """A computation exceeds a size limit: an exhaustive search the
-    enumeration cap, or a dense n x n float32 kernel (4 n^2 bytes) the
-    memory that can be allocated."""
+    """A computation exceeds a size limit: a dense n x n float32 kernel
+    (4 n^2 bytes) the memory that can be allocated."""
 
 
 class UnsupportedObjectiveError(SubsetSelectionError, TypeError):

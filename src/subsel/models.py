@@ -63,7 +63,7 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     n, nq = train.n, holdout.n
-    pos = np.full(n, -1, dtype=np.int32)  # each training row's position in s, or -1
+    inset = np.zeros(n, dtype=bool)  # the rows of the subset at hand
     checked, reach = [], []
     for s in map(np.asarray, subsets):
         if k > s.size:
@@ -75,9 +75,9 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
             raise ValidationError(f"subset index {s[bad[0]]} out of range for "
                                   f"training size {n}")
         checked.append(s.astype(np.int64, copy=False))
-        pos[s] = np.arange(s.size)  # a repeated index keeps one position: reads differ
-        distinct = (pos[s] == np.arange(s.size)).all()
-        pos[s] = -1
+        inset[s] = True
+        distinct = np.count_nonzero(inset) == s.size
+        inset[s] = False
         r = -(-2 * (k + 1) * n // s.size) + 16
         reach.append(r if distinct and 4 * r <= n else 0)
     q = holdout.features.values.astype(np.float64)
@@ -89,9 +89,9 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
     for s, r in zip(checked, reach):
         preds, redo = np.empty(nq, dtype=np.int64), every
         if r:
-            pos[s] = np.arange(s.size)
-            member = pos[cols[:, :r]] >= 0
-            pos[s] = -1
+            inset[s] = True
+            member = inset[cols[:, :r]]
+            inset[s] = False
             rank = np.cumsum(member, axis=1, dtype=np.int32)  # members up to here
             # window entries of the k-th and (k+1)-th members, or the reach-th
             kth = np.minimum(np.count_nonzero(rank < k, axis=1), r - 1)
@@ -139,25 +139,20 @@ def _screen(q: np.ndarray, x: np.ndarray, width: int):
 
 def _subset_votes(q: np.ndarray, xs: np.ndarray, labels: np.ndarray, n_classes: int,
                   k: int) -> np.ndarray:
-    """Majority label among each query's k nearest rows of xs, one block of
-    queries at a time. One GEMM gives their A; a query whose k-th and
-    (k+1)-th smallest A differ by more than 2 eps (every query, if xs has k
-    rows) takes first_k of A, the unique k nearest under D by the proof in
-    knn_subset_accuracies; the others take first_k of D (_sq_distances),
-    ties to the lower row of xs. A repeated row of xs has one A, so its
+    """Majority label among each query's k nearest rows of xs. A query whose
+    k-th and (k+1)-th smallest A in its _screen over xs differ by more than
+    2 eps (every query, if xs has k rows) votes with the k before the gap,
+    the unique k nearest under D by the proof in knn_subset_accuracies; the
+    others take first_k of D (_sq_distances), ties to the lower row of xs,
+    one block of them at a time. A repeated row of xs has one A, so its
     copies fall on one side of a certified gap."""
-    m = xs.shape[0]
-    sq_q, sq_xs = np.einsum("ij,ij->i", q, q), np.einsum("ij,ij->i", xs, xs)
-    eps, xs2 = _margins(sq_q, sq_xs, q.shape[1]), -2.0 * xs
-    preds = np.empty(q.shape[0], dtype=np.int64)
-    for lo, hi in _gemm_blocks(q.shape[0], width=m):
-        a = _squared_distances(q[lo:hi], sq_q[lo:hi], xs2, sq_xs)
-        if m > k:
-            t = np.partition(a, (k - 1, k), axis=1)
-            redo = np.flatnonzero(~(t[:, k] - t[:, k - 1] > 2.0 * eps[lo:hi]))
-            a[redo] = _sq_distances(q[lo + redo], xs)
-        rows, cols = np.divmod(np.flatnonzero(first_k(a, k)), m)
-        preds[lo:hi] = _vote(labels[cols], rows, hi - lo, n_classes)
+    m, nq = xs.shape[0], q.shape[0]
+    cols, vals, eps = _screen(q, xs, min(k + 1, m))
+    preds = _vote(labels[cols[:, :k]].ravel(), np.arange(nq).repeat(k), nq, n_classes)
+    redo = np.flatnonzero(~(vals[:, k] - vals[:, k - 1] > 2.0 * eps)) if m > k else []
+    for lo, hi in _gemm_blocks(len(redo), width=m):
+        rows, at = np.divmod(np.flatnonzero(first_k(_sq_distances(q[redo[lo:hi]], xs), k)), m)
+        preds[redo[lo:hi]] = _vote(labels[at], rows, hi - lo, n_classes)
     return preds
 
 

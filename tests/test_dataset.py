@@ -206,6 +206,22 @@ class TestLabels:
             assert (err.value.line_number, err.value.content) == (2, content)
             assert str(err.value).startswith(f"{path}: line 2: ")
 
+    def test_lines_end_only_at_line_feeds(self, tmp_path):
+        # str.splitlines() also breaks at each of these; text mode reads
+        # \r\n as \n
+        path = tmp_path / "l.txt"
+        for sep in ("\x0c", "\x1c", "\x1e", "\x85", "\u2028"):
+            path.write_text(f"0{sep}1\n", encoding="utf-8")
+            with pytest.raises(LabelParseError) as err:
+                load_labels(path)
+            assert (err.value.line_number, err.value.content) == (1, f"0{sep}1")
+            path.write_text(f"0{sep}\nabc\n", encoding="utf-8")
+            with pytest.raises(LabelParseError) as err:
+                load_labels(path)
+            assert (err.value.line_number, err.value.content) == (2, "abc")
+        path.write_bytes(b"0\r\n1\r\n0\r\n")
+        assert load_labels(path).labels.tolist() == [0, 1, 0]
+
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "l.txt"
         for content in ("-1", "-0"):

@@ -403,18 +403,23 @@ class TestScreenedKnn:
 
     def test_scoring_peaks_below_a_quarter_of_one_holdout_by_train_array(self):
         # 1,000 queries against 2,000 training rows: one float64 holdout x
-        # train array is 16 MB
+        # train array is 16 MB. With each training row twice, many queries'
+        # k-th and (k+1)-th nearest tie and go to the per-pair fallback.
         rng = np.random.default_rng(55)
         train = make_dataset(rng.standard_normal((2000, 4)), rng.integers(0, 3, 2000))
         holdout = make_dataset(rng.standard_normal((1000, 4)), rng.integers(0, 3, 1000))
         subsets = [np.arange(2000), rng.permutation(2000)[:1000], rng.permutation(2000)[:20]]
-        accs = []
-        peak = peak_bytes(lambda: accs.extend(knn_subset_accuracies(train, holdout,
-                                                                    subsets, 5)))
-        assert peak < 8 * holdout.n * train.n // 4
-        assert accs == [float((chunked_knn_reference(train.subset(s), holdout.features.values,
-                                                     5) == holdout.labels.labels).mean())
-                        for s in subsets]
+        x = train.features.values[:1000]
+        twice = make_dataset(np.vstack([x, x]), rng.integers(0, 3, 2000))
+        for pool in (train, twice):
+            accs = []
+            peak = peak_bytes(lambda: accs.extend(knn_subset_accuracies(pool, holdout,
+                                                                        subsets, 5)))
+            assert peak < 8 * holdout.n * pool.n // 4
+            assert accs == [float((chunked_knn_reference(
+                pool.subset(s), holdout.features.values, 5) == holdout.labels.labels).mean())
+                for s in subsets]
+        assert routed_rows(lambda: knn_subset_accuracies(twice, holdout, subsets, 5))[2] > 1000
 
 
 class TestKnnAccuracy:
