@@ -8,7 +8,6 @@ from .active import (
     ALState,
     FilteredSet,
     RoundRecord,
-    UncertaintyMethod,
     fass_round,
     filter_uncertain,
     run_al,
@@ -19,7 +18,6 @@ from .dataset import (
     FeatureMatrix,
     LabeledDataset,
     LabelVector,
-    SplitSpec,
     gen_synthetic,
     load_dataset,
     load_features,
@@ -40,7 +38,6 @@ from .errors import (
 )
 from .harness import (
     CurveRecord,
-    SweepConfig,
     emit_csv,
     parse_csv,
     run_goal2,

@@ -12,25 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .dataset import (FeatureMatrix, LabeledDataset, largest_remainder_quota,
-                      stratified_draw)
+                      require_int, stratified_draw)
 from .errors import ValidationError
 from .models import logreg_fit
 from .optimize import OBJECTIVES, padded_order, select_subset
 
 SELECTORS = OBJECTIVES + ("us", "random")
-
-
-class UncertaintyMethod(str, Enum):
-    LEAST_CONFIDENCE = "lc"
-    MARGIN = "margin"
-    ENTROPY = "entropy"
+UNCERTAINTY = ("lc", "margin", "entropy")  # least confidence, margin, entropy
 
 
 def ceil_pct(percent: float, count: int) -> int:
@@ -47,14 +41,16 @@ def _check_probabilities(p: np.ndarray):
         raise ValidationError("probability vectors must sum to 1")
 
 
-def uncertainty_scores(probs, method: UncertaintyMethod) -> np.ndarray:
+def uncertainty_scores(probs, method: str) -> np.ndarray:
     """Vectorized uncertainty of each row of a probability matrix."""
     p = np.asarray(probs, dtype=np.float64)
     _check_probabilities(p)
-    method = UncertaintyMethod(method)
-    if method is UncertaintyMethod.LEAST_CONFIDENCE:
+    if method not in UNCERTAINTY:
+        raise ValidationError(
+            f"unknown uncertainty method {method!r}, expected one of {UNCERTAINTY}")
+    if method == "lc":
         return 1.0 - p.max(axis=1)
-    if method is UncertaintyMethod.MARGIN:
+    if method == "margin":
         top2 = np.partition(p, p.shape[1] - 2, axis=1)[:, -2:]
         return 1.0 - (top2[:, 1] - top2[:, 0])
     terms = np.zeros_like(p)
@@ -76,7 +72,7 @@ class FilteredSet:
 
 
 def filter_uncertain(probs, unlabeled, beta_percent: float,
-                     method: UncertaintyMethod) -> FilteredSet:
+                     method: str) -> FilteredSet:
     """Keep the ceil(beta%) most uncertain elements plus exact-score ties.
 
     Ordering ties (distinct elements with equal uncertainty) sort by
@@ -140,7 +136,7 @@ class ALConfig:
     beta_percent: float
     rounds: int
     selector: str
-    method: UncertaintyMethod = UncertaintyMethod.ENTROPY
+    method: str = "entropy"
     seed: int = 0
     initial_seed_size: Optional[int] = None
 
@@ -153,13 +149,14 @@ class ALConfig:
             )
         if self.rounds < 1:
             raise ValidationError(f"rounds must be >= 1, got {self.rounds}")
-        if self.seed < 0:
+        if require_int(self.seed, "seed") < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.selector not in SELECTORS:
             raise ValidationError(
-                f"unknown selector {self.selector!r}, expected one of {SELECTORS}"
-            )
-        object.__setattr__(self, "method", UncertaintyMethod(self.method))
+                f"unknown selector {self.selector!r}, expected one of {SELECTORS}")
+        if self.method not in UNCERTAINTY:
+            raise ValidationError(
+                f"unknown uncertainty method {self.method!r}, expected one of {UNCERTAINTY}")
 
 
 class RoundRecord(NamedTuple):

@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .active import ALConfig, UncertaintyMethod
+from .active import UNCERTAINTY, ALConfig
 from .dataset import (
-    SplitSpec,
     atomic_open,
     gen_synthetic,
     load_dataset,
@@ -23,7 +22,6 @@ from .dataset import (
 )
 from .errors import SubsetSelectionError, ValidationError
 from .harness import (
-    SweepConfig,
     emit_csv,
     run_goal2,
     summarize_random,
@@ -70,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("al", parents=[_split_parser()],
                        help="paired active-learning comparison")
     a.add_argument("--selectors", default="fl,dm,us,random")
-    a.add_argument("--uncertainty", choices=[m.value for m in UncertaintyMethod],
-                   default=UncertaintyMethod.ENTROPY.value)
+    a.add_argument("--uncertainty", choices=UNCERTAINTY, default="entropy")
     a.add_argument("--batch-pct", type=float, required=True)
     a.add_argument("--beta-pct", type=float, required=True)
     a.add_argument("--rounds", type=int, required=True)
@@ -114,22 +111,19 @@ def _split_parser() -> argparse.ArgumentParser:
 
 def _split_from_args(args):
     ds = load_dataset(args.features, args.labels)
-    spec = SplitSpec(holdout_fraction=args.holdout_frac, seed=args.split_seed,
-                     stratified=not args.no_stratify)
-    return split(ds, spec)
+    return split(ds, args.holdout_frac, args.split_seed, stratified=not args.no_stratify)
 
 
 def _cmd_sweep(args) -> int:
     if not 1 <= args.step <= 100:
         raise ValidationError(f"--step must be between 1 and 100, got {args.step}")
     train, holdout = _split_from_args(args)
-    fractions = tuple(range(args.step, 101, args.step))
-    cfg = SweepConfig(fractions=fractions, methods=tuple(args.methods.split(",")),
-                      seeds=tuple(args.seeds), k=args.k)
-    records = sweep_goal1(train, holdout, cfg)
+    methods = args.methods.split(",")
+    records = sweep_goal1(train, holdout, range(args.step, 101, args.step), methods,
+                          args.seeds, args.k)
     emit_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
-    if "random" in cfg.methods:
+    if "random" in methods:
         for x, mean in summarize_random(records).items():
             print(f"random mean accuracy at {x:g}%: {mean:.6f}")
     return 0
@@ -139,9 +133,8 @@ def _cmd_al(args) -> int:
     train, holdout = _split_from_args(args)
     selectors = args.selectors.split(",")
     cfgs = [
-        ALConfig(B_percent=args.batch_pct, beta_percent=args.beta_pct,
-                 rounds=args.rounds, selector=sel,
-                 method=UncertaintyMethod(args.uncertainty), seed=seed,
+        ALConfig(B_percent=args.batch_pct, beta_percent=args.beta_pct, rounds=args.rounds,
+                 selector=sel, method=args.uncertainty, seed=seed,
                  initial_seed_size=args.seed_size)
         for sel in selectors
         for seed in args.seeds

@@ -12,6 +12,7 @@ as it was.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 import zlib
@@ -38,6 +39,14 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def round_half_up(x: float | Fraction) -> int:
     """Round to the nearest integer, halves up; exact on a Fraction."""
     return int(math.floor(x + Fraction(1, 2)))
+
+
+def require_int(value, what: str) -> int:
+    """value by operator.index (Python and numpy ints), else a ValidationError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def largest_remainder_quota(counts: np.ndarray, total: int) -> np.ndarray:
@@ -147,23 +156,6 @@ class LabeledDataset:
             FeatureMatrix(self.features.values[idx]),
             LabelVector(self.labels.labels[idx]),
         )
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Holdout split parameters: fraction in (0,1), seed, stratification."""
-
-    holdout_fraction: float
-    seed: int = 0
-    stratified: bool = True
-
-    def __post_init__(self):
-        if not (0.0 < self.holdout_fraction < 1.0):
-            raise ValidationError(
-                f"holdout_fraction must be in (0,1), got {self.holdout_fraction}"
-            )
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +308,8 @@ def load_dataset(features_path, labels_path) -> LabeledDataset:
 # splitting and synthesis
 # ---------------------------------------------------------------------------
 
-def split_indices(labels: LabelVector, spec: SplitSpec):
+def split_indices(labels: LabelVector, holdout_fraction: float, seed: int = 0,
+                  stratified: bool = True):
     """Return (train_idx, holdout_idx): disjoint, exhaustive, seeded.
 
     The holdout always has m = round_half_up(n * fraction) elements, the
@@ -324,16 +317,20 @@ def split_indices(labels: LabelVector, spec: SplitSpec):
     hold out 15); the stratified variant apportions m across classes, each
     class within one instance of its proportional share, count * m / n.
     """
+    if not (0.0 < holdout_fraction < 1.0):
+        raise ValidationError(f"holdout_fraction must be in (0,1), got {holdout_fraction}")
+    if require_int(seed, "seed") < 0:
+        raise ValidationError("seed must be non-negative")
     n = len(labels)
-    m = round_half_up(Fraction(str(spec.holdout_fraction)) * n)
+    m = round_half_up(Fraction(str(holdout_fraction)) * n)
     if m == 0 or m == n:
         raise ValidationError(
-            f"holdout_fraction {spec.holdout_fraction} leaves an empty side for n={n}"
+            f"holdout_fraction {holdout_fraction} leaves an empty side for n={n}"
         )
     # unstratified is one class: the same RNG calls as rng.permutation(n)[:m]
-    classes = labels.labels if spec.stratified else np.zeros(n, dtype=np.int64)
+    classes = labels.labels if stratified else np.zeros(n, dtype=np.int64)
     quota = largest_remainder_quota(np.bincount(classes), m)
-    holdout, train = stratified_draw(classes, quota, np.random.default_rng(spec.seed))
+    holdout, train = stratified_draw(classes, quota, np.random.default_rng(seed))
     return train, holdout
 
 
@@ -348,9 +345,10 @@ def stratified_draw(labels: np.ndarray, quota, rng: np.random.Generator):
     return drawn, np.flatnonzero(~mask)
 
 
-def split(ds: LabeledDataset, spec: SplitSpec):
-    """Partition a dataset into (train, holdout) per the spec."""
-    train_idx, holdout_idx = split_indices(ds.labels, spec)
+def split(ds: LabeledDataset, holdout_fraction: float, seed: int = 0,
+          stratified: bool = True):
+    """Partition a dataset into (train, holdout) as split_indices does."""
+    train_idx, holdout_idx = split_indices(ds.labels, holdout_fraction, seed, stratified)
     return ds.subset(train_idx), ds.subset(holdout_idx)
 
 
@@ -365,7 +363,7 @@ def gen_synthetic(n: int, d: int, n_classes: int, sep: float, seed: int) -> Labe
         raise ValidationError(f"dimension must be >= 1, got {d}")
     if not sep > 0:
         raise ValidationError(f"class separation must be > 0, got {sep}")
-    if seed < 0:
+    if require_int(seed, "seed") < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_classes, d)) * sep

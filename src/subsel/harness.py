@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .active import ALConfig, run_al
-from .dataset import LabeledDataset, _read_text, atomic_open, round_half_up
+from .dataset import LabeledDataset, _read_text, atomic_open, require_int, round_half_up
 from .errors import ValidationError
 from .kernels import cosine_norms
 from .models import knn_subset_accuracies
@@ -44,37 +44,6 @@ def _reject_repeats(what: str, items) -> None:
         if item in seen:
             raise ValidationError(f"{what} {item!r} given more than once")
         seen.add(item)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Subset-size sweep: percentages, methods, random-arm seeds, kNN k."""
-
-    fractions: tuple = tuple(range(5, 101, 5))
-    methods: tuple = SWEEP_METHODS
-    seeds: tuple = (1, 2, 3, 4, 5)
-    k: int = 5
-
-    def __post_init__(self):
-        fr = tuple(self.fractions)
-        if not fr or any(not (0 < p <= 100) for p in fr):
-            raise ValidationError("fractions must lie in (0, 100]")
-        if any(b <= a for a, b in zip(fr, fr[1:])):
-            raise ValidationError("fractions must be strictly increasing")
-        unknown = set(self.methods) - set(SWEEP_METHODS)
-        if unknown:
-            raise ValidationError(f"unknown sweep methods: {sorted(unknown)}")
-        object.__setattr__(self, "fractions", fr)
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        _reject_repeats("sweep method", self.methods)
-        _reject_repeats("sweep seed", self.seeds)
-        if any(s < 0 for s in self.seeds):
-            raise ValidationError(f"sweep seeds must be non-negative, got {self.seeds}")
-        if "random" in self.methods and not self.seeds:
-            raise ValidationError("the random sweep method needs at least one seed")
-        if self.k < 1:  # before any greedy order is computed
-            raise ValidationError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -103,36 +72,59 @@ def selection_order(train: LabeledDataset, method: str) -> np.ndarray:
 
 
 def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
-                cfg: SweepConfig = SweepConfig()) -> list[CurveRecord]:
+                fractions: Iterable[float] = tuple(range(5, 101, 5)),
+                methods: Iterable[str] = SWEEP_METHODS,
+                seeds: Iterable[int] = (1, 2, 3, 4, 5), k: int = 5) -> list[CurveRecord]:
     """Accuracy of kNN trained on growing subsets of the training pool.
 
+    fractions are strictly increasing percentages in (0, 100], methods
+    distinct SWEEP_METHODS and seeds, the random arm's, distinct
+    non-negative integers, all checked before any greedy order is built.
     A fraction p's budget is the exact share p/100 * n, as ceil_pct takes
     it, rounded half up. A fraction whose budget is below k is skipped
     with a warning; a sweep that would skip every fraction is an error.
     All subsets are scored by one knn_subset_accuracies call, which shares
     one screen of each holdout row's nearest training rows among them.
     """
-    budgets = {p: round_half_up(Fraction(str(p)) * train.n / 100) for p in cfg.fractions}
-    if budgets[cfg.fractions[-1]] < cfg.k:
-        raise ValidationError(f"every fraction's budget is below k={cfg.k} "
+    fractions, methods, seeds = tuple(fractions), tuple(methods), tuple(seeds)
+    if not fractions or any(not (0 < p <= 100) for p in fractions):
+        raise ValidationError("fractions must lie in (0, 100]")
+    if any(b <= a for a, b in zip(fractions, fractions[1:])):
+        raise ValidationError("fractions must be strictly increasing")
+    unknown = set(methods) - set(SWEEP_METHODS)
+    if unknown:
+        raise ValidationError(f"unknown sweep methods: {sorted(unknown)}, "
+                              f"expected one of {SWEEP_METHODS}")
+    _reject_repeats("sweep method", methods)
+    _reject_repeats("sweep seed", seeds)
+    seeds = tuple(require_int(s, "sweep seed") for s in seeds)
+    if any(s < 0 for s in seeds):
+        raise ValidationError(f"sweep seeds must be non-negative, got {seeds}")
+    if "random" in methods and not seeds:
+        raise ValidationError("the random sweep method needs at least one seed")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    budgets = {p: round_half_up(Fraction(str(p)) * train.n / 100) for p in fractions}
+    if budgets[fractions[-1]] < k:
+        raise ValidationError(f"every fraction's budget is below k={k} "
                               f"for training size {train.n}")
-    orders = {m: selection_order(train, m) for m in cfg.methods if m != "random"}
+    orders = {m: selection_order(train, m) for m in methods if m != "random"}
     arms = []  # (method, seed, fraction, budget, subset), in record order
     for p, budget in budgets.items():
-        if budget < cfg.k:
+        if budget < k:
             logger.warning("fraction %s%% rounds to a budget of %d, below k=%d, "
-                           "for n=%d; skipped", p, budget, cfg.k, train.n)
+                           "for n=%d; skipped", p, budget, k, train.n)
             continue
-        for method in cfg.methods:
+        for method in methods:
             if method == "random":
-                for seed in cfg.seeds:
-                    rng = np.random.default_rng([int(seed), int(p)])
+                for seed in seeds:
+                    rng = np.random.default_rng([seed, int(p)])
                     subset = np.sort(rng.choice(train.n, size=budget, replace=False))
-                    arms.append(("random", int(seed), p, budget, subset))
+                    arms.append(("random", seed, p, budget, subset))
             else:
                 arms.append((method, DETERMINISTIC_SEED, p, budget,
                              orders[method][:budget]))
-    accs = knn_subset_accuracies(train, holdout, [arm[-1] for arm in arms], cfg.k)
+    accs = knn_subset_accuracies(train, holdout, [arm[-1] for arm in arms], k)
     return [CurveRecord(method, seed, p, budget, acc)
             for (method, seed, p, budget, _), acc in zip(arms, accs)]
 
@@ -187,8 +179,8 @@ def emit_csv(records: Iterable[CurveRecord], path) -> None:
 
 def parse_csv(path) -> list[CurveRecord]:
     """Read a file written by emit_csv back into records."""
-    lines = _read_text(Path(path), ValidationError).splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    lines = _read_text(Path(path), ValidationError).removesuffix("\n").split("\n")
+    if lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing curve header")
     records = []
     for lineno, line in enumerate(lines[1:], start=2):

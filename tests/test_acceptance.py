@@ -18,10 +18,10 @@ from conftest import (
     softmax_gradients,
     softmax_objective,
 )
-from subsel.active import ALConfig, UncertaintyMethod, filter_uncertain, uncertainty_scores
+from subsel.active import ALConfig, filter_uncertain, uncertainty_scores
 from subsel.cli import main
-from subsel.dataset import FeatureMatrix, SplitSpec, gen_synthetic, load_features, save_features, split
-from subsel.harness import SweepConfig, run_goal2, sweep_goal1
+from subsel.dataset import FeatureMatrix, gen_synthetic, load_features, save_features, split
+from subsel.harness import run_goal2, sweep_goal1
 from subsel.models import logreg_fit
 from subsel.objectives import DisparityMin, FacilityLocation
 from subsel.optimize import farthest_point, greedy_lazy
@@ -44,7 +44,7 @@ def _report(num: int, ok: bool, detail: str):
 
 def _desk_split():
     ds = gen_synthetic(600, 16, 3, DESK_SEP, 42)
-    return split(ds, SplitSpec(holdout_fraction=1 / 3, seed=0))
+    return split(ds, holdout_fraction=1 / 3, seed=0)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -160,9 +160,9 @@ def test_criterion_4_submodularity_and_monotonicity():
 def test_criterion_5_goal1_desk_analogue():
     start = time.perf_counter()
     train, hold = _desk_split()
-    cfg = SweepConfig(fractions=tuple(range(5, 101, 5)), methods=("fl", "random"),
-                      seeds=tuple(range(1, 11)), k=5)
-    records = sweep_goal1(train, hold, cfg)
+    fractions = tuple(range(5, 101, 5))
+    records = sweep_goal1(train, hold, fractions=fractions, methods=("fl", "random"),
+                          seeds=tuple(range(1, 11)), k=5)
     fl = {r.x: r.accuracy for r in records if r.method == "fl"}
     rnd: dict[float, list[float]] = {}
     for r in records:
@@ -173,7 +173,7 @@ def test_criterion_5_goal1_desk_analogue():
 
     res = 1 / hold.n
     unsaturated = fl[100] <= SATURATED_ACCURACY
-    low = [p for p in cfg.fractions if p <= 50]
+    low = [p for p in fractions if p <= 50]
     close_to_full = abs(fl[40] - fl[100]) <= 0.02
     ge_everywhere = all(fl[p] >= rnd_mean[p] - res for p in low)
     strict_count = sum(fl[p] > rnd_mean[p] for p in low)
@@ -198,7 +198,7 @@ def test_criterion_6_goal2_desk_analogue():
     selectors = ("fl", "dm", "us", "random")
     seeds = tuple(range(1, 11))
     cfgs = [ALConfig(B_percent=5, beta_percent=20, rounds=10, selector=s,
-                     method=UncertaintyMethod.ENTROPY, seed=seed)
+                     method="entropy", seed=seed)
             for s in selectors for seed in seeds]
     records = run_goal2(train, hold, cfgs)
     curves: dict[tuple, dict] = {}
@@ -228,9 +228,7 @@ def test_criterion_6_goal2_desk_analogue():
 
 
 def test_criterion_7_uncertainty_formulas():
-    lc = UncertaintyMethod.LEAST_CONFIDENCE
-    margin = UncertaintyMethod.MARGIN
-    entropy = UncertaintyMethod.ENTROPY
+    lc, margin, entropy = "lc", "margin", "entropy"
     checks = []
     uniform = [0.25] * 4
     checks.append(abs(uncertainty_scores([uniform], lc)[0] - 0.75) <= 1e-6)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from subsel.active import (
     ALConfig,
     ALState,
-    UncertaintyMethod,
     ceil_pct,
     fass_round,
     filter_uncertain,
@@ -15,13 +14,11 @@ from subsel.active import (
     select_batch,
     uncertainty_scores,
 )
-from subsel.dataset import FeatureMatrix, SplitSpec, gen_synthetic, split
+from subsel.dataset import FeatureMatrix, gen_synthetic, split
 from subsel.errors import ValidationError
 from subsel.models import logreg_fit
 
-LC = UncertaintyMethod.LEAST_CONFIDENCE
-MARGIN = UncertaintyMethod.MARGIN
-ENTROPY = UncertaintyMethod.ENTROPY
+LC, MARGIN, ENTROPY = "lc", "margin", "entropy"
 
 
 class TestUncertainty:
@@ -219,7 +216,7 @@ class TestSelectBatch:
 
 def small_al_problem(n=90, C=3, sep=3.0, seed=6):
     ds = gen_synthetic(n, 4, C, sep, seed)
-    return split(ds, SplitSpec(holdout_fraction=0.3, seed=1))
+    return split(ds, holdout_fraction=0.3, seed=1)
 
 
 class TestFassRound:

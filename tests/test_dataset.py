@@ -13,7 +13,6 @@ from subsel.dataset import (
     FeatureMatrix,
     LabeledDataset,
     LabelVector,
-    SplitSpec,
     gen_synthetic,
     largest_remainder_quota,
     load_features,
@@ -279,26 +278,26 @@ class TestSplit:
 
     def test_half_up_rounding_sizes(self):
         ds = self._dataset(10)
-        train, hold = split(ds, SplitSpec(holdout_fraction=0.3, seed=7))
+        train, hold = split(ds, holdout_fraction=0.3, seed=7)
         assert hold.n == 3 and train.n == 7
 
     @pytest.mark.parametrize("n,fraction,m", [(25, 0.58, 15), (50, 0.29, 15)])
     def test_holdout_size_rounds_the_exact_product(self, n, fraction, m):
         # in floating point 25 * 0.58 is 14.499999999999998, 50 * 0.29 likewise
         _, ho = split_indices(LabelVector(np.zeros(n, dtype=np.int64)),
-                              SplitSpec(holdout_fraction=fraction, seed=0))
+                              holdout_fraction=fraction, seed=0)
         assert ho.size == m
 
     def test_partition_is_disjoint_and_exhaustive(self):
         ds = self._dataset(23)
-        tr, ho = split_indices(ds.labels, SplitSpec(holdout_fraction=0.4, seed=5))
+        tr, ho = split_indices(ds.labels, holdout_fraction=0.4, seed=5)
         assert np.intersect1d(tr, ho).size == 0
         assert np.array_equal(np.sort(np.concatenate((tr, ho))), np.arange(23))
 
     def test_stratified_split_balances_classes(self):
         labels = np.array([0] * 50 + [1] * 50)
         ds = self._dataset(100, labels)
-        _, hold = split(ds, SplitSpec(holdout_fraction=0.2, seed=1, stratified=True))
+        _, hold = split(ds, holdout_fraction=0.2, seed=1, stratified=True)
         counts = np.bincount(hold.labels.labels)
         assert counts.tolist() == [10, 10]
 
@@ -309,8 +308,7 @@ class TestSplit:
             labels = rng.integers(0, 3, size=n)
             labels[:3] = [0, 1, 2]
             frac = float(rng.uniform(0.15, 0.5))
-            tr, ho = split_indices(LabelVector(labels),
-                                   SplitSpec(holdout_fraction=frac, seed=4))
+            tr, ho = split_indices(LabelVector(labels), holdout_fraction=frac, seed=4)
             # the share of the m holdout rows, count * m / n: count * frac
             # can be missed by more than one (see test_split_invariants)
             m = ho.size
@@ -321,11 +319,11 @@ class TestSplit:
 
     def test_deterministic_per_seed(self):
         ds = self._dataset(31)
-        spec = SplitSpec(holdout_fraction=0.25, seed=12)
-        a = split_indices(ds.labels, spec)
-        b = split_indices(ds.labels, spec)
+        spec = dict(holdout_fraction=0.25, seed=12)
+        a = split_indices(ds.labels, **spec)
+        b = split_indices(ds.labels, **spec)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        c = split_indices(ds.labels, SplitSpec(holdout_fraction=0.25, seed=13))
+        c = split_indices(ds.labels, holdout_fraction=0.25, seed=13)
         assert not np.array_equal(a[1], c[1])
 
     @pytest.mark.parametrize("stratified", [True, False])
@@ -347,8 +345,7 @@ class TestSplit:
                 expected = np.sort(np.concatenate(parts))
             else:
                 expected = np.sort(draw.permutation(n)[:m])
-            spec = SplitSpec(holdout_fraction=frac, seed=seed, stratified=stratified)
-            tr, ho = split_indices(LabelVector(labels), spec)
+            tr, ho = split_indices(LabelVector(labels), frac, seed, stratified)
             assert np.array_equal(ho, expected)
             assert np.array_equal(tr, np.setdiff1d(np.arange(n), expected))
 
@@ -363,12 +360,12 @@ class TestSplit:
         # [1, 1, 28, 1], the third class 1.05 below 37 * 0.785)
         labels = np.array(labels)
         n, m = labels.size, round_half_up(Fraction(str(fraction)) * labels.size)
-        spec = SplitSpec(holdout_fraction=fraction, seed=seed, stratified=stratified)
+        spec = dict(holdout_fraction=fraction, seed=seed, stratified=stratified)
         if m in (0, n):
             with pytest.raises(ValidationError, match="leaves an empty side"):
-                split_indices(LabelVector(labels), spec)
+                split_indices(LabelVector(labels), **spec)
             return
-        tr, ho = split_indices(LabelVector(labels), spec)
+        tr, ho = split_indices(LabelVector(labels), **spec)
         assert np.intersect1d(tr, ho).size == 0
         assert np.array_equal(np.sort(np.concatenate((tr, ho))), np.arange(n))
         assert ho.size == m
@@ -380,13 +377,14 @@ class TestSplit:
     def test_empty_side_rejected(self):
         ds = self._dataset(2)
         with pytest.raises(ValidationError):
-            split(ds, SplitSpec(holdout_fraction=0.1, seed=0, stratified=False))
+            split(ds, holdout_fraction=0.1, seed=0, stratified=False)
 
     def test_bad_fraction_rejected(self):
+        ds = self._dataset(10)
         with pytest.raises(ValidationError):
-            SplitSpec(holdout_fraction=0.0)
+            split(ds, holdout_fraction=0.0)
         with pytest.raises(ValidationError):
-            SplitSpec(holdout_fraction=1.0)
+            split(ds, holdout_fraction=1.0)
 
 
 class TestSynthetic:

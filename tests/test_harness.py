@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 import subsel.active
-from subsel.active import ALConfig, UncertaintyMethod, run_al
-from subsel.dataset import SplitSpec, gen_synthetic, round_half_up, split
+from subsel.active import (
+    SELECTORS,
+    UNCERTAINTY,
+    ALConfig,
+    FilteredSet,
+    filter_uncertain,
+    run_al,
+    select_batch,
+    uncertainty_scores,
+)
+from subsel.dataset import gen_synthetic, round_half_up, split, split_indices
 from subsel.errors import ValidationError
 from subsel.harness import (
+    SWEEP_METHODS,
     CurveRecord,
-    SweepConfig,
     emit_csv,
     parse_csv,
     run_goal2,
@@ -20,21 +29,20 @@ from subsel.harness import (
 from subsel.kernels import cosine_similarity, euclidean_distance
 from subsel.models import knn_accuracy
 from subsel.objectives import DisparityMin, FacilityLocation
-from subsel.optimize import farthest_point, greedy_lazy
+from subsel.optimize import OBJECTIVES, farthest_point, greedy_lazy, select_subset
 
 
 @pytest.fixture(scope="module")
 def problem():
     ds = gen_synthetic(120, 6, 3, 2.5, 13)
-    return split(ds, SplitSpec(holdout_fraction=0.25, seed=2))
+    return split(ds, holdout_fraction=0.25, seed=2)
 
 
 class TestSweep:
     def test_full_fraction_is_method_independent(self, problem):
         train, hold = problem
-        cfg = SweepConfig(fractions=(50, 100), methods=("fl", "dm", "random"),
-                          seeds=(1, 2), k=3)
-        records = sweep_goal1(train, hold, cfg)
+        records = sweep_goal1(train, hold, fractions=(50, 100),
+                              methods=("fl", "dm", "random"), seeds=(1, 2), k=3)
         at_full = {r.accuracy for r in records if r.x == 100}
         assert len(at_full) == 1
 
@@ -53,8 +61,7 @@ class TestSweep:
         import math
 
         train, hold = problem
-        cfg = SweepConfig(fractions=(5, 25, 50), methods=("fl",), seeds=())
-        records = sweep_goal1(train, hold, cfg)
+        records = sweep_goal1(train, hold, fractions=(5, 25, 50), methods=("fl",), seeds=())
         assert [r.labeled_count for r in records] == [
             math.floor(p / 100 * train.n + 0.5) for p in (5, 25, 50)
         ]
@@ -62,45 +69,43 @@ class TestSweep:
     def test_budget_rounds_the_exact_share(self):
         # 0.58 * 25 is 14.4999... in floating point; the share is 14.5
         train, hold = gen_synthetic(25, 4, 2, 2.0, 3), gen_synthetic(10, 4, 2, 2.0, 4)
-        cfg = SweepConfig(fractions=(58,), methods=("fl", "random"), seeds=(1,))
-        assert [r.labeled_count for r in sweep_goal1(train, hold, cfg)] == [15, 15]
+        records = sweep_goal1(train, hold, fractions=(58,), methods=("fl", "random"),
+                              seeds=(1,))
+        assert [r.labeled_count for r in records] == [15, 15]
 
     def test_random_arm_varies_only_with_seed(self, problem):
         train, hold = problem
-        cfg = SweepConfig(fractions=(20,), methods=("random",), seeds=(1, 2))
-        a, b = sweep_goal1(train, hold, cfg)
-        (c,) = sweep_goal1(train, hold, SweepConfig(fractions=(20,), methods=("random",),
-                                                    seeds=(1,)))
+        a, b = sweep_goal1(train, hold, fractions=(20,), methods=("random",), seeds=(1, 2))
+        (c,) = sweep_goal1(train, hold, fractions=(20,), methods=("random",), seeds=(1,))
         assert a.accuracy == c.accuracy  # same seed, same draw
         assert a.seed == 1 and b.seed == 2
 
-    def test_config_validation(self):
+    def test_config_validation(self, problem):
+        train, hold = problem
         with pytest.raises(ValidationError):
-            SweepConfig(fractions=(10, 10))
+            sweep_goal1(train, hold, fractions=(10, 10))
         with pytest.raises(ValidationError):
-            SweepConfig(fractions=(0, 50))
+            sweep_goal1(train, hold, fractions=(0, 50))
         with pytest.raises(ValidationError):
-            SweepConfig(methods=("fl", "qbc"))
+            sweep_goal1(train, hold, methods=("fl", "qbc"))
         with pytest.raises(ValidationError, match="sweep method 'fl'"):
-            SweepConfig(methods=("fl", "random", "fl"))
+            sweep_goal1(train, hold, methods=("fl", "random", "fl"))
         with pytest.raises(ValidationError, match="sweep seed 1"):
-            SweepConfig(seeds=(1, 2, 1))
+            sweep_goal1(train, hold, seeds=(1, 2, 1))
         with pytest.raises(ValidationError, match="needs at least one seed"):
-            SweepConfig(methods=("fl", "random"), seeds=())
+            sweep_goal1(train, hold, methods=("fl", "random"), seeds=())
         with pytest.raises(ValidationError, match="k must be >= 1, got 0"):
-            SweepConfig(k=0)
+            sweep_goal1(train, hold, k=0)
 
     def test_every_fraction_below_k_is_an_error(self, problem):
         train, hold = problem
-        cfg = SweepConfig(fractions=(5, 10), methods=("fl", "random"), k=20)
         with pytest.raises(ValidationError, match=f"k=20 for training size {train.n}"):
-            sweep_goal1(train, hold, cfg)
+            sweep_goal1(train, hold, fractions=(5, 10), methods=("fl", "random"), k=20)
 
     def test_records_equal_the_per_arm_loop_at_the_benchmark_shape(self):
-        train, hold = split(gen_synthetic(800, 32, 10, 0.5, 31),
-                            SplitSpec(holdout_fraction=0.33, seed=0))
-        cfg = SweepConfig(fractions=tuple(range(10, 101, 10)), seeds=(1, 2, 3))
-        assert sweep_goal1(train, hold, cfg) == per_arm_sweep(train, hold, cfg)
+        train, hold = split(gen_synthetic(800, 32, 10, 0.5, 31), holdout_fraction=0.33, seed=0)
+        kw = dict(fractions=tuple(range(10, 101, 10)), seeds=(1, 2, 3))
+        assert sweep_goal1(train, hold, **kw) == per_arm_sweep(train, hold, **kw)
 
     def test_summary_means(self):
         records = [CurveRecord("random", 1, 10, 5, 0.5),
@@ -109,25 +114,25 @@ class TestSweep:
         assert summarize_random(records) == {10: 0.6}
 
 
-def per_arm_sweep(train, hold, cfg):
+def per_arm_sweep(train, hold, *, fractions, methods=SWEEP_METHODS, seeds, k=5):
     """sweep_goal1 as it was before the shared distance matrix: one kNN
     call on a copied training subset per (fraction, method, seed)."""
-    orders = {m: selection_order(train, m) for m in cfg.methods if m != "random"}
+    orders = {m: selection_order(train, m) for m in methods if m != "random"}
     records = []
-    for p in cfg.fractions:
+    for p in fractions:
         budget = round_half_up(Fraction(str(p)) * train.n / 100)
-        if budget < cfg.k:
+        if budget < k:
             continue
-        for method in cfg.methods:
+        for method in methods:
             if method == "random":
-                for seed in cfg.seeds:
+                for seed in seeds:
                     rng = np.random.default_rng([int(seed), int(p)])
                     subset = np.sort(rng.choice(train.n, size=budget, replace=False))
-                    acc = knn_accuracy(train.subset(subset), hold, cfg.k)
+                    acc = knn_accuracy(train.subset(subset), hold, k)
                     records.append(CurveRecord("random", int(seed), p, budget, acc))
             else:
                 subset = orders[method][:budget]
-                acc = knn_accuracy(train.subset(subset), hold, cfg.k)
+                acc = knn_accuracy(train.subset(subset), hold, k)
                 records.append(CurveRecord(method, 0, p, budget, acc))
     return records
 
@@ -177,7 +182,7 @@ class TestGoal2:
         [ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="fl", seed=5),
          ALConfig(B_percent=10, beta_percent=15, rounds=3, selector="dm", seed=5),
          ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="us", seed=5,
-                  method=UncertaintyMethod.MARGIN),
+                  method="margin"),
          ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="random", seed=5,
                   initial_seed_size=12)],
         [ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="us", seed=6,
@@ -187,8 +192,7 @@ class TestGoal2:
     ])
     def test_shared_fits_give_the_records_of_separate_runs(self, monkeypatch, cfgs):
         # overlapping classes, so that accuracy moves with the labeled pool
-        train, hold = split(gen_synthetic(120, 6, 3, 0.6, 13),
-                            SplitSpec(holdout_fraction=0.25, seed=2))
+        train, hold = split(gen_synthetic(120, 6, 3, 0.6, 13), holdout_fraction=0.25, seed=2)
         round_fn, fit_fn = subsel.active.fass_round, subsel.active.logreg_fit
 
         def visited(run):
@@ -268,6 +272,21 @@ class TestCsv:
         with pytest.raises(ValidationError, match=f"{path}: {message}"):
             parse_csv(path)
 
+    def test_rows_split_only_at_line_feeds(self, tmp_path):
+        # str.splitlines also breaks at \x1e and \x0c: it read the first file
+        # as two rows, and the second's bad line 3 as an empty line 3
+        path = tmp_path / "c.csv"
+        header = b"method,seed,x,labeled_count,accuracy\n"
+        path.write_bytes(header + b"fl,0,10,54,0.5\x1erandom,1,10,54,0.4\n")
+        with pytest.raises(ValidationError, match=f"{path}: line 2: too many values"):
+            parse_csv(path)
+        path.write_bytes(header + b"fl,0,10,54,0.5\x0c\nfl,0,ten,5,0.5\n")
+        with pytest.raises(ValidationError,
+                           match=f"{path}: line 3: could not convert string to float"):
+            parse_csv(path)
+        path.write_bytes(header + b"fl,0,10,54,0.5\x0c\n")
+        assert parse_csv(path) == [CurveRecord("fl", 0, 10, 54, 0.5)]
+
     def test_emission_is_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(self._records(), a)
@@ -291,3 +310,58 @@ class TestCsv:
     def test_accuracy_range_enforced(self):
         with pytest.raises(ValidationError):
             CurveRecord("fl", 0, 10, 5, 1.5)
+
+
+class TestInputChecks:
+    # every seed is an integer (Python or numpy), and every unknown name is a
+    # ValidationError naming the allowed ones
+    SEEDED = {
+        "split_indices": lambda train, hold, seed: split_indices(train.labels, 0.3, seed),
+        "split": lambda train, hold, seed: split(train, 0.3, seed),
+        "sweep_goal1": lambda train, hold, seed: sweep_goal1(
+            train, hold, fractions=(50,), methods=("random",), seeds=(1, seed)),
+        "ALConfig": lambda train, hold, seed: ALConfig(
+            B_percent=10, beta_percent=40, rounds=1, selector="us", seed=seed),
+        "gen_synthetic": lambda train, hold, seed: gen_synthetic(10, 2, 2, 3.0, seed),
+    }
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_seeds_must_be_integers(self, problem, name):
+        call = self.SEEDED[name]
+        call(*problem, np.int64(3))
+        call(*problem, np.uint8(3))
+        for seed in (1.5, 3.0, "3", None):
+            with pytest.raises(ValidationError, match="must be an integer, got"):
+                call(*problem, seed)
+        with pytest.raises(ValidationError, match="must be non-negative"):
+            call(*problem, -1)
+
+    def test_a_numpy_seed_is_its_int(self, problem):
+        train, hold = problem
+        kw = dict(fractions=(50,), methods=("random",))
+        assert sweep_goal1(train, hold, seeds=(np.int64(4),), **kw) == \
+            sweep_goal1(train, hold, seeds=(4,), **kw)
+        assert np.array_equal(split_indices(train.labels, 0.3, np.int32(4))[1],
+                              split_indices(train.labels, 0.3, 4)[1])
+
+    @pytest.mark.parametrize("call,allowed", [
+        (lambda train, hold: select_subset(train.features, "bogus", 1), OBJECTIVES),
+        (lambda train, hold: select_batch(FilteredSet(np.arange(2), 0.0, np.zeros(2)),
+                                          train.features, "bogus", 1), SELECTORS),
+        (lambda train, hold: ALConfig(B_percent=10, beta_percent=40, rounds=1,
+                                      selector="bogus"), SELECTORS),
+        (lambda train, hold: sweep_goal1(train, hold, methods=("fl", "bogus")),
+         SWEEP_METHODS),
+        (lambda train, hold: uncertainty_scores([[0.5, 0.5]], "bogus"), UNCERTAINTY),
+        (lambda train, hold: filter_uncertain([[0.5, 0.5]], [0], 50.0, "bogus"),
+         UNCERTAINTY),
+        (lambda train, hold: ALConfig(B_percent=10, beta_percent=40, rounds=1,
+                                      selector="us", method="bogus"), UNCERTAINTY),
+    ], ids=["select_subset objective", "select_batch selector", "ALConfig selector",
+            "sweep_goal1 method", "uncertainty_scores", "filter_uncertain",
+            "ALConfig method"])
+    def test_an_unknown_name_is_rejected_naming_the_allowed_ones(self, problem, call,
+                                                                 allowed):
+        with pytest.raises(ValidationError, match="'bogus'") as info:
+            call(*problem)
+        assert str(allowed) in str(info.value)

@@ -13,7 +13,6 @@ from subsel.dataset import (
     FeatureMatrix,
     LabeledDataset,
     LabelVector,
-    SplitSpec,
     gen_synthetic,
     split,
 )
@@ -438,7 +437,7 @@ class TestKnnAccuracy:
         # regression anchor recorded at build time: this configuration
         # classifies the holdout perfectly
         ds = gen_synthetic(600, 16, 3, 4.0, 42)
-        train, hold = split(ds, SplitSpec(holdout_fraction=1 / 3, seed=0))
+        train, hold = split(ds, holdout_fraction=1 / 3, seed=0)
         acc = knn_accuracy(train, hold, 5)
         assert acc >= 0.9
         assert acc == 1.0
