@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dataset import (FeatureMatrix, LabeledDataset, largest_remainder_quota,
-                      require_int, stratified_draw)
+                      require_choice, require_int, stratified_draw)
 from .errors import ValidationError
 from .models import logreg_fit
 from .optimize import OBJECTIVES, padded_order, select_subset
@@ -45,9 +45,7 @@ def uncertainty_scores(probs, method: str) -> np.ndarray:
     """Vectorized uncertainty of each row of a probability matrix."""
     p = np.asarray(probs, dtype=np.float64)
     _check_probabilities(p)
-    if method not in UNCERTAINTY:
-        raise ValidationError(
-            f"unknown uncertainty method {method!r}, expected one of {UNCERTAINTY}")
+    require_choice(method, UNCERTAINTY, "uncertainty method")
     if method == "lc":
         return 1.0 - p.max(axis=1)
     if method == "margin":
@@ -107,10 +105,8 @@ def select_batch(fset: FilteredSet, features: FeatureMatrix, selector: str,
     replacement from the supplied generator. A greedy that stops early on
     zero gains is padded to the full batch by padded_order.
     """
-    if batch_size < 1:
-        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
-    if selector not in SELECTORS:
-        raise ValidationError(f"unknown selector {selector!r}, expected one of {SELECTORS}")
+    batch_size = require_int(batch_size, "batch size", 1)
+    require_choice(selector, SELECTORS, "selector")
     F = fset.indices
     if F.size and (F.min() < 0 or F.max() >= features.n):
         raise ValidationError(f"filtered-set index out of range for n={features.n}")
@@ -147,16 +143,12 @@ class ALConfig:
             raise ValidationError(
                 f"beta_percent must be in (0, 100], got {self.beta_percent}"
             )
-        if self.rounds < 1:
-            raise ValidationError(f"rounds must be >= 1, got {self.rounds}")
-        if require_int(self.seed, "seed") < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
-        if self.selector not in SELECTORS:
-            raise ValidationError(
-                f"unknown selector {self.selector!r}, expected one of {SELECTORS}")
-        if self.method not in UNCERTAINTY:
-            raise ValidationError(
-                f"unknown uncertainty method {self.method!r}, expected one of {UNCERTAINTY}")
+        require_int(self.rounds, "rounds", 1)
+        require_int(self.seed, "seed", 0)
+        if self.initial_seed_size is not None:
+            require_int(self.initial_seed_size, "initial seed size")
+        require_choice(self.selector, SELECTORS, "selector")
+        require_choice(self.method, UNCERTAINTY, "uncertainty method")
 
 
 class RoundRecord(NamedTuple):
@@ -176,16 +168,11 @@ class ALState:
 
 def initial_state(labels: np.ndarray, seed_size: int,
                   rng: np.random.Generator) -> ALState:
-    """Stratified random seed pool: proportional quotas, one per class."""
-    n = labels.shape[0]
+    """Stratified random seed pool of seed_size rows, from the class count to
+    the pool size: proportional quotas, at least one per class."""
     n_classes = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=n_classes)
-    if seed_size < n_classes:
-        raise ValidationError(
-            f"initial seed size {seed_size} is below the class count {n_classes}"
-        )
-    if seed_size > n:
-        raise ValidationError(f"initial seed size {seed_size} exceeds pool size {n}")
+    seed_size = require_int(seed_size, "initial seed size", n_classes, labels.shape[0])
     labeled, _ = stratified_draw(labels, _proportional_quota(counts, seed_size), rng)
     return ALState(labeled=labeled)
 

@@ -16,11 +16,12 @@ from .dataset import (
     gen_synthetic,
     load_dataset,
     load_features,
+    require_int,
     save_features,
     save_labels,
     split,
 )
-from .errors import SubsetSelectionError, ValidationError
+from .errors import SubsetSelectionError
 from .harness import (
     emit_csv,
     run_goal2,
@@ -115,8 +116,7 @@ def _split_from_args(args):
 
 
 def _cmd_sweep(args) -> int:
-    if not 1 <= args.step <= 100:
-        raise ValidationError(f"--step must be between 1 and 100, got {args.step}")
+    require_int(args.step, "--step", 1, 100)
     train, holdout = _split_from_args(args)
     methods = args.methods.split(",")
     records = sweep_goal1(train, holdout, range(args.step, 101, args.step), methods,

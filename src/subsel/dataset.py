@@ -41,12 +41,36 @@ def round_half_up(x: float | Fraction) -> int:
     return int(math.floor(x + Fraction(1, 2)))
 
 
-def require_int(value, what: str) -> int:
-    """value by operator.index (Python and numpy ints), else a ValidationError."""
+def require_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value by operator.index (Python and numpy ints) in [lo, hi], a bound
+    of None being open, else a ValidationError naming what."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
+        raise ValidationError(f"{what} must be {bound}, got {value}")
+    return value
+
+
+def require_choice(value, choices: tuple, what: str) -> None:
+    """A ValidationError naming choices unless value is one of them."""
+    if value not in choices:
+        raise ValidationError(f"unknown {what} {value!r}, expected one of {choices}")
+
+
+def require_indices(indices, n: int, what: str, size: str) -> np.ndarray:
+    """indices as int64, each in [0, n), else a ValidationError naming what
+    and the first bad entry; size names n. An empty list is valid."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":  # floats truncate, a mask reads as 0/1
+        raise ValidationError(f"{what} indices must be integers, got dtype {idx.dtype}")
+    bad = np.flatnonzero((idx < 0) | (idx >= n))
+    if bad.size:
+        raise ValidationError(f"{what} index {idx.flat[bad[0]]} out of range for "
+                              f"{size} {n}")
+    return idx.astype(np.int64, copy=False)
 
 
 def largest_remainder_quota(counts: np.ndarray, total: int) -> np.ndarray:
@@ -151,7 +175,7 @@ class LabeledDataset:
         return self
 
     def subset(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = require_indices(indices, self.n, "row", "dataset size")
         return LabeledDataset(
             FeatureMatrix(self.features.values[idx]),
             LabelVector(self.labels.labels[idx]),
@@ -319,8 +343,7 @@ def split_indices(labels: LabelVector, holdout_fraction: float, seed: int = 0,
     """
     if not (0.0 < holdout_fraction < 1.0):
         raise ValidationError(f"holdout_fraction must be in (0,1), got {holdout_fraction}")
-    if require_int(seed, "seed") < 0:
-        raise ValidationError("seed must be non-negative")
+    require_int(seed, "seed", 0)
     n = len(labels)
     m = round_half_up(Fraction(str(holdout_fraction)) * n)
     if m == 0 or m == n:
@@ -357,14 +380,12 @@ def gen_synthetic(n: int, d: int, n_classes: int, sep: float, seed: int) -> Labe
 
     Labels are assigned round-robin, so class counts differ by at most one.
     """
-    if n_classes < 1 or n < n_classes:
-        raise ValidationError(f"need n >= n_classes >= 1, got n={n}, C={n_classes}")
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
+    n_classes = require_int(n_classes, "n_classes", 1)
+    n = require_int(n, "n", n_classes)
+    d = require_int(d, "d", 1)
     if not sep > 0:
         raise ValidationError(f"class separation must be > 0, got {sep}")
-    if require_int(seed, "seed") < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_classes, d)) * sep
     labels = np.arange(n, dtype=np.int64) % n_classes

@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .active import ALConfig, run_al
-from .dataset import LabeledDataset, _read_text, atomic_open, require_int, round_half_up
+from .dataset import (LabeledDataset, _read_text, atomic_open, require_choice, require_int,
+                      round_half_up)
 from .errors import ValidationError
 from .kernels import cosine_norms
 from .models import knn_subset_accuracies
@@ -91,19 +92,14 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
         raise ValidationError("fractions must lie in (0, 100]")
     if any(b <= a for a, b in zip(fractions, fractions[1:])):
         raise ValidationError("fractions must be strictly increasing")
-    unknown = set(methods) - set(SWEEP_METHODS)
-    if unknown:
-        raise ValidationError(f"unknown sweep methods: {sorted(unknown)}, "
-                              f"expected one of {SWEEP_METHODS}")
+    for method in methods:
+        require_choice(method, SWEEP_METHODS, "sweep method")
     _reject_repeats("sweep method", methods)
     _reject_repeats("sweep seed", seeds)
-    seeds = tuple(require_int(s, "sweep seed") for s in seeds)
-    if any(s < 0 for s in seeds):
-        raise ValidationError(f"sweep seeds must be non-negative, got {seeds}")
+    seeds = tuple(require_int(s, "sweep seed", 0) for s in seeds)
     if "random" in methods and not seeds:
         raise ValidationError("the random sweep method needs at least one seed")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = require_int(k, "k", 1)
     budgets = {p: round_half_up(Fraction(str(p)) * train.n / 100) for p in fractions}
     if budgets[fractions[-1]] < k:
         raise ValidationError(f"every fraction's budget is below k={k} "
@@ -115,10 +111,12 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
             logger.warning("fraction %s%% rounds to a budget of %d, below k=%d, "
                            "for n=%d; skipped", p, budget, k, train.n)
             continue
+        q = Fraction(str(p))  # random streams: [seed, p] if p is integral (any CLI step)
+        stream = [q.numerator] if q.denominator == 1 else [q.numerator, q.denominator]
         for method in methods:
             if method == "random":
                 for seed in seeds:
-                    rng = np.random.default_rng([seed, int(p)])
+                    rng = np.random.default_rng([seed, *stream])
                     subset = np.sort(rng.choice(train.n, size=budget, replace=False))
                     arms.append(("random", seed, p, budget, subset))
             else:

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dataset import FeatureMatrix
+from .dataset import FeatureMatrix, require_int
 from .errors import CapacityError, ValidationError
 
 
@@ -155,6 +155,17 @@ def cosine_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _shifted_cosine(block: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray,
+                    sign: float) -> np.ndarray:
+    """sign * (1 + cos) / 2, clipped, in place over a block of row products
+    given both sides' inverse norms; sign flips are exact."""
+    block *= np.outer(inv_a, inv_b)
+    block += 1.0
+    block *= 0.5 * sign
+    np.clip(block, min(0.0, sign), max(0.0, sign), out=block)
+    return block
+
+
 def cosine_similarity(m: FeatureMatrix, kappa: Optional[int] = None) -> SimilarityKernel:
     """Shifted-cosine similarity kernel over m's rows: dense float32, or with
     kappa each row's kappa largest off-diagonal entries in float64, built row
@@ -170,22 +181,12 @@ def cosine_similarity(m: FeatureMatrix, kappa: Optional[int] = None) -> Similari
     n = x.shape[0]
     inv_norms = 1.0 / cosine_norms(x)
     if kappa is not None:
-        def negated_rows(lo, hi):
-            block = x[lo:hi] @ x.T
-            block *= np.outer(inv_norms[lo:hi], inv_norms)
-            block += 1.0
-            block *= -0.5  # the dense finish, negated: sign flips are exact
-            np.clip(block, -1.0, 0.0, out=block)
-            return block
-        return _top_kappa(n, kappa, negated_rows)
+        return _top_kappa(n, kappa, lambda lo, hi: _shifted_cosine(
+            x[lo:hi] @ x.T, inv_norms[lo:hi], inv_norms, -1.0))
     sim = _dense_array(n)
     for lo, hi in _gemm_blocks(n):
-        block = x[lo:hi] @ x[lo:].T
-        block *= np.outer(inv_norms[lo:hi], inv_norms[lo:])
-        block += 1.0
-        block *= 0.5
-        np.clip(block, 0.0, 1.0, out=block)
-        upper = block.astype(np.float32)
+        upper = _shifted_cosine(x[lo:hi] @ x[lo:].T, inv_norms[lo:hi], inv_norms[lo:],
+                                1.0).astype(np.float32)
         tile = upper[:, :hi - lo]  # the diagonal tile: mirror its upper triangle
         i, j = np.triu_indices(hi - lo, 1)
         tile[j, i] = tile[i, j]
@@ -238,8 +239,7 @@ def _top_kappa(n: int, kappa: int,
     block by row block, then regrouped once by column (rows ascending within
     a column), the only layout the kernel stores.
     """
-    if not (1 <= kappa <= n - 1):
-        raise ValidationError(f"kappa must be in [1, {n - 1}], got {kappa}")
+    kappa = require_int(kappa, "kappa", 1, n - 1)
     # entry i * kappa + t is row i's t-th kept column, ascending, and its value
     cols = np.empty(n * kappa, dtype=np.int64)
     kept = np.empty(n * kappa)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, require_indices, require_int
 from .errors import ValidationError
 from .kernels import _gemm_blocks, _squared_distances, first_k, row_blocks
 
@@ -60,21 +60,15 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
     if holdout.features.d != train.features.d:
         raise ValidationError(f"holdout dimension {holdout.features.d} incompatible "
                               f"with d={train.features.d}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = require_int(k, "k", 1)
     n, nq = train.n, holdout.n
     inset = np.zeros(n, dtype=bool)  # the rows of the subset at hand
     checked, reach = [], []
     for s in map(np.asarray, subsets):
         if k > s.size:
             raise ValidationError(f"k={k} exceeds training size {s.size}")
-        if s.dtype.kind not in "iu":
-            raise ValidationError(f"subset indices must be integers, got dtype {s.dtype}")
-        bad = np.flatnonzero((s < 0) | (s >= n))
-        if bad.size:
-            raise ValidationError(f"subset index {s[bad[0]]} out of range for "
-                                  f"training size {n}")
-        checked.append(s.astype(np.int64, copy=False))
+        s = require_indices(s, n, "subset", "training size")
+        checked.append(s)
         inset[s] = True
         distinct = np.count_nonzero(inset) == s.size
         inset[s] = False

@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .dataset import require_indices
 from .errors import ValidationError
 from .kernels import DistanceKernel, SimilarityKernel, row_blocks
 
@@ -32,9 +33,7 @@ INF = math.inf
 
 
 def _check_subset(X, n: int) -> np.ndarray:
-    idx = np.asarray(list(X), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValidationError(f"index out of range for ground set of size {n}")
+    idx = require_indices(list(X), n, "selection", "ground-set size")
     if idx.size != np.unique(idx).size:
         raise ValidationError("selection indices must be distinct")
     return idx

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FeatureMatrix
+from .dataset import FeatureMatrix, require_choice, require_int
 from .errors import UnsupportedObjectiveError, ValidationError
 from .kernels import cosine_similarity, euclidean_distance
 from .objectives import INF, DisparityMin, FacilityLocation
@@ -44,8 +44,7 @@ def _check_budget(n: int, b: int) -> None:
     """Raise a ValidationError unless the budget b lies in [1, n]."""
     if n < 1:
         raise ValidationError("ground set is empty")
-    if b < 1:
-        raise ValidationError(f"budget must be >= 1, got {b}")
+    require_int(b, "budget", 1)
     if b > n:
         raise ValidationError(f"budget {b} exceeds ground-set size {n}")
 
@@ -164,13 +163,12 @@ def select_subset(features: FeatureMatrix, objective: str, budget: int,
     on feature-backed euclidean distances. Only dense fl builds an n x n
     matrix.
     """
+    require_choice(objective, OBJECTIVES, "objective")
     _check_budget(features.n, budget)
     if objective == "fl":
         kernel = cosine_similarity(features, kappa=kappa)
         return greedy_lazy(FacilityLocation(kernel), budget)
-    if objective == "dm":
-        if kappa is not None:
-            raise ValidationError("--knn-sparsify applies only to the fl objective")
-        return farthest_point(DisparityMin(euclidean_distance(features)), budget)
-    raise ValidationError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
+    if kappa is not None:
+        raise ValidationError("--knn-sparsify applies only to the fl objective")
+    return farthest_point(DisparityMin(euclidean_distance(features)), budget)
 

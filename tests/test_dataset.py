@@ -387,6 +387,26 @@ class TestSplit:
             split(ds, holdout_fraction=1.0)
 
 
+class TestSubset:
+    def test_takes_rows_in_the_order_given(self):
+        ds = gen_synthetic(60, 2, 2, 3.0, 0)
+        sub = ds.subset(np.array([5, 0, 5], dtype=np.uint8))
+        assert np.array_equal(sub.features.values, ds.features.values[[5, 0, 5]])
+        assert sub.labels.labels.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("indices,message", [
+        ([0.7, 1.2], "row indices must be integers, got dtype float64"),
+        ([3, 100], "row index 100 out of range for dataset size 60"),
+        ([-1], "row index -1 out of range for dataset size 60"),
+        (np.arange(60) < 2, "row indices must be integers, got dtype bool"),
+    ], ids=["floats", "past the end", "negative", "mask"])
+    def test_anything_but_in_range_integer_rows_rejected(self, indices, message):
+        # truncated, [0.7, 1.2] would be rows 0 and 1; cast, a mask would be
+        # rows 0 and 1 too
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            gen_synthetic(60, 2, 2, 3.0, 0).subset(indices)
+
+
 class TestSynthetic:
     def test_exact_balance(self):
         ds = gen_synthetic(6, 2, 3, 1.0, 0)

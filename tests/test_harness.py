@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import subsel.active
+import subsel.harness
 from subsel.active import (
     SELECTORS,
     UNCERTAINTY,
@@ -26,8 +28,8 @@ from subsel.harness import (
     summarize_random,
     sweep_goal1,
 )
-from subsel.kernels import cosine_similarity, euclidean_distance
-from subsel.models import knn_accuracy
+from subsel.kernels import cosine_similarity, euclidean_distance, sparsify_knn
+from subsel.models import knn_accuracy, knn_subset_accuracies
 from subsel.objectives import DisparityMin, FacilityLocation
 from subsel.optimize import OBJECTIVES, farthest_point, greedy_lazy, select_subset
 
@@ -80,6 +82,26 @@ class TestSweep:
         assert a.accuracy == c.accuracy  # same seed, same draw
         assert a.seed == 1 and b.seed == 2
 
+    def test_random_arms_of_fractions_with_one_integer_part_draw_apart(self, problem,
+                                                                      monkeypatch):
+        # 20% and 20.5% of 90 rows are both 18 rows, and int(p) is 20 for
+        # both, yet each fraction draws its own subset
+        train, hold = problem
+        kw = dict(fractions=(20, 20.5), methods=("random",), seeds=(1,))
+        drawn, score = [], subsel.harness.knn_subset_accuracies
+
+        def recording(train, holdout, subsets, k):
+            drawn.extend(subsets)
+            return score(train, holdout, subsets, k)
+
+        monkeypatch.setattr(subsel.harness, "knn_subset_accuracies", recording)
+        records = sweep_goal1(train, hold, **kw)
+        assert [r.labeled_count for r in records] == [18, 18]
+        first = np.random.default_rng([1, 20]).choice(train.n, size=18, replace=False)
+        assert np.array_equal(drawn[0], np.sort(first))
+        assert not np.array_equal(drawn[0], drawn[1])
+        assert records == per_arm_sweep(train, hold, **kw)
+
     def test_config_validation(self, problem):
         train, hold = problem
         with pytest.raises(ValidationError):
@@ -125,8 +147,11 @@ def per_arm_sweep(train, hold, *, fractions, methods=SWEEP_METHODS, seeds, k=5):
             continue
         for method in methods:
             if method == "random":
+                share = Fraction(str(p))
                 for seed in seeds:
-                    rng = np.random.default_rng([int(seed), int(p)])
+                    key = ([int(seed), int(p)] if share.denominator == 1
+                           else [int(seed), share.numerator, share.denominator])
+                    rng = np.random.default_rng(key)
                     subset = np.sort(rng.choice(train.n, size=budget, replace=False))
                     acc = knn_accuracy(train.subset(subset), hold, k)
                     records.append(CurveRecord("random", int(seed), p, budget, acc))
@@ -313,8 +338,8 @@ class TestCsv:
 
 
 class TestInputChecks:
-    # every seed is an integer (Python or numpy), and every unknown name is a
-    # ValidationError naming the allowed ones
+    # every seed and count is an integer (Python or numpy), and every unknown
+    # name is a ValidationError naming the allowed ones
     SEEDED = {
         "split_indices": lambda train, hold, seed: split_indices(train.labels, 0.3, seed),
         "split": lambda train, hold, seed: split(train, 0.3, seed),
@@ -333,8 +358,51 @@ class TestInputChecks:
         for seed in (1.5, 3.0, "3", None):
             with pytest.raises(ValidationError, match="must be an integer, got"):
                 call(*problem, seed)
-        with pytest.raises(ValidationError, match="must be non-negative"):
+        with pytest.raises(ValidationError, match="must be >= 0, got -1$"):
             call(*problem, -1)
+
+    # (argument named in the error, call with count v)
+    COUNTED = {
+        "gen_synthetic n": ("n", lambda train, hold, v: gen_synthetic(v, 2, 2, 3.0, 0)),
+        "gen_synthetic d": ("d", lambda train, hold, v: gen_synthetic(10, v, 2, 3.0, 0)),
+        "gen_synthetic n_classes": (
+            "n_classes", lambda train, hold, v: gen_synthetic(10, 2, v, 3.0, 0)),
+        "ALConfig rounds": ("rounds", lambda train, hold, v: ALConfig(
+            B_percent=10, beta_percent=40, rounds=v, selector="us")),
+        "run_al initial_seed_size": ("initial seed size", lambda train, hold, v: run_al(
+            train, hold, ALConfig(B_percent=10, beta_percent=40, rounds=1, selector="us",
+                                  initial_seed_size=v))),
+        "sweep_goal1 k": ("k", lambda train, hold, v: sweep_goal1(
+            train, hold, fractions=(50,), methods=("dm",), seeds=(), k=v)),
+        "knn_subset_accuracies k": ("k", lambda train, hold, v: knn_subset_accuracies(
+            train, hold, [np.arange(10)], v)),
+        "cosine_similarity kappa": ("kappa", lambda train, hold, v: cosine_similarity(
+            train.features, kappa=v)),
+        "sparsify_knn kappa": ("kappa", lambda train, hold, v: sparsify_knn(
+            cosine_similarity(train.features), v)),
+        "select_subset fl": ("budget", lambda train, hold, v: select_subset(
+            train.features, "fl", v)),
+        "select_subset dm": ("budget", lambda train, hold, v: select_subset(
+            train.features, "dm", v)),
+        "greedy_lazy": ("budget", lambda train, hold, v: greedy_lazy(
+            FacilityLocation(cosine_similarity(train.features)), v)),
+        "farthest_point": ("budget", lambda train, hold, v: farthest_point(
+            DisparityMin(euclidean_distance(train.features)), v)),
+        "select_batch us": ("batch size", lambda train, hold, v: select_batch(
+            FilteredSet(np.arange(10), 0.0, np.zeros(10)), train.features, "us", v)),
+        "select_batch fl": ("batch size", lambda train, hold, v: select_batch(
+            FilteredSet(np.arange(10), 0.0, np.zeros(10)), train.features, "fl", v)),
+    }
+
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_counts_must_be_integers(self, problem, name):
+        # a float count is an error, not its ceiling: select_subset(..., 2.5) picks no 3
+        what, call = self.COUNTED[name]
+        call(*problem, np.int64(3))
+        for count in (2.5, "3"):
+            message = f"^{re.escape(what)} must be an integer, got {re.escape(repr(count))}$"
+            with pytest.raises(ValidationError, match=message):
+                call(*problem, count)
 
     def test_a_numpy_seed_is_its_int(self, problem):
         train, hold = problem

@@ -394,6 +394,7 @@ class TestScreenedKnn:
         ([0, 1, 7], "subset index 7 out of range for training size 6"),
         ([-1, 0, 1], "subset index -1 out of range for training size 6"),
         ([0.5, 1, 2], "subset indices must be integers, got dtype float64"),
+        (np.arange(6) < 3, "subset indices must be integers, got dtype bool"),
     ])
     def test_bad_subset_indices_rejected(self, subset, message):
         train = make_dataset(np.arange(6.0)[:, None], [0, 1, 0, 1, 0, 1])

@@ -61,8 +61,19 @@ class TestFacilityLocationEval:
         assert abs(facility_location_value(hand_similarity, [0, 2]) - 2.9) < 1e-9
 
     def test_out_of_range_rejected(self, hand_similarity):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^selection index 3 out of range for ground-set size 3$"):
             facility_location_value(hand_similarity, [3])
+
+    @pytest.mark.parametrize("X,dtype", [
+        ([0.7, 1.9], "float64"),
+        (np.array([True, True, False]), "bool"),
+    ], ids=["floats", "mask"])
+    def test_non_integer_indices_rejected(self, hand_similarity, X, dtype):
+        # truncated, [0.7, 1.9] would score {0, 1}
+        with pytest.raises(ValidationError,
+                           match=f"^selection indices must be integers, got dtype {dtype}$"):
+            facility_location_value(hand_similarity, X)
 
 
 class TestFacilityLocationState:
