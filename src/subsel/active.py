@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dataset import (FeatureMatrix, LabeledDataset, largest_remainder_quota,
-                      require_choice, require_int, stratified_draw)
+                      require_choice, require_indices, require_int, stratified_draw)
 from .errors import ValidationError
 from .models import logreg_fit
 from .optimize import OBJECTIVES, padded_order, select_subset
@@ -107,9 +107,7 @@ def select_batch(fset: FilteredSet, features: FeatureMatrix, selector: str,
     """
     batch_size = require_int(batch_size, "batch size", 1)
     require_choice(selector, SELECTORS, "selector")
-    F = fset.indices
-    if F.size and (F.min() < 0 or F.max() >= features.n):
-        raise ValidationError(f"filtered-set index out of range for n={features.n}")
+    F = require_indices(fset.indices, features.n, "filtered-set", "feature-row count")
     if F.size <= batch_size:
         return [int(i) for i in F]
     if selector == "us":

@@ -79,8 +79,8 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
     """Accuracy of kNN trained on growing subsets of the training pool.
 
     fractions are strictly increasing percentages in (0, 100], methods
-    distinct SWEEP_METHODS and seeds, the random arm's, distinct
-    non-negative integers, all checked before any greedy order is built.
+    distinct SWEEP_METHODS and seeds, the random arm's, distinct integers
+    in [0, 2**32 - 1], all checked before any greedy order is built.
     A fraction p's budget is the exact share p/100 * n, as ceil_pct takes
     it, rounded half up. A fraction whose budget is below k is skipped
     with a warning; a sweep that would skip every fraction is an error.
@@ -96,7 +96,8 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
         require_choice(method, SWEEP_METHODS, "sweep method")
     _reject_repeats("sweep method", methods)
     _reject_repeats("sweep seed", seeds)
-    seeds = tuple(require_int(s, "sweep seed", 0) for s in seeds)
+    # one 32-bit word: a larger seed would spill into the stream's next word
+    seeds = tuple(require_int(s, "sweep seed", 0, 2 ** 32 - 1) for s in seeds)
     if "random" in methods and not seeds:
         raise ValidationError("the random sweep method needs at least one seed")
     k = require_int(k, "k", 1)

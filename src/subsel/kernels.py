@@ -69,17 +69,21 @@ class DistanceKernel:
     """Euclidean distances among float64 feature rows x with squared norms
     sq: squared distances (sq_i + sq_j) - 2 x_i . x_j are computed, unclipped,
     when read, except that two rows of one group (group[i] == group[j], equal
-    rows) read exactly 0."""
+    rows) read exactly 0; copied[i] says whether i's group holds another row."""
 
     n: int
     x: np.ndarray
     sq: np.ndarray
     group: np.ndarray
+    copied: np.ndarray
 
     def sq_row(self, e: int) -> np.ndarray:
         """Squared distances from every element to e; 0 on e's group."""
         d2 = _squared_distances(self.x, self.sq, -2.0 * self.x[e], self.sq[e])
-        d2[self.group == self.group[e]] = 0.0
+        if self.copied[e]:
+            d2[self.group == self.group[e]] = 0.0
+        else:
+            d2[e] = 0.0
         return d2
 
     def max_pair(self) -> tuple[int, int]:
@@ -184,11 +188,14 @@ def cosine_similarity(m: FeatureMatrix, kappa: Optional[int] = None) -> Similari
         return _top_kappa(n, kappa, lambda lo, hi: _shifted_cosine(
             x[lo:hi] @ x.T, inv_norms[lo:hi], inv_norms, -1.0))
     sim = _dense_array(n)
+    triu = {}  # block height -> its tile's upper-triangle indices
     for lo, hi in _gemm_blocks(n):
         upper = _shifted_cosine(x[lo:hi] @ x[lo:].T, inv_norms[lo:hi], inv_norms[lo:],
                                 1.0).astype(np.float32)
         tile = upper[:, :hi - lo]  # the diagonal tile: mirror its upper triangle
-        i, j = np.triu_indices(hi - lo, 1)
+        if hi - lo not in triu:
+            triu[hi - lo] = np.triu_indices(hi - lo, 1)
+        i, j = triu[hi - lo]
         tile[j, i] = tile[i, j]
         np.fill_diagonal(tile, 1.0)
         sim[lo:hi, lo:] = upper
@@ -202,9 +209,10 @@ def euclidean_distance(m: FeatureMatrix) -> DistanceKernel:
     equal values form one group, found once by sorting the rows' bytes."""
     x = m.values.astype(np.float64)
     v = m.values + np.float32(0.0)  # -0.0 + 0.0 is 0.0: equal rows, equal bytes
-    _, group = np.unique(v.view(np.dtype((np.void, v.itemsize * v.shape[1]))).ravel(),
-                         return_inverse=True)
-    return DistanceKernel(n=x.shape[0], x=x, sq=np.einsum("ij,ij->i", x, x), group=group)
+    _, group, size = np.unique(v.view(np.dtype((np.void, v.itemsize * v.shape[1]))).ravel(),
+                               return_inverse=True, return_counts=True)
+    return DistanceKernel(n=x.shape[0], x=x, sq=np.einsum("ij,ij->i", x, x), group=group,
+                          copied=size[group] > 1)
 
 
 def first_k(a: np.ndarray, k: int) -> np.ndarray:

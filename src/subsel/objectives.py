@@ -4,12 +4,13 @@ Facility location credits every ground element with its best selected
 representative and sums the credits; it is monotone submodular, and its
 empty-set value is 0. Candidate j's gain is read down column j of the
 kernel (row j of ``kernel.dense.T`` if dense) by ``gains_of``; ``gain``,
-``gains_all`` and lazy greedy's block refresh all call it, so a gain
-reads the same bytes however it is batched, and lazy greedy matches the
-naive argmax scan the tests hold as its reference. The per-element
-maxima are kept in the kernel's value dtype (float32 for the dense
-cosine kernel), and a gain's terms and a value's maxima are summed in
-float64.
+``gains_all`` and lazy greedy's batched refreshes all call it (a fresh
+dense ``gains_all`` skips only the exact subtraction of zeros), so a
+gain reads the same bytes however it is batched, and lazy greedy
+matches the naive argmax scan the tests hold as its reference. The
+per-element maxima are kept in the kernel's value dtype (float32 for the
+dense cosine kernel), and a gain's terms and a value's maxima are summed
+in float64.
 
 Disparity min is the smallest pairwise distance among selected
 elements; it is scored greedily by squared distance-to-selected (the
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .dataset import require_indices
+from .dataset import require_indices, require_int
 from .errors import ValidationError
 from .kernels import DistanceKernel, SimilarityKernel, row_blocks
 
@@ -39,11 +40,12 @@ def _check_subset(X, n: int) -> np.ndarray:
     return idx
 
 
-def _require_candidate(obj, e: int):
-    if not (0 <= e < obj.n):
-        raise ValidationError(f"index {e} out of range for n={obj.n}")
+def _require_candidate(obj, e: int) -> int:
+    """e as an int index of obj's ground set that is not yet selected."""
+    e = require_int(e, "candidate index", 0, obj.n - 1)
     if obj.selected_mask[e]:
         raise ValidationError(f"element {e} is already selected")
+    return e
 
 
 def _fold_column(best: np.ndarray, kernel: SimilarityKernel, j: int) -> None:
@@ -88,8 +90,7 @@ class FacilityLocation:
 
     def gain(self, e: int) -> float:
         """Marginal value of adding e: sum of max(0, s_ie - best_i); >= 0."""
-        _require_candidate(self, e)
-        return float(self.gains_of([e])[0])
+        return float(self.gains_of([_require_candidate(self, e)])[0])
 
     def gains_of(self, idx) -> np.ndarray:
         """Gains of candidates idx (index array or slice), in idx's order, selected
@@ -112,8 +113,21 @@ class FacilityLocation:
 
     def gains_all(self) -> np.ndarray:
         """gains_of every candidate by row block, a sparse candidate costing its
-        column's entries times the ~8 temporaries each makes; selected read -1."""
+        column's entries times the ~8 temporaries each makes; selected read -1.
+
+        On a fresh dense state best is all +0.0 and s - 0 is exact, so a
+        block's terms are max(s, 0), read once from the kernel's columns, and
+        summed as gains_of sums them.
+        """
         k, gains = self.kernel, np.empty(self.n)
+        # no bit set: -0.0 would turn an s of -0.0 into +0.0
+        if not k.is_sparse and self.n and not self.best.view(np.uint8).any():
+            blocks = row_blocks(self.n)
+            terms = np.empty((blocks[0][1], self.n), dtype=k.dense.dtype)
+            for lo, hi in blocks:
+                block = np.maximum(k.dense.T[lo:hi], 0.0, out=terms[:hi - lo])
+                gains[lo:hi] = block.sum(axis=1, dtype=np.float64)
+            return gains
         width = 8 * k.values.size // max(self.n, 1) if k.is_sparse else None
         for lo, hi in row_blocks(self.n, width):
             gains[lo:hi] = self.gains_of(slice(lo, hi))
@@ -122,12 +136,12 @@ class FacilityLocation:
 
     def add(self, e: int) -> None:
         """Select e and fold its column into the per-element maxima."""
-        _require_candidate(self, e)
+        e = _require_candidate(self, e)
         if not self.kernel.is_sparse:
             np.maximum(self.best, self.kernel.dense.T[e], out=self.best)
         else:
             _fold_column(self.best, self.kernel, e)
-        self.selected.append(int(e))
+        self.selected.append(e)
         self.selected_mask[e] = True
         # summing the maxima (not accumulating gains) keeps the value an
         # order-insensitive function of the selected set
@@ -155,8 +169,7 @@ class DisparityMin:
 
     def gain(self, e: int) -> float:
         """Farthest-point score: the squared distance from e to the selected set."""
-        _require_candidate(self, e)
-        return float(self.mindist[e])
+        return float(self.mindist[_require_candidate(self, e)])
 
     def gains_all(self) -> np.ndarray:
         gains = self.mindist.view()
@@ -165,12 +178,12 @@ class DisparityMin:
 
     def add(self, e: int) -> None:
         """Select e and fold its distances into the per-element minima."""
-        _require_candidate(self, e)
+        e = _require_candidate(self, e)
         if self.selected:
             score = float(self.mindist[e])
             # sqrt is monotone: the sqrt of the least square is the least distance
             self.value = min(self.value, math.sqrt(max(score, 0.0)))
-        self.selected.append(int(e))
+        self.selected.append(e)
         self.selected_mask[e] = True
         np.minimum(self.mindist, self.kernel.sq_row(e), out=self.mindist)
         self.mindist[e] = -1.0

@@ -1,8 +1,8 @@
 """Budget-constrained subset maximization.
 
-Two routes: lazy greedy for monotone submodular objectives (stale gains
-rescored in blocks; it picks exactly what a naive greedy scanning every
-gain each step would, and the tests hold that naive greedy as its
+Two routes: lazy greedy for monotone submodular objectives (stale gain
+bounds rescored in batches; it picks exactly what a naive greedy scanning
+every gain each step would, and the tests hold that naive greedy as its
 reference), and farthest-point greedy for dispersion, seeded with the
 exact maximum-distance pair at every ground-set size. Ties always break
 toward the lowest index, so every optimizer is deterministic.
@@ -16,17 +16,19 @@ farthest point from the features in O(n * d + block * n) memory.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import FeatureMatrix, require_choice, require_int
 from .errors import UnsupportedObjectiveError, ValidationError
-from .kernels import cosine_similarity, euclidean_distance
+from .kernels import cosine_similarity, euclidean_distance, first_k
 from .objectives import INF, DisparityMin, FacilityLocation
 
-_REFRESH_BLOCK = 16  # stale heap entries scored per gains_of call
+# stale bounds a refresh scores in its first gains_of call, and in each later
+# one while stale bounds remain ahead of the best fresh gain
+_REFRESH_FIRST = 8
+_REFRESH_CHUNK = 64
 OBJECTIVES = ("fl", "dm")
 
 
@@ -89,40 +91,66 @@ def padded_order(sel: Selection, n: int, b: int) -> np.ndarray:
     return order
 
 
-def greedy_lazy(obj, b: int) -> Selection:
-    """Priority-queue greedy with stale gains; picks exactly what the naive
-    argmax scan (the tests' reference) picks, with fewer gain evaluations.
+def _refresh(obj, ub: np.ndarray, fresh: np.ndarray) -> int:
+    """Rescore stale bounds, in batched gains_of calls, until the argmax of
+    ub is fresh; returns the number of gains scored. Called after a pick,
+    when every unpicked bound is stale and every picked one reads -inf.
 
-    Keys are (-gain, index, step scored); a stale top has up to _REFRESH_BLOCK
-    stale entries rescored by one gains_of call. Fresh keys are exact, stale
-    ones upper bounds (submodularity): a fresh top is the lowest-index argmax.
+    The first batch is the _REFRESH_FIRST highest bounds. Each later one is
+    the _REFRESH_CHUNK highest of the stale bounds ahead of the best fresh
+    gain (above it, or equal to it at a lower index); a bound not ahead of
+    it cannot become the argmax, so it is not scored. Equal bounds are taken
+    lowest index first, the order in which the argmax reads them.
+    """
+    ahead = np.flatnonzero(first_k(-ub[None], min(_REFRESH_FIRST, ub.size))[0] & ~fresh)
+    evals = 0
+    while ahead.size:
+        ub[ahead] = obj.gains_of(ahead)
+        fresh[ahead] = True
+        evals += ahead.size
+        if fresh[ub.argmax()]:
+            break
+        masked = np.where(fresh, ub, -np.inf)
+        top = int(masked.argmax())  # the best fresh gain, lowest index on ties
+        ahead = np.flatnonzero(~fresh & (ub >= masked[top]))
+        ahead = ahead[(ub[ahead] > masked[top]) | (ahead < top)]
+        if ahead.size > _REFRESH_CHUNK:
+            ahead = ahead[first_k(-ub[None, ahead], _REFRESH_CHUNK)[0]]
+    return evals
+
+
+def greedy_lazy(obj, b: int) -> Selection:
+    """Lazy greedy (Minoux 1978); picks exactly what the naive argmax scan
+    (the tests' reference) picks, with fewer gain evaluations.
+
+    ub holds each candidate's last exact gain, an upper bound on its current
+    gain by submodularity, and -inf once picked; fresh marks the bounds
+    scored since the last pick (and the picked). When the argmax of ub is
+    stale, _refresh rescores stale bounds in batched gains_of calls until it
+    is fresh. A fresh argmax is then an exact gain no other gain exceeds,
+    and the lowest index of any that equal it, as in the naive scan. Each
+    candidate is scored at most once per step.
     """
     if not getattr(obj, "monotone_submodular", False):
         raise UnsupportedObjectiveError(
             "lazy greedy requires a monotone submodular objective"
         )
     _check_start(obj, b)
-    gains = obj.gains_all()
+    ub = np.array(obj.gains_all(), dtype=np.float64)
+    fresh = np.ones(obj.n, dtype=bool)
     evals = obj.n
-    heap = [(-float(gains[e]), e, 0) for e in range(obj.n)]
-    heapq.heapify(heap)
     steps: list[float] = []
-    step = 0
-    while heap and len(obj.selected) < b:
-        if heap[0][2] == step:
-            neg_gain, e, _ = heapq.heappop(heap)
-            if -neg_gain <= 0.0:
-                break
-            obj.add(e)
-            steps.append(obj.value)
-            step += 1
-        else:
-            stale = []
-            while heap and heap[0][2] != step and len(stale) < _REFRESH_BLOCK:
-                stale.append(heapq.heappop(heap)[1])
-            for e, g in zip(stale, obj.gains_of(stale).tolist()):
-                heapq.heappush(heap, (-g, e, step))
-            evals += len(stale)
+    while len(obj.selected) < b:
+        e = int(ub.argmax())  # first max, hence lowest index on ties
+        if not fresh[e]:
+            evals += _refresh(obj, ub, fresh)
+            e = int(ub.argmax())
+        if ub[e] <= 0.0:
+            break
+        obj.add(e)
+        steps.append(obj.value)
+        ub[e] = -np.inf
+        np.copyto(fresh, obj.selected_mask)
     return Selection(list(obj.selected), steps, obj.value if steps else 0.0,
                      gain_evals=evals)
 

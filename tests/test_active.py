@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from subsel.active import (
     ALConfig,
     ALState,
+    FilteredSet,
     ceil_pct,
     fass_round,
     filter_uncertain,
@@ -197,10 +198,20 @@ class TestSelectBatch:
     @pytest.mark.parametrize("selector", ["fl", "dm", "us", "random"])
     def test_out_of_range_indices_rejected(self, selector):
         features = FeatureMatrix(np.random.default_rng(57).standard_normal((10, 2)))
-        for bad in ([9, 7, -1, 3, 1], [9, 7, 10, 3, 1]):
-            with pytest.raises(ValidationError, match="index out of range for n=10"):
+        for bad, first in (([9, 7, -1, 3, 1], -1), ([9, 7, 10, 3, 1], 10)):
+            with pytest.raises(ValidationError, match=f"^filtered-set index {first} out "
+                                                      "of range for feature-row count 10$"):
                 select_batch(self._fset(bad), features, selector, 3,
                              np.random.default_rng(0))
+
+    @pytest.mark.parametrize("selector", ["fl", "dm", "us", "random"])
+    def test_float_indices_rejected(self, selector):
+        # read as rows, the floats would truncate to 0, 1 and 2
+        fset = FilteredSet(np.array([0.7, 1.2, 2.5]), 0.0, np.zeros(3))
+        features = FeatureMatrix(np.random.default_rng(57).standard_normal((10, 2)))
+        with pytest.raises(ValidationError, match="^filtered-set indices must be "
+                                                  "integers, got dtype float64$"):
+            select_batch(fset, features, selector, 2, np.random.default_rng(0))
 
     def test_zero_row_is_named_by_its_position_in_the_set(self):
         values = np.random.default_rng(58).standard_normal((10, 2))

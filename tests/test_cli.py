@@ -192,7 +192,20 @@ class TestSweepCommand:
         rc = main(["sweep", "--features", str(features), "--labels", str(labels),
                    "--holdout-frac", "0.3", "--seeds", "-1", "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: sweep seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == ("error: sweep seed must be in "
+                                           "[0, 4294967295], got -1\n")
+        assert not out.exists()
+
+    def test_seed_past_32_bits_fails_with_an_error_line(self, synth_files, tmp_path,
+                                                        capsys):
+        # [2**32 + 5, 20] would draw [5, 1, 20]'s stream: seed 5 at fraction 0.05
+        features, labels = synth_files
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--seeds", "1,4294967301", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: sweep seed must be in "
+                                           "[0, 4294967295], got 4294967301\n")
         assert not out.exists()
 
     def test_non_utf8_labels_fail_with_an_error_line(self, synth_files, tmp_path,

@@ -358,8 +358,13 @@ class TestInputChecks:
         for seed in (1.5, 3.0, "3", None):
             with pytest.raises(ValidationError, match="must be an integer, got"):
                 call(*problem, seed)
-        with pytest.raises(ValidationError, match="must be >= 0, got -1$"):
+        # sweep seeds are one 32-bit word of a random stream (see sweep_goal1)
+        bound = r"in \[0, 4294967295\]" if name == "sweep_goal1" else ">= 0"
+        with pytest.raises(ValidationError, match=f"must be {bound}, got -1$"):
             call(*problem, -1)
+        if name == "sweep_goal1":
+            with pytest.raises(ValidationError, match=f"must be {bound}, got 4294967296$"):
+                call(*problem, 2 ** 32)
 
     # (argument named in the error, call with count v)
     COUNTED = {

@@ -275,6 +275,19 @@ class TestEuclidean:
         assert k.group[0] == k.group[1] == k.group[3] != k.group[2]
         assert (k.sq_row(1)[[0, 1, 3]] == 0.0).all()
 
+    @pytest.mark.parametrize("copies", [[], [3, 3, 17]], ids=["no-copies", "copies"])
+    def test_sq_row_zeroes_exactly_its_group(self, copies):
+        # a row without copies has its own entry zeroed; one with copies,
+        # its whole group: byte for byte what a pass over every group gives
+        values = np.random.default_rng(6).standard_normal((40, 3))
+        k = euclidean_distance(FeatureMatrix(np.concatenate((values, values[copies]))))
+        sizes = np.bincount(k.group)[k.group]
+        assert np.array_equal(k.copied, sizes > 1) and k.copied.any() == bool(copies)
+        for e in range(k.n):
+            d2 = kernels._squared_distances(k.x, k.sq, -2.0 * k.x[e], k.sq[e])
+            d2[k.group == k.group[e]] = 0.0
+            assert k.sq_row(e).tobytes() == d2.tobytes()
+
 
 class TestSparsify:
     def test_top_entry_survives(self):

@@ -136,6 +136,21 @@ class TestFacilityLocationState:
         with pytest.raises(ValidationError):
             state.add(0)
 
+    @pytest.mark.parametrize("e, message", [
+        (1.5, "must be an integer, got 1.5"),
+        (np.float64(1.0), r"must be an integer, got (np\.float64\()?1\.0\)?"),  # numpy 1 or 2
+        (-1, r"must be in \[0, 2\], got -1"),
+        (3, r"must be in \[0, 2\], got 3"),
+    ], ids=["float", "numpy-float", "negative", "past-n"])
+    def test_candidate_must_be_an_index_of_the_ground_set(self, hand_similarity,
+                                                          line_distance, e, message):
+        # each is a typed error raised before the state changes
+        for state in (FacilityLocation(hand_similarity), DisparityMin(line_distance)):
+            for call in (state.gain, state.add):
+                with pytest.raises(ValidationError, match=f"^candidate index {message}$"):
+                    call(e)
+            assert not state.selected
+
     def test_submodularity_exhaustive_small(self):
         rng = np.random.default_rng(23)
         for _ in range(30)[:30]:
@@ -379,14 +394,34 @@ class TestDenseGainsAll:
             with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
                 assert state.gains_all().tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fresh_state_equals_gains_of_every_candidate(self, dtype, order):
+        # the fresh scan skips the subtraction of best's zeros: negative, -0.0
+        # and +0.0 entries, and columns of nothing else, keep their bytes
+        rng = np.random.default_rng(34)
+        n = 300
+        signs = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, n))
+        dense = signs * 10.0 ** rng.uniform(-16.0, 0.0, size=(n, n))
+        dense[:, 0], dense[:, 1] = -0.0, -0.5
+        dense[:, 2] = rng.choice([-0.0, 0.0, -0.25], size=n)
+        dense = np.asarray(dense, dtype=dtype, order=order)
+        state = FacilityLocation(SimilarityKernel(n=n, dense=dense))
+        expected = state.gains_of(np.arange(n))
+        assert state.gains_all().tobytes() == expected.tobytes()
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", 7 * n):  # a short last block
+            assert state.gains_all().tobytes() == expected.tobytes()
+
     def test_empty_ground_set_gives_no_gains(self):
         state = FacilityLocation(SimilarityKernel(n=0, dense=np.zeros((0, 0))))
         assert state.gains_all().shape == (0,)
 
-    def test_peak_memory_stays_far_below_one_n_by_n_array(self):
+    @pytest.mark.parametrize("picks", [(), (0,)])
+    def test_peak_memory_stays_far_below_one_n_by_n_array(self, picks):
         n = 1000
         state = FacilityLocation(random_similarity_kernel(np.random.default_rng(33), n))
-        state.add(0)
+        for e in picks:
+            state.add(e)
         tracemalloc.start()
         try:
             state.gains_all()

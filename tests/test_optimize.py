@@ -18,7 +18,7 @@ from conftest import (
     reference_farthest_point,
     rounded_to_float32,
 )
-from subsel import kernels
+from subsel import kernels, optimize
 from subsel.dataset import FeatureMatrix
 from subsel.errors import UnsupportedObjectiveError, ValidationError
 from subsel.kernels import (
@@ -184,6 +184,69 @@ class TestLazyGreedy:
     def test_rejects_non_submodular_objective(self, line_distance):
         with pytest.raises(UnsupportedObjectiveError):
             greedy_lazy(DisparityMin(line_distance), 2)
+
+
+def tied_top_kernel() -> np.ndarray:
+    """A 400-point unit-diagonal kernel of 0s and 1s built so that, after
+    the first pick (399), 8 stale bounds above the rest (300-307) refresh
+    to a gain that 100 stale bounds at lower indices (0-99) tie; those
+    candidates are picked next, then the gain-1 singletons, and the rows
+    those picks cover leave a zero-gain tail."""
+    n = 400
+    dense = np.eye(n)
+    a = np.arange(100)
+    dense[a + 200, a] = 1.0  # 0-99: gain 2, and each covers a singleton
+    c = np.arange(300, 308)
+    dense[c + 8, c] = dense[390, c] = 1.0  # 300-307: gain 3, then 2 once 390 is covered
+    dense[np.r_[350:391], 399] = 1.0  # 399: gain 42, picked first
+    return dense
+
+
+def as_kernel(kind: str, dense: np.ndarray) -> SimilarityKernel:
+    """dense as a hand-built float64, a column-major float32 (the layout
+    cosine_similarity builds) or a kappa = n - 1 sparse kernel, which keeps
+    every off-diagonal entry."""
+    n = dense.shape[0]
+    if kind == "float32":
+        return SimilarityKernel(n=n, dense=np.asfortranarray(dense, dtype=np.float32))
+    kernel = SimilarityKernel(n=n, dense=dense)
+    return sparsify_knn(kernel, n - 1) if kind == "kappa" else kernel
+
+
+@pytest.mark.parametrize("kind", ["float64", "float32", "kappa"])
+class TestLazyRefresh:
+    """The batched refresh against naive greedy where bounds tie: same picks
+    and step values, never more gain evaluations."""
+
+    def check(self, kernel, b):
+        naive = greedy_naive(FacilityLocation(kernel), b)
+        lazy = greedy_lazy(FacilityLocation(kernel), b)
+        assert lazy.indices == naive.indices
+        assert lazy.step_values == naive.step_values
+        assert lazy.gain_evals <= naive.gain_evals
+        return lazy
+
+    @pytest.mark.parametrize("off_diagonal", [0.0, 0.5])
+    def test_all_equal_gains(self, kind, off_diagonal):
+        # every gain ties at every step, so the picks run 0, 1, 2, ...; past
+        # the second step (whose bounds, with off-diagonal 0.5, all fall), the
+        # lowest-index bounds are refreshed first and one batch finds each pick
+        n = 150
+        dense = np.full((n, n), off_diagonal)
+        np.fill_diagonal(dense, 1.0)
+        lazy = self.check(as_kernel(kind, dense), n)
+        assert lazy.indices == list(range(n))
+        assert lazy.gain_evals <= 2 * n + optimize._REFRESH_FIRST * (n - 2)
+
+    def test_more_than_a_chunk_of_stale_bounds_tie_the_top(self, kind):
+        dense = tied_top_kernel()
+        n = dense.shape[0]
+        lazy = self.check(as_kernel(kind, dense), n)
+        assert lazy.indices[:102] == [399, *range(100), 300]
+        # b = n stops at the tail: rows 200-299, 308-315 and 350-390 are
+        # covered by other picks
+        assert len(lazy.indices) == n - 100 - 8 - 41
+        assert lazy.final_value == n
 
 
 class TestFarthestPoint:
