@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .dataset import (FeatureMatrix, LabeledDataset, largest_remainder_quota,
-                      require_choice, require_indices, require_int, stratified_draw)
+                      require_choice, require_indices, require_int, require_share,
+                      stratified_draw)
 from .errors import ValidationError
 from .models import logreg_fit
 from .optimize import OBJECTIVES, padded_order, select_subset
@@ -28,8 +28,8 @@ UNCERTAINTY = ("lc", "margin", "entropy")  # least confidence, margin, entropy
 
 
 def ceil_pct(percent: float, count: int) -> int:
-    """ceil(percent/100 * count) computed exactly for decimal percentages."""
-    return int(math.ceil(Fraction(str(percent)) * count / 100))
+    """ceil(percent/100 * count), exact on the percentage's decimal digits."""
+    return math.ceil(require_share(percent, "percent") * count / 100)
 
 
 def _check_probabilities(p: np.ndarray):
@@ -80,8 +80,7 @@ def filter_uncertain(probs, unlabeled, beta_percent: float,
     U = np.asarray(unlabeled, dtype=np.int64)
     if U.size == 0:
         raise ValidationError("unlabeled pool is empty")
-    if not (0.0 < beta_percent <= 100.0):
-        raise ValidationError(f"beta_percent must be in (0, 100], got {beta_percent}")
+    require_share(beta_percent, "beta_percent")
     p = np.asarray(probs, dtype=np.float64)
     if p.shape[0] != U.size:
         raise ValidationError("one probability vector per unlabeled element required")
@@ -89,10 +88,7 @@ def filter_uncertain(probs, unlabeled, beta_percent: float,
     order = np.lexsort((U, -scores))
     base = ceil_pct(beta_percent, U.size)
     cutoff = float(scores[order[base - 1]])
-    m = base
-    while m < U.size and scores[order[m]] == cutoff:
-        m += 1
-    keep = order[:m]
+    keep = order[:base + np.count_nonzero(scores[order[base:]] == cutoff)]
     return FilteredSet(indices=U[keep], cutoff_value=cutoff, scores=scores[keep])
 
 
@@ -135,12 +131,8 @@ class ALConfig:
     initial_seed_size: Optional[int] = None
 
     def __post_init__(self):
-        if not (0.0 < self.B_percent <= 100.0):
-            raise ValidationError(f"B_percent must be in (0, 100], got {self.B_percent}")
-        if not (0.0 < self.beta_percent <= 100.0):
-            raise ValidationError(
-                f"beta_percent must be in (0, 100], got {self.beta_percent}"
-            )
+        require_share(self.B_percent, "B_percent")
+        require_share(self.beta_percent, "beta_percent")
         require_int(self.rounds, "rounds", 1)
         require_int(self.seed, "seed", 0)
         if self.initial_seed_size is not None:

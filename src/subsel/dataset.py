@@ -12,6 +12,7 @@ as it was.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import struct
@@ -52,6 +53,22 @@ def require_int(value, what: str, lo: int | None = None, hi: int | None = None) 
         bound = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
         raise ValidationError(f"{what} must be {bound}, got {value}")
     return value
+
+
+def require_share(value, what: str, whole: int | None = 100) -> Fraction:
+    """value as the exact fraction of its decimal digits (0.58 reads 29/50),
+    in (0, whole] (None: unbounded); else a ValidationError naming what, as
+    for a bool, a string, None, nan or inf."""
+    share = None
+    if isinstance(value, numbers.Number) and not isinstance(value, bool):
+        with suppress(ValueError):  # nan, inf, complex, an int past str()'s digit limit
+            share = Fraction(str(value))
+    if share is None:
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    if share <= 0 or (whole is not None and share > whole):
+        bound = "> 0" if whole is None else f"in (0, {whole}]"
+        raise ValidationError(f"{what} must be {bound}, got {value}")
+    return share
 
 
 def require_choice(value, choices: tuple, what: str) -> None:
@@ -341,11 +358,10 @@ def split_indices(labels: LabelVector, holdout_fraction: float, seed: int = 0,
     hold out 15); the stratified variant apportions m across classes, each
     class within one instance of its proportional share, count * m / n.
     """
-    if not (0.0 < holdout_fraction < 1.0):
-        raise ValidationError(f"holdout_fraction must be in (0,1), got {holdout_fraction}")
+    share = require_share(holdout_fraction, "holdout_fraction", whole=1)
     require_int(seed, "seed", 0)
     n = len(labels)
-    m = round_half_up(Fraction(str(holdout_fraction)) * n)
+    m = round_half_up(share * n)
     if m == 0 or m == n:
         raise ValidationError(
             f"holdout_fraction {holdout_fraction} leaves an empty side for n={n}"
@@ -383,11 +399,10 @@ def gen_synthetic(n: int, d: int, n_classes: int, sep: float, seed: int) -> Labe
     n_classes = require_int(n_classes, "n_classes", 1)
     n = require_int(n, "n", n_classes)
     d = require_int(d, "d", 1)
-    if not sep > 0:
-        raise ValidationError(f"class separation must be > 0, got {sep}")
+    require_share(sep, "class separation", whole=None)
     require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    means = rng.standard_normal((n_classes, d)) * sep
+    means = rng.standard_normal((n_classes, d)) * float(sep)
     labels = np.arange(n, dtype=np.int64) % n_classes
     values = means[labels] + rng.standard_normal((n, d))
     ds = LabeledDataset(FeatureMatrix(values), LabelVector(labels))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .active import ALConfig, run_al
 from .dataset import (LabeledDataset, _read_text, atomic_open, require_choice, require_int,
-                      round_half_up)
+                      require_share, round_half_up)
 from .errors import ValidationError
 from .kernels import cosine_norms
 from .models import knn_subset_accuracies
@@ -88,10 +87,9 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
     one screen of each holdout row's nearest training rows among them.
     """
     fractions, methods, seeds = tuple(fractions), tuple(methods), tuple(seeds)
-    if not fractions or any(not (0 < p <= 100) for p in fractions):
-        raise ValidationError("fractions must lie in (0, 100]")
-    if any(b <= a for a, b in zip(fractions, fractions[1:])):
-        raise ValidationError("fractions must be strictly increasing")
+    shares = [require_share(p, "sweep fraction") for p in fractions]
+    if not shares or any(b <= a for a, b in zip(shares, shares[1:])):
+        raise ValidationError("sweep fractions must be non-empty and strictly increasing")
     for method in methods:
         require_choice(method, SWEEP_METHODS, "sweep method")
     _reject_repeats("sweep method", methods)
@@ -101,18 +99,18 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
     if "random" in methods and not seeds:
         raise ValidationError("the random sweep method needs at least one seed")
     k = require_int(k, "k", 1)
-    budgets = {p: round_half_up(Fraction(str(p)) * train.n / 100) for p in fractions}
-    if budgets[fractions[-1]] < k:
+    budgets = [round_half_up(q * train.n / 100) for q in shares]
+    if budgets[-1] < k:
         raise ValidationError(f"every fraction's budget is below k={k} "
                               f"for training size {train.n}")
     orders = {m: selection_order(train, m) for m in methods if m != "random"}
     arms = []  # (method, seed, fraction, budget, subset), in record order
-    for p, budget in budgets.items():
+    for p, q, budget in zip(fractions, shares, budgets):
         if budget < k:
             logger.warning("fraction %s%% rounds to a budget of %d, below k=%d, "
                            "for n=%d; skipped", p, budget, k, train.n)
             continue
-        q = Fraction(str(p))  # random streams: [seed, p] if p is integral (any CLI step)
+        # random stream [seed, p] if p is integral (any CLI step), else [seed, num, den]
         stream = [q.numerator] if q.denominator == 1 else [q.numerator, q.denominator]
         for method in methods:
             if method == "random":

@@ -96,7 +96,7 @@ class DistanceKernel:
         """
         i, j, top = 0, 1, -np.inf
         x2 = -2.0 * self.x
-        copies = int(self.group.max()) + 1 < self.n
+        copies = self.copied.any()
         for lo, hi in _gemm_blocks(self.n):
             block = _squared_distances(self.x[lo:hi], self.sq[lo:hi], x2[lo:], self.sq[lo:])
             block[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = -np.inf

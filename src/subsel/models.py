@@ -21,6 +21,7 @@ zero, so the fit is deterministic without a seed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,8 +291,8 @@ def logreg_fit(train: LabeledDataset, l2: float = DEFAULT_L2,
     objective unchanged, but the gradient has no component along it, so
     no step ever takes it.
     """
-    if l2 < 0:
-        raise ValidationError(f"l2 must be >= 0, got {l2}")
+    if isinstance(l2, bool) or not (isinstance(l2, numbers.Real) and 0 <= l2 < np.inf):
+        raise ValidationError(f"l2 must be a finite number >= 0, got {l2!r}")
     X = train.features.values.astype(np.float64)
     y = train.labels.labels
     if np.unique(y).size < 2:

@@ -77,8 +77,6 @@ class FacilityLocation:
     (contiguous when the kernel is column-major) or a sparse column.
     """
 
-    monotone_submodular = True
-
     def __init__(self, kernel: SimilarityKernel):
         self.kernel = kernel
         self.n = kernel.n
@@ -156,8 +154,6 @@ class DisparityMin:
     index first) and gains_all hands out a read-only view, not a copy.
     value is a distance.
     """
-
-    monotone_submodular = False
 
     def __init__(self, kernel: DistanceKernel):
         self.kernel = kernel

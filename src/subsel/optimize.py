@@ -119,7 +119,7 @@ def _refresh(obj, ub: np.ndarray, fresh: np.ndarray) -> int:
     return evals
 
 
-def greedy_lazy(obj, b: int) -> Selection:
+def greedy_lazy(obj: FacilityLocation, b: int) -> Selection:
     """Lazy greedy (Minoux 1978); picks exactly what the naive argmax scan
     (the tests' reference) picks, with fewer gain evaluations.
 
@@ -131,10 +131,8 @@ def greedy_lazy(obj, b: int) -> Selection:
     and the lowest index of any that equal it, as in the naive scan. Each
     candidate is scored at most once per step.
     """
-    if not getattr(obj, "monotone_submodular", False):
-        raise UnsupportedObjectiveError(
-            "lazy greedy requires a monotone submodular objective"
-        )
+    if not isinstance(obj, FacilityLocation):
+        raise UnsupportedObjectiveError("lazy greedy requires a facility-location objective")
     _check_start(obj, b)
     ub = np.array(obj.gains_all(), dtype=np.float64)
     fresh = np.ones(obj.n, dtype=bool)

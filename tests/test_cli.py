@@ -249,6 +249,17 @@ class TestSweepCommand:
         assert min(r.x for r in records) == 15  # 5% and 10% round to 2 and 4
         assert max(r.x for r in records) == 100
 
+    def test_whole_holdout_fails_with_an_error_line(self, synth_files, tmp_path, capsys):
+        features, labels = synth_files
+        capsys.readouterr()
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: holdout_fraction 1.0 leaves an empty "
+                                           "side for n=90\n")
+        assert not out.exists()
+
     def test_k_above_every_budget_fails_with_an_error_line(self, tmp_path, capsys):
         features, labels = tmp_path / "f.bin", tmp_path / "l.txt"
         assert main(["gen-synth", "--out", str(features), "--labels", str(labels),
@@ -319,6 +330,17 @@ class TestAlCommand:
                    "--rounds", "2", "--seeds", "-1", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_zero_batch_percent_fails_with_an_error_line(self, synth_files, tmp_path,
+                                                         capsys):
+        features, labels = synth_files
+        out = tmp_path / "al.csv"
+        rc = main(["al", "--features", str(features), "--labels", str(labels),
+                   "--holdout-frac", "0.3", "--batch-pct", "0", "--beta-pct", "40",
+                   "--rounds", "2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: B_percent must be in (0, 100], got 0.0\n"
         assert not out.exists()
 
     def test_single_class_labels_fail_with_an_error_line(self, synth_files, tmp_path,

@@ -1,5 +1,7 @@
+import math
 import struct
 import zlib
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from subsel.active import ALConfig, ceil_pct, filter_uncertain
 from subsel.dataset import (
     FeatureMatrix,
     LabeledDataset,
@@ -17,6 +20,7 @@ from subsel.dataset import (
     largest_remainder_quota,
     load_features,
     load_labels,
+    require_share,
     round_half_up,
     save_features,
     save_labels,
@@ -29,6 +33,7 @@ from subsel.errors import (
     TruncationError,
     ValidationError,
 )
+from subsel.harness import sweep_goal1
 
 
 class TestFeatureFile:
@@ -421,6 +426,16 @@ class TestSynthetic:
         with pytest.raises(ValidationError):
             gen_synthetic(10, 2, 2, 0.0, 0)
 
+    @pytest.mark.parametrize("sep", ["1", None, True, math.inf, math.nan, -1.0, 0])
+    def test_separation_must_be_a_finite_positive_number(self, sep):
+        with pytest.raises(ValidationError, match="^class separation must be "):
+            gen_synthetic(10, 2, 2, sep, 0)
+
+    def test_separation_reads_the_same_as_any_number_type(self):
+        base = gen_synthetic(30, 3, 3, 2.5, 4).features.values
+        for sep in (Fraction(5, 2), Decimal("2.5"), np.float64(2.5)):
+            assert np.array_equal(gen_synthetic(30, 3, 3, sep, 4).features.values, base)
+
     def test_n_below_class_count_rejected(self):
         with pytest.raises(ValidationError):
             gen_synthetic(2, 2, 3, 1.0, 0)
@@ -431,6 +446,52 @@ class TestSynthetic:
         assert np.array_equal(a.features.values, b.features.values)
         c = gen_synthetic(40, 5, 2, 2.0, 10)
         assert not np.array_equal(a.features.values, c.features.values)
+
+
+# every public entry point that reads a share: (what it names, whole, call)
+SHARE_ENTRY_POINTS = {
+    "ALConfig.B_percent": ("B_percent", 100, lambda v: ALConfig(
+        B_percent=v, beta_percent=10, rounds=1, selector="fl")),
+    "ALConfig.beta_percent": ("beta_percent", 100, lambda v: ALConfig(
+        B_percent=10, beta_percent=v, rounds=1, selector="fl")),
+    "filter_uncertain": ("beta_percent", 100, lambda v: filter_uncertain(
+        np.full((4, 2), 0.5), np.arange(4), v, "lc")),
+    "ceil_pct": ("percent", 100, lambda v: ceil_pct(v, 10)),
+    "sweep_goal1": ("sweep fraction", 100, lambda v: sweep_goal1(
+        *split(gen_synthetic(40, 3, 2, 2.0, 0), holdout_fraction=0.25), fractions=(v,),
+        methods=("fl",), seeds=())),
+    "split": ("holdout_fraction", 1, lambda v: split(
+        gen_synthetic(20, 2, 2, 2.0, 0), holdout_fraction=v)),
+}
+
+
+class TestRequireShare:
+    @pytest.mark.parametrize("entry", SHARE_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", ["true", "str", "none", "nan", "inf", "-inf", "zero",
+                                     "above_whole", "numpy_bool"])
+    def test_every_entry_point_rejects_a_bad_share_naming_it(self, entry, bad):
+        what, whole, call = SHARE_ENTRY_POINTS[entry]
+        value = {"true": True, "str": "5", "none": None, "nan": math.nan, "inf": math.inf,
+                 "-inf": -math.inf, "zero": 0, "above_whole": math.nextafter(whole, 200),
+                 "numpy_bool": np.True_}[bad]
+        with pytest.raises(ValidationError, match=f"^{what} must be "):
+            call(value)
+
+    @pytest.mark.parametrize("value", [0.58, np.float32(0.58), np.float64(0.58),
+                                       Decimal("0.58"), Fraction(29, 50)])
+    def test_reads_the_decimal_digits_exactly(self, value):
+        assert require_share(value, "x", whole=1) == Fraction(29, 50)
+
+    def test_bounds(self):
+        assert require_share(100, "x") == 100
+        assert require_share(np.int64(7), "x") == 7
+        assert require_share(10 ** 30, "x", whole=None) == 10 ** 30
+        with pytest.raises(ValidationError, match=r"^x must be in \(0, 1\], got 1.5$"):
+            require_share(1.5, "x", whole=1)
+        with pytest.raises(ValidationError, match="^x must be > 0, got -0.0$"):
+            require_share(-0.0, "x", whole=None)
+        with pytest.raises(ValidationError, match="^x must be a finite number, got "):
+            require_share(1 + 1j, "x")
 
 
 def test_round_half_up_is_exact_on_fractions():

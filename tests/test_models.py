@@ -535,6 +535,11 @@ class TestLogReg:
         with pytest.raises(ValidationError):
             logreg_fit(ds)
 
+    @pytest.mark.parametrize("l2", [np.nan, np.inf, -np.inf, -0.1, None, "0.1", True])
+    def test_l2_must_be_a_finite_number_at_least_zero(self, l2):
+        with pytest.raises(ValidationError, match="^l2 must be a finite number >= 0, got "):
+            logreg_fit(separable_clusters(), l2=l2)
+
     @pytest.mark.parametrize("seed", [60, 61, 62, 63])
     def test_reused_scores_are_the_from_scratch_bytes(self, seed):
         rng = np.random.default_rng(seed)
