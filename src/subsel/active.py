@@ -4,7 +4,7 @@ active-learning loop.
 Each round trains a classifier on the labeled pool, keeps the most
 uncertain slice of the unlabeled pool as the selection ground set (any
 element tied with the slice's last member is pulled in too), picks a
-batch from that slice with the configured selector, and moves the batch
+batch from that slice with the run's selector, and moves the batch
 into the labeled pool.
 """
 
@@ -119,25 +119,21 @@ def select_batch(fset: FilteredSet, features: FeatureMatrix, selector: str,
 
 @dataclass(frozen=True)
 class ALConfig:
-    """Loop parameters: batch percent of the full pool, filter percent of
-    the current unlabeled pool, round count, selector, scoring method."""
+    """Loop parameters shared by every arm of a run: batch percent of the
+    full pool, filter percent of the unlabeled pool, rounds, scoring method."""
 
     B_percent: float
     beta_percent: float
     rounds: int
-    selector: str
     method: str = "entropy"
-    seed: int = 0
     initial_seed_size: Optional[int] = None
 
     def __post_init__(self):
         require_share(self.B_percent, "B_percent")
         require_share(self.beta_percent, "beta_percent")
         require_int(self.rounds, "rounds", 1)
-        require_int(self.seed, "seed", 0)
         if self.initial_seed_size is not None:
             require_int(self.initial_seed_size, "initial seed size")
-        require_choice(self.selector, SELECTORS, "selector")
         require_choice(self.method, UNCERTAINTY, "uncertainty method")
 
 
@@ -179,18 +175,19 @@ def _proportional_quota(counts: np.ndarray, size: int) -> np.ndarray:
 
 
 def fass_round(state: ALState, ds: LabeledDataset, holdout: LabeledDataset,
-               cfg: ALConfig, rng: Optional[np.random.Generator] = None, *,
+               cfg: ALConfig, selector: str, rng: Optional[np.random.Generator] = None, *,
                _memo: Optional[dict] = None) -> ALState:
     """One loop round: fit, record accuracy, filter, select, label.
 
     The labeled pool must hold distinct indices in [0, ds.n); the round
     number is one more than the history's length. _memo is private to
-    run_goal2, which shares one across the arms of one call over one ds
-    and holdout: it keeps each distinct labeled pool's model and holdout
-    accuracy, and its filtered set per (beta_percent, method), so a pool
-    met again is neither refit nor refiltered. The returned state is the
-    same with or without it.
+    run_goal2, which shares one across the arms of one call over one ds,
+    holdout and cfg: it maps each distinct labeled pool to its holdout
+    accuracy and filtered set, so a pool met again is neither refit nor
+    refiltered, and keeps no model. The returned state is the same with or
+    without it.
     """
+    require_choice(selector, SELECTORS, "selector")
     labeled = np.asarray(state.labeled, dtype=np.int64)
     left = np.ones(ds.n, dtype=bool)
     left[labeled[(labeled >= 0) & (labeled < ds.n)]] = False
@@ -199,40 +196,37 @@ def fass_round(state: ALState, ds: LabeledDataset, holdout: LabeledDataset,
         raise ValidationError(f"labeled pool indices must be distinct and in [0, {ds.n})")
     if unlabeled.size == 0:
         raise ValidationError("unlabeled pool is empty")
-    if _memo is None:
-        _memo = {}
+    _memo = {} if _memo is None else _memo
     pool = labeled.tobytes()
     if pool not in _memo:
         model = logreg_fit(ds.subset(labeled), n_classes=ds.n_classes)
-        _memo[pool] = model, model.accuracy(holdout)
-    model, accuracy = _memo[pool]
-    key = (pool, cfg.beta_percent, cfg.method)
-    if key not in _memo:
         probs = model.predict_proba_batch(ds.features.values[unlabeled])
-        _memo[key] = filter_uncertain(probs, unlabeled, cfg.beta_percent, cfg.method)
+        _memo[pool] = (model.accuracy(holdout),
+                       filter_uncertain(probs, unlabeled, cfg.beta_percent, cfg.method))
+    accuracy, fset = _memo[pool]
     record = RoundRecord(len(state.history) + 1, int(labeled.size), accuracy)
     batch_size = min(ceil_pct(cfg.B_percent, ds.n), int(unlabeled.size))
-    chosen = np.array(select_batch(_memo[key], ds.features, cfg.selector, batch_size, rng),
+    chosen = np.array(select_batch(fset, ds.features, selector, batch_size, rng),
                       dtype=np.int64)
     return ALState(np.sort(np.concatenate((labeled, chosen))), state.history + (record,))
 
 
-def run_al(ds: LabeledDataset, holdout: LabeledDataset, cfg: ALConfig, *,
-           _memo: Optional[dict] = None) -> list[RoundRecord]:
+def run_al(ds: LabeledDataset, holdout: LabeledDataset, cfg: ALConfig, selector: str,
+           seed: int, *, _memo: Optional[dict] = None) -> list[RoundRecord]:
     """Run the loop for cfg.rounds rounds (fewer if the pool empties).
 
-    The whole run is a pure function of the dataset, the holdout, and
-    the config; the seed drives both the initial pool and any random
-    selection draws. _memo is run_goal2's, handed to every fass_round.
+    The whole run is a pure function of its arguments; the seed, an integer
+    >= 0, drives both the initial pool and any random selection draws.
+    _memo is run_goal2's, handed to every fass_round.
     """
+    rng = np.random.default_rng(require_int(seed, "seed", 0))
     batch_size = ceil_pct(cfg.B_percent, ds.n)
     seed_size = cfg.initial_seed_size
     if seed_size is None:
         seed_size = max(ds.n_classes, batch_size)
-    rng = np.random.default_rng(cfg.seed)
     state = initial_state(ds.labels.labels, seed_size, rng)
     for _ in range(cfg.rounds):
         if state.labeled.size == ds.n:
             break
-        state = fass_round(state, ds, holdout, cfg, rng, _memo=_memo)
+        state = fass_round(state, ds, holdout, cfg, selector, rng, _memo=_memo)
     return list(state.history)

@@ -17,6 +17,7 @@ from .dataset import (
     load_dataset,
     load_features,
     require_int,
+    require_share,
     save_features,
     save_labels,
     split,
@@ -111,12 +112,14 @@ def _split_parser() -> argparse.ArgumentParser:
 
 
 def _split_from_args(args):
+    require_share(args.holdout_frac, "--holdout-frac", whole=1)
     ds = load_dataset(args.features, args.labels)
     return split(ds, args.holdout_frac, args.split_seed, stratified=not args.no_stratify)
 
 
 def _cmd_sweep(args) -> int:
     require_int(args.step, "--step", 1, 100)
+    require_int(args.k, "--k", 1)
     train, holdout = _split_from_args(args)
     methods = args.methods.split(",")
     records = sweep_goal1(train, holdout, range(args.step, 101, args.step), methods,
@@ -130,16 +133,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_al(args) -> int:
+    require_share(args.batch_pct, "--batch-pct")
+    require_share(args.beta_pct, "--beta-pct")
+    require_int(args.rounds, "--rounds", 1)
+    cfg = ALConfig(B_percent=args.batch_pct, beta_percent=args.beta_pct, rounds=args.rounds,
+                   method=args.uncertainty, initial_seed_size=args.seed_size)
     train, holdout = _split_from_args(args)
     selectors = args.selectors.split(",")
-    cfgs = [
-        ALConfig(B_percent=args.batch_pct, beta_percent=args.beta_pct, rounds=args.rounds,
-                 selector=sel, method=args.uncertainty, seed=seed,
-                 initial_seed_size=args.seed_size)
-        for sel in selectors
-        for seed in args.seeds
-    ]
-    records = run_goal2(train, holdout, cfgs)
+    records = run_goal2(train, holdout, cfg, selectors, args.seeds)
     emit_csv(records, args.out)
     print(f"wrote {len(records)} rows ({len(selectors)} selectors x "
           f"{len(args.seeds)} seeds) to {args.out}")

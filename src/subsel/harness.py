@@ -16,11 +16,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .active import ALConfig, run_al
+from .active import SELECTORS, ALConfig, run_al
 from .dataset import (LabeledDataset, _read_text, atomic_open, require_choice, require_int,
                       require_share, round_half_up)
 from .errors import ValidationError
@@ -135,43 +135,47 @@ def summarize_random(records: Iterable[CurveRecord]) -> dict[float, float]:
     return {x: float(np.mean(v)) for x, v in sorted(by_x.items())}
 
 
-def run_goal2(train: LabeledDataset, holdout: LabeledDataset,
-              cfgs: Sequence[ALConfig]) -> list[CurveRecord]:
-    """One active-learning curve per config.
+def run_goal2(train: LabeledDataset, holdout: LabeledDataset, cfg: ALConfig,
+              selectors: Iterable[str], seeds: Iterable[int]) -> list[CurveRecord]:
+    """One active-learning curve per (selector, seed) arm, all under cfg.
 
-    Configs must agree on the round count and may not repeat a (selector,
-    seed) pair; pairing comes from sharing seeds across selectors, which
-    pins the initial labeled pool per seed. The arms share one memo (see
-    fass_round) for the length of this call: each distinct labeled pool is
-    fit, and its holdout accuracy computed, once, and its filtered set once
-    per (beta_percent, method), so arms with a common seed share round 1.
-    The records are those of calling run_al once per config.
+    selectors are distinct SELECTORS and seeds distinct integers >= 0, all
+    checked before any fit; pairing comes from sharing seeds across
+    selectors, which pins the initial labeled pool per seed. The arms share
+    one memo (see fass_round) for the length of this call: each distinct
+    labeled pool is fit, scored on the holdout and filtered once, so arms
+    with a common seed share round 1. The records are those of calling
+    run_al once per arm, for sel in selectors for seed in seeds.
     """
-    if not cfgs:
-        raise ValidationError("at least one active-learning config required")
-    if len({c.rounds for c in cfgs}) != 1:
-        raise ValidationError("all active-learning configs must share the round count")
-    _reject_repeats("active-learning (selector, seed)",
-                    [(c.selector, int(c.seed)) for c in cfgs])
-    if any(c.selector == "fl" for c in cfgs):  # fail on a zero row before any fit
+    selectors, seeds = tuple(selectors), tuple(require_int(s, "seed", 0) for s in seeds)
+    if not selectors or not seeds:
+        raise ValidationError("at least one active-learning selector and seed required")
+    for sel in selectors:
+        require_choice(sel, SELECTORS, "selector")
+    _reject_repeats("selector", selectors)
+    _reject_repeats("seed", seeds)
+    if "fl" in selectors:  # fail on a zero row before any fit
         cosine_norms(train.features.values.astype(np.float64))
     memo: dict = {}
-    return [CurveRecord(cfg.selector, int(cfg.seed), rec.round, rec.labeled_count,
-                        rec.accuracy)
-            for cfg in cfgs for rec in run_al(train, holdout, cfg, _memo=memo)]
+    return [CurveRecord(sel, seed, rec.round, rec.labeled_count, rec.accuracy)
+            for sel in selectors for seed in seeds
+            for rec in run_al(train, holdout, cfg, sel, seed, _memo=memo)]
 
 
 def emit_csv(records: Iterable[CurveRecord], path) -> None:
     """Write records sorted by (method, seed, x); output is byte-stable.
 
-    The file is replaced atomically: if any row fails, path is untouched.
+    x is written with :g, or as its float's repr where :g would not read
+    back as x. The file is replaced atomically: if any row fails, path is untouched.
     """
     rows = sorted(records, key=lambda r: (r.method, r.seed, r.x))
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fh.write(f"{r.method},{r.seed},{r.x:g},{r.labeled_count},"
-                     f"{r.accuracy:.6f}\n")
+            x = f"{r.x:g}"
+            if float(x) != r.x:
+                x = repr(float(r.x))
+            fh.write(f"{r.method},{r.seed},{x},{r.labeled_count},{r.accuracy:.6f}\n")
 
 
 def parse_csv(path) -> list[CurveRecord]:

@@ -197,10 +197,8 @@ def test_criterion_6_goal2_desk_analogue():
     train, hold = _desk_split()
     selectors = ("fl", "dm", "us", "random")
     seeds = tuple(range(1, 11))
-    cfgs = [ALConfig(B_percent=5, beta_percent=20, rounds=10, selector=s,
-                     method="entropy", seed=seed)
-            for s in selectors for seed in seeds]
-    records = run_goal2(train, hold, cfgs)
+    cfg = ALConfig(B_percent=5, beta_percent=20, rounds=10, method="entropy")
+    records = run_goal2(train, hold, cfg, selectors, seeds)
     curves: dict[tuple, dict] = {}
     for r in records:
         curves.setdefault((r.method, r.seed), {})[r.x] = r.accuracy

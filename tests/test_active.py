@@ -233,11 +233,11 @@ def small_al_problem(n=90, C=3, sep=3.0, seed=6):
 class TestFassRound:
     def test_bookkeeping(self):
         train, hold = small_al_problem()
-        cfg = ALConfig(B_percent=10, beta_percent=50, rounds=1, selector="fl", seed=3)
-        rng = np.random.default_rng(cfg.seed)
+        cfg = ALConfig(B_percent=10, beta_percent=50, rounds=1)
+        rng = np.random.default_rng(3)
         state = initial_state(train.labels.labels, 6, rng)
         before = state.labeled.size
-        after = fass_round(state, train, hold, cfg, rng)
+        after = fass_round(state, train, hold, cfg, "fl", rng)
         assert after.history[-1].round == 1
         assert after.labeled.size == before + ceil_pct(10, train.n)
         assert after.history[-1].labeled_count == before
@@ -245,7 +245,7 @@ class TestFassRound:
         assert after.labeled.dtype == np.int64
         assert np.array_equal(after.labeled,
                               np.sort(np.concatenate((state.labeled, chosen))))
-        again = fass_round(after, train, hold, cfg, rng)
+        again = fass_round(after, train, hold, cfg, "fl", rng)
         assert [r.round for r in again.history] == [1, 2]
 
     @pytest.mark.parametrize("bad", [-1, "n", "repeat"])
@@ -253,42 +253,42 @@ class TestFassRound:
         # -1 would otherwise alias row n-1 in the mask that builds the
         # unlabeled pool, and a repeat would count one row twice
         train, hold = small_al_problem()
-        cfg = ALConfig(B_percent=10, beta_percent=50, rounds=1, selector="us", seed=3)
+        cfg = ALConfig(B_percent=10, beta_percent=50, rounds=1)
         labeled = initial_state(train.labels.labels, 6, np.random.default_rng(3)).labeled
         extra = {-1: -1, "n": train.n, "repeat": labeled[0]}[bad]
         with pytest.raises(ValidationError, match=r"distinct and in \[0, "):
-            fass_round(ALState(np.append(labeled, extra)), train, hold, cfg,
+            fass_round(ALState(np.append(labeled, extra)), train, hold, cfg, "us",
                        np.random.default_rng(3))
 
     def test_batch_is_inside_the_filtered_set(self):
         train, hold = small_al_problem(seed=7)
-        cfg = ALConfig(B_percent=10, beta_percent=30, rounds=1, selector="fl", seed=3)
-        rng = np.random.default_rng(cfg.seed)
+        cfg = ALConfig(B_percent=10, beta_percent=30, rounds=1)
+        rng = np.random.default_rng(3)
         state = initial_state(train.labels.labels, 6, rng)
         model = logreg_fit(train.subset(state.labeled), n_classes=train.n_classes)
         unlabeled = np.setdiff1d(np.arange(train.n), state.labeled)
         probs = model.predict_proba_batch(train.features.values[unlabeled])
         fset = filter_uncertain(probs, unlabeled, cfg.beta_percent, cfg.method)
-        after = fass_round(state, train, hold, cfg, np.random.default_rng(cfg.seed))
+        after = fass_round(state, train, hold, cfg, "fl", np.random.default_rng(3))
         chosen = np.setdiff1d(after.labeled, state.labeled)
         assert set(chosen.tolist()) <= set(fset.indices.tolist())
         assert set(fset.indices.tolist()) <= set(unlabeled.tolist())
 
     def test_small_pool_is_exhausted(self):
         train, hold = small_al_problem(n=30)
-        cfg = ALConfig(B_percent=100, beta_percent=100, rounds=1, selector="us", seed=0)
+        cfg = ALConfig(B_percent=100, beta_percent=100, rounds=1)
         rng = np.random.default_rng(0)
         state = initial_state(train.labels.labels, 3, rng)
-        after = fass_round(state, train, hold, cfg, rng)
+        after = fass_round(state, train, hold, cfg, "us", rng)
         assert np.array_equal(after.labeled, np.arange(train.n))
         with pytest.raises(ValidationError, match="unlabeled pool is empty"):
-            fass_round(after, train, hold, cfg, rng)
+            fass_round(after, train, hold, cfg, "us", rng)
 
     def test_published_parameterization_runs_clean(self):
         # batch 5% with a 10% filter, ten rounds
         train, hold = small_al_problem(n=200, seed=11)
-        cfg = ALConfig(B_percent=5, beta_percent=10, rounds=10, selector="fl", seed=1)
-        curve = run_al(train, hold, cfg)
+        cfg = ALConfig(B_percent=5, beta_percent=10, rounds=10)
+        curve = run_al(train, hold, cfg, "fl", 1)
         assert len(curve) == 10
         counts = [r.labeled_count for r in curve]
         assert all(b > a for a, b in zip(counts, counts[1:]))
@@ -297,15 +297,13 @@ class TestFassRound:
 class TestRunAl:
     def test_deterministic_with_random_selector(self):
         train, hold = small_al_problem(seed=8)
-        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=4, selector="random",
-                       seed=21)
-        assert run_al(train, hold, cfg) == run_al(train, hold, cfg)
+        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=4)
+        assert run_al(train, hold, cfg, "random", 21) == run_al(train, hold, cfg, "random", 21)
 
     def test_single_round_curve(self):
         train, hold = small_al_problem(seed=9)
-        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=1, selector="us",
-                       seed=2, initial_seed_size=9)
-        curve = run_al(train, hold, cfg)
+        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=1, initial_seed_size=9)
+        curve = run_al(train, hold, cfg, "us", 2)
         assert len(curve) == 1
         assert curve[0].round == 1
         assert curve[0].labeled_count == 9
@@ -317,10 +315,9 @@ class TestRunAl:
 
     def test_seed_below_class_count_rejected(self):
         train, hold = small_al_problem(seed=10)
-        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=1, selector="us",
-                       seed=2, initial_seed_size=2)
+        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=1, initial_seed_size=2)
         with pytest.raises(ValidationError):
-            run_al(train, hold, cfg)
+            run_al(train, hold, cfg, "us", 2)
 
     def test_initial_pool_is_stratified(self):
         labels = np.array([0] * 40 + [1] * 40 + [2] * 20)
@@ -331,10 +328,10 @@ class TestRunAl:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            ALConfig(B_percent=0, beta_percent=10, rounds=1, selector="fl")
+            ALConfig(B_percent=0, beta_percent=10, rounds=1)
         with pytest.raises(ValidationError):
-            ALConfig(B_percent=10, beta_percent=101, rounds=1, selector="fl")
+            ALConfig(B_percent=10, beta_percent=101, rounds=1)
         with pytest.raises(ValidationError):
-            ALConfig(B_percent=10, beta_percent=10, rounds=0, selector="fl")
+            ALConfig(B_percent=10, beta_percent=10, rounds=0)
         with pytest.raises(ValidationError):
-            ALConfig(B_percent=10, beta_percent=10, rounds=1, selector="committee")
+            ALConfig(B_percent=10, beta_percent=10, rounds=1, method="committee")

@@ -340,7 +340,7 @@ class TestAlCommand:
                    "--holdout-frac", "0.3", "--batch-pct", "0", "--beta-pct", "40",
                    "--rounds", "2", "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: B_percent must be in (0, 100], got 0.0\n"
+        assert capsys.readouterr().err == "error: --batch-pct must be in (0, 100], got 0.0\n"
         assert not out.exists()
 
     def test_single_class_labels_fail_with_an_error_line(self, synth_files, tmp_path,
@@ -354,6 +354,31 @@ class TestAlCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             "error: logistic regression needs at least two classes")
+
+
+class TestFlagChecks:
+    """A bad share or count fails naming its flag, before any file is read."""
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("al", ["--batch-pct", "0"], "--batch-pct must be in (0, 100], got 0.0"),
+        ("al", ["--beta-pct", "100.5"], "--beta-pct must be in (0, 100], got 100.5"),
+        ("al", ["--rounds", "0"], "--rounds must be >= 1, got 0"),
+        ("al", ["--holdout-frac", "0"], "--holdout-frac must be in (0, 1], got 0.0"),
+        ("sweep", ["--holdout-frac", "1.5"], "--holdout-frac must be in (0, 1], got 1.5"),
+        ("sweep", ["--holdout-frac", "nan"], "--holdout-frac must be a finite number, got nan"),
+        ("sweep", ["--k", "0"], "--k must be >= 1, got 0"),
+    ], ids=["al batch-pct", "al beta-pct", "al rounds", "al holdout-frac",
+            "sweep holdout-frac", "sweep holdout-frac nan", "sweep k"])
+    def test_bad_flag_fails_naming_it(self, tmp_path, capsys, command, flags, message):
+        defaults = {"--holdout-frac": "0.3", "--batch-pct": "10", "--beta-pct": "40",
+                    "--rounds": "2"} if command == "al" else {"--holdout-frac": "0.3"}
+        defaults.update(zip(flags[::2], flags[1::2]))
+        missing = tmp_path / "missing"
+        rc = main([command, "--features", str(missing), "--labels", str(missing),
+                   "--out", str(tmp_path / "out.csv"),
+                   *[part for flag in defaults.items() for part in flag]])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestAlOnAZeroRow:

@@ -451,9 +451,9 @@ class TestSynthetic:
 # every public entry point that reads a share: (what it names, whole, call)
 SHARE_ENTRY_POINTS = {
     "ALConfig.B_percent": ("B_percent", 100, lambda v: ALConfig(
-        B_percent=v, beta_percent=10, rounds=1, selector="fl")),
+        B_percent=v, beta_percent=10, rounds=1)),
     "ALConfig.beta_percent": ("beta_percent", 100, lambda v: ALConfig(
-        B_percent=10, beta_percent=v, rounds=1, selector="fl")),
+        B_percent=10, beta_percent=v, rounds=1)),
     "filter_uncertain": ("beta_percent", 100, lambda v: filter_uncertain(
         np.full((4, 2), 0.5), np.arange(4), v, "lc")),
     "ceil_pct": ("percent", 100, lambda v: ceil_pct(v, 10)),

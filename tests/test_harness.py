@@ -162,12 +162,14 @@ def per_arm_sweep(train, hold, *, fractions, methods=SWEEP_METHODS, seeds, k=5):
     return records
 
 
+ARMS = ("fl", "dm", "us", "random")
+
+
 class TestGoal2:
     def test_paired_runs_share_the_initial_point(self, problem):
         train, hold = problem
-        cfgs = [ALConfig(B_percent=10, beta_percent=40, rounds=3, selector=s, seed=seed)
-                for s in ("fl", "dm", "us", "random") for seed in (1, 2)]
-        records = run_goal2(train, hold, cfgs)
+        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=3)
+        records = run_goal2(train, hold, cfg, ARMS, (1, 2))
         assert len(records) == 8 * 3
         for seed in (1, 2):
             first = {r.accuracy for r in records if r.seed == seed and r.x == 1}
@@ -177,47 +179,51 @@ class TestGoal2:
         train, hold = problem
         # filter keeps ~5% of U while the batch is 50% of the pool, so every
         # round takes the whole filtered set regardless of selector
-        curves = {}
-        for sel in ("us", "fl"):
-            cfg = ALConfig(B_percent=50, beta_percent=5, rounds=3, selector=sel,
-                           seed=4)
-            curves[sel] = run_goal2(train, hold, [cfg])
+        cfg = ALConfig(B_percent=50, beta_percent=5, rounds=3)
+        curves = {sel: run_goal2(train, hold, cfg, [sel], [4]) for sel in ("us", "fl")}
         assert [(r.x, r.labeled_count, r.accuracy) for r in curves["us"]] == \
                [(r.x, r.labeled_count, r.accuracy) for r in curves["fl"]]
 
-    def test_round_count_must_match(self, problem):
-        train, hold = problem
-        cfgs = [ALConfig(B_percent=10, beta_percent=40, rounds=2, selector="us"),
-                ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="fl")]
-        with pytest.raises(ValidationError):
-            run_goal2(train, hold, cfgs)
+    def test_a_repeated_selector_is_rejected(self, problem):
+        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=2)
+        with pytest.raises(ValidationError, match=r"^selector 'fl' given more than once$"):
+            run_goal2(*problem, cfg, ["us", "fl", "dm", "fl"], [1, 2])
 
-    def test_repeated_selector_seed_pair_rejected(self, problem):
-        train, hold = problem
-        cfgs = [ALConfig(B_percent=10, beta_percent=40, rounds=2, selector=sel, seed=seed)
-                for sel, seed in [("us", 1), ("fl", 1), ("us", 2), ("fl", 1)]]
-        with pytest.raises(ValidationError, match=r"\('fl', 1\) given more than once"):
-            run_goal2(train, hold, cfgs)
+    def test_a_repeated_seed_is_rejected(self, problem):
+        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=2)
+        with pytest.raises(ValidationError, match=r"^seed 2 given more than once$"):
+            run_goal2(*problem, cfg, ["us", "fl"], [1, 2, 3, np.int64(2)])
 
-    @pytest.mark.parametrize("cfgs", [
-        [ALConfig(B_percent=10, beta_percent=40, rounds=3, selector=s, seed=seed)
-         for s in ("fl", "dm", "us", "random") for seed in (1, 2)],
-        # one seed, so one initial pool, but a different filter, scoring
-        # method, initial pool size or batch per arm
-        [ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="fl", seed=5),
-         ALConfig(B_percent=10, beta_percent=15, rounds=3, selector="dm", seed=5),
-         ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="us", seed=5,
-                  method="margin"),
-         ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="random", seed=5,
-                  initial_seed_size=12)],
-        [ALConfig(B_percent=10, beta_percent=40, rounds=3, selector="us", seed=6,
-                  initial_seed_size=9),
-         ALConfig(B_percent=20, beta_percent=40, rounds=3, selector="fl", seed=6,
-                  initial_seed_size=9)],
-    ])
-    def test_shared_fits_give_the_records_of_separate_runs(self, monkeypatch, cfgs):
+    @pytest.mark.parametrize("selectors,seeds,message", [
+        (ARMS + ("qbc",), (1, 2), r"^unknown selector 'qbc'"),
+        (ARMS, (1, 2, -1), r"^seed must be >= 0, got -1$"),
+        (ARMS, (1, 2, 2.5), r"^seed must be an integer, got 2.5$"),
+        (ARMS + ("us",), (1, 2), r"^selector 'us' given more than once$"),
+        (ARMS, (1, 2, 1), r"^seed 1 given more than once$"),
+        ((), (1,), r"^at least one active-learning selector and seed required$"),
+        (ARMS, (), r"^at least one active-learning selector and seed required$"),
+    ], ids=["bad selector", "negative seed", "float seed", "repeated selector",
+            "repeated seed", "no selector", "no seed"])
+    def test_a_bad_last_arm_fails_before_any_fit(self, problem, monkeypatch, selectors,
+                                                 seeds, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("logreg_fit called")
+
+        monkeypatch.setattr(subsel.active, "logreg_fit", no_fit)
+        cfg = ALConfig(B_percent=10, beta_percent=40, rounds=2)
+        with pytest.raises(ValidationError, match=message):
+            run_goal2(*problem, cfg, selectors, seeds)
+
+    @pytest.mark.parametrize("cfg", [
+        ALConfig(B_percent=10, beta_percent=40, rounds=3),
+        # the filter keeps fewer rows than the batch, so every selector
+        # takes the whole filtered set and the arms of a seed share every pool
+        ALConfig(B_percent=50, beta_percent=5, rounds=3),
+    ], ids=["B10 beta40", "B50 beta5"])
+    def test_shared_fits_give_the_records_of_separate_runs(self, monkeypatch, cfg):
         # overlapping classes, so that accuracy moves with the labeled pool
         train, hold = split(gen_synthetic(120, 6, 3, 0.6, 13), holdout_fraction=0.25, seed=2)
+        seeds = (1, 2)
         round_fn, fit_fn = subsel.active.fass_round, subsel.active.logreg_fit
 
         def visited(run):
@@ -233,9 +239,8 @@ class TestGoal2:
                 return run(), pools
 
         separate, pools = visited(lambda: [
-            CurveRecord(cfg.selector, int(cfg.seed), rec.round, rec.labeled_count,
-                        rec.accuracy)
-            for cfg in cfgs for rec in run_al(train, hold, cfg)])
+            CurveRecord(sel, seed, rec.round, rec.labeled_count, rec.accuracy)
+            for sel in ARMS for seed in seeds for rec in run_al(train, hold, cfg, sel, seed)])
         fits = []
 
         def counting_fit(*args, **kwargs):
@@ -243,15 +248,17 @@ class TestGoal2:
             return fit_fn(*args, **kwargs)
 
         monkeypatch.setattr(subsel.active, "logreg_fit", counting_fit)
-        shared, shared_pools = visited(lambda: run_goal2(train, hold, cfgs))
+        shared, shared_pools = visited(lambda: run_goal2(train, hold, cfg, ARMS, seeds))
         assert shared == separate
         assert shared_pools == pools
-        assert len(fits) == len(pools) < sum(cfg.rounds for cfg in cfgs)
+        assert len(fits) == len(pools) < cfg.rounds * len(ARMS) * len(seeds)
+        if cfg.B_percent == 50:
+            assert len(pools) == cfg.rounds * len(seeds)
 
     def test_labeled_counts_are_non_decreasing(self, problem):
         train, hold = problem
-        cfg = ALConfig(B_percent=15, beta_percent=50, rounds=4, selector="dm", seed=9)
-        records = run_goal2(train, hold, [cfg])
+        cfg = ALConfig(B_percent=15, beta_percent=50, rounds=4)
+        records = run_goal2(train, hold, cfg, ["dm"], [9])
         counts = [r.labeled_count for r in sorted(records, key=lambda r: r.x)]
         assert counts == sorted(counts)
 
@@ -312,6 +319,15 @@ class TestCsv:
         path.write_bytes(header + b"fl,0,10,54,0.5\x0c\n")
         assert parse_csv(path) == [CurveRecord("fl", 0, 10, 54, 0.5)]
 
+    def test_x_reads_back_exactly(self, tmp_path):
+        # :g alone wrote both fractions as 10
+        path = tmp_path / "c.csv"
+        records = [CurveRecord("random", 1, x, 5, 0.5) for x in (10, 10.000001, 10.000002)]
+        emit_csv(records, path)
+        assert [line.split(",")[2] for line in path.read_text().splitlines()[1:]] == \
+            ["10", "10.000001", "10.000002"]
+        assert parse_csv(path) == records
+
     def test_emission_is_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(self._records(), a)
@@ -345,8 +361,10 @@ class TestInputChecks:
         "split": lambda train, hold, seed: split(train, 0.3, seed),
         "sweep_goal1": lambda train, hold, seed: sweep_goal1(
             train, hold, fractions=(50,), methods=("random",), seeds=(1, seed)),
-        "ALConfig": lambda train, hold, seed: ALConfig(
-            B_percent=10, beta_percent=40, rounds=1, selector="us", seed=seed),
+        "run_al": lambda train, hold, seed: run_al(
+            train, hold, ALConfig(B_percent=10, beta_percent=40, rounds=1), "us", seed),
+        "run_goal2": lambda train, hold, seed: run_goal2(
+            train, hold, ALConfig(B_percent=10, beta_percent=40, rounds=1), ("us",), (1, seed)),
         "gen_synthetic": lambda train, hold, seed: gen_synthetic(10, 2, 2, 3.0, seed),
     }
 
@@ -373,10 +391,10 @@ class TestInputChecks:
         "gen_synthetic n_classes": (
             "n_classes", lambda train, hold, v: gen_synthetic(10, 2, v, 3.0, 0)),
         "ALConfig rounds": ("rounds", lambda train, hold, v: ALConfig(
-            B_percent=10, beta_percent=40, rounds=v, selector="us")),
+            B_percent=10, beta_percent=40, rounds=v)),
         "run_al initial_seed_size": ("initial seed size", lambda train, hold, v: run_al(
-            train, hold, ALConfig(B_percent=10, beta_percent=40, rounds=1, selector="us",
-                                  initial_seed_size=v))),
+            train, hold, ALConfig(B_percent=10, beta_percent=40, rounds=1,
+                                  initial_seed_size=v), "us", 0)),
         "sweep_goal1 k": ("k", lambda train, hold, v: sweep_goal1(
             train, hold, fractions=(50,), methods=("dm",), seeds=(), k=v)),
         "knn_subset_accuracies k": ("k", lambda train, hold, v: knn_subset_accuracies(
@@ -421,16 +439,20 @@ class TestInputChecks:
         (lambda train, hold: select_subset(train.features, "bogus", 1), OBJECTIVES),
         (lambda train, hold: select_batch(FilteredSet(np.arange(2), 0.0, np.zeros(2)),
                                           train.features, "bogus", 1), SELECTORS),
-        (lambda train, hold: ALConfig(B_percent=10, beta_percent=40, rounds=1,
-                                      selector="bogus"), SELECTORS),
+        (lambda train, hold: run_al(train, hold, ALConfig(B_percent=10, beta_percent=40,
+                                                          rounds=1), "bogus", 0), SELECTORS),
+        (lambda train, hold: run_goal2(train, hold, ALConfig(B_percent=10, beta_percent=40,
+                                                             rounds=1), ("fl", "bogus"), (1,)),
+         SELECTORS),
         (lambda train, hold: sweep_goal1(train, hold, methods=("fl", "bogus")),
          SWEEP_METHODS),
         (lambda train, hold: uncertainty_scores([[0.5, 0.5]], "bogus"), UNCERTAINTY),
         (lambda train, hold: filter_uncertain([[0.5, 0.5]], [0], 50.0, "bogus"),
          UNCERTAINTY),
         (lambda train, hold: ALConfig(B_percent=10, beta_percent=40, rounds=1,
-                                      selector="us", method="bogus"), UNCERTAINTY),
-    ], ids=["select_subset objective", "select_batch selector", "ALConfig selector",
+                                      method="bogus"), UNCERTAINTY),
+    ], ids=["select_subset objective", "select_batch selector", "run_al selector",
+            "run_goal2 selector",
             "sweep_goal1 method", "uncertainty_scores", "filter_uncertain",
             "ALConfig method"])
     def test_an_unknown_name_is_rejected_naming_the_allowed_ones(self, problem, call,
