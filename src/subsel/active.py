@@ -133,7 +133,7 @@ class ALConfig:
         require_share(self.beta_percent, "beta_percent")
         require_int(self.rounds, "rounds", 1)
         if self.initial_seed_size is not None:
-            require_int(self.initial_seed_size, "initial seed size")
+            require_int(self.initial_seed_size, "initial seed size", 1)
         require_choice(self.method, UNCERTAINTY, "uncertainty method")
 
 

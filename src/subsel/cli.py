@@ -136,6 +136,8 @@ def _cmd_al(args) -> int:
     require_share(args.batch_pct, "--batch-pct")
     require_share(args.beta_pct, "--beta-pct")
     require_int(args.rounds, "--rounds", 1)
+    if args.seed_size is not None:
+        require_int(args.seed_size, "--seed-size", 1)
     cfg = ALConfig(B_percent=args.batch_pct, beta_percent=args.beta_pct, rounds=args.rounds,
                    method=args.uncertainty, initial_seed_size=args.seed_size)
     train, holdout = _split_from_args(args)

@@ -93,9 +93,9 @@ def sweep_goal1(train: LabeledDataset, holdout: LabeledDataset,
     for method in methods:
         require_choice(method, SWEEP_METHODS, "sweep method")
     _reject_repeats("sweep method", methods)
-    _reject_repeats("sweep seed", seeds)
     # one 32-bit word: a larger seed would spill into the stream's next word
     seeds = tuple(require_int(s, "sweep seed", 0, 2 ** 32 - 1) for s in seeds)
+    _reject_repeats("sweep seed", seeds)
     if "random" in methods and not seeds:
         raise ValidationError("the random sweep method needs at least one seed")
     k = require_int(k, "k", 1)

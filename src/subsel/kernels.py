@@ -10,9 +10,9 @@ dense or sparse:
   (see ``_gemm_blocks``), ``x[lo:hi] @ x[lo:].T`` finished in place, then
   rounds each block to float32 and writes it to its rows and, transposed,
   to its columns below the diagonal. So the kernel is exactly symmetric
-  and holds 4 n^2 bytes plus O(block * n) working memory, and no n x n
-  float64 array is ever made. An allocation that fails raises
-  ``CapacityError``.
+  (its ``symmetric`` field says so) and holds 4 n^2 bytes plus
+  O(block * n) working memory, and no n x n float64 array is ever made.
+  An allocation that fails raises ``CapacityError``.
 - A kappa-sparse kernel keeps each row's kappa largest off-diagonal
   similarities, regrouped by column; dropped entries read as similarity 0
   and the diagonal as an implicit 1. ``cosine_similarity(..., kappa=)``
@@ -51,13 +51,20 @@ class SimilarityKernel:
     column j as rows[col_ptr[j]:col_ptr[j + 1]] (ascending) with
     similarities values[...], an implicit unit diagonal and 0 elsewhere.
     cosine_similarity stores dense kernels in float32 and kept entries in
-    float64; a kernel built by hand may hold either."""
+    float64; a kernel built by hand may hold either.
+
+    symmetric says that dense equals dense.T exactly; cosine_similarity sets
+    it on its dense kernels. Lazy greedy then reads row i as the contiguous
+    column i to find the candidates whose gain a pick can change, and keeps
+    the other bounds fresh. Otherwise, and for every sparse kernel, a pick
+    leaves every unpicked bound stale."""
 
     n: int
     dense: Optional[np.ndarray] = None
     col_ptr: Optional[np.ndarray] = None
     rows: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
+    symmetric: bool = False
 
     @property
     def is_sparse(self) -> bool:
@@ -201,7 +208,7 @@ def cosine_similarity(m: FeatureMatrix, kappa: Optional[int] = None) -> Similari
         sim[lo:hi, lo:] = upper
         sim[hi:, lo:hi] = upper[:, hi - lo:].T
     sim.flags.writeable = False
-    return SimilarityKernel(n=n, dense=sim)
+    return SimilarityKernel(n=n, dense=sim, symmetric=True)
 
 
 def euclidean_distance(m: FeatureMatrix) -> DistanceKernel:

@@ -92,7 +92,7 @@ def knn_subset_accuracies(train: LabeledDataset, holdout: LabeledDataset, subset
             kth = np.minimum(np.count_nonzero(rank < k, axis=1), r - 1)
             nxt = np.minimum(np.count_nonzero(rank <= k, axis=1), r - 1)
             redo = np.flatnonzero(~(vals[every, nxt] - vals[every, kth] > 2.0 * eps))
-            rows, at = np.nonzero(member & (rank <= k))
+            rows, at = np.divmod(np.flatnonzero(member & (rank <= k)), r)
             preds = _vote(y[cols[rows, at]], rows, nq, n_classes)
         if redo.size:
             preds[redo] = _subset_votes(q[redo], x[s], y[s], n_classes, k)

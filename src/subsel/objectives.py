@@ -132,11 +132,16 @@ class FacilityLocation:
         gains[self.selected_mask] = -1.0
         return gains
 
-    def add(self, e: int) -> None:
-        """Select e and fold its column into the per-element maxima."""
+    def add(self, e: int):
+        """Select e and fold its column into the per-element maxima. Dense:
+        returns the rows whose maximum rose and their old maxima; sparse: None."""
         e = _require_candidate(self, e)
+        raised = None
         if not self.kernel.is_sparse:
-            np.maximum(self.best, self.kernel.dense.T[e], out=self.best)
+            col = self.kernel.dense.T[e]
+            rows = (col > self.best).nonzero()[0]
+            raised = rows, self.best[rows]
+            self.best[rows] = col[rows]
         else:
             _fold_column(self.best, self.kernel, e)
         self.selected.append(e)
@@ -144,6 +149,7 @@ class FacilityLocation:
         # summing the maxima (not accumulating gains) keeps the value an
         # order-insensitive function of the selected set
         self.value = float(self.best.sum(dtype=np.float64))
+        return raised
 
 
 class DisparityMin:

@@ -1,11 +1,13 @@
 """Budget-constrained subset maximization.
 
 Two routes: lazy greedy for monotone submodular objectives (stale gain
-bounds rescored in batches; it picks exactly what a naive greedy scanning
-every gain each step would, and the tests hold that naive greedy as its
-reference), and farthest-point greedy for dispersion, seeded with the
-exact maximum-distance pair at every ground-set size. Ties always break
-toward the lowest index, so every optimizer is deterministic.
+bounds rescored in batches, and on a symmetric dense kernel a bound kept
+fresh across a pick that leaves its gain's terms unchanged; it picks
+exactly what a naive greedy scanning every gain each step would, and the
+tests hold that naive greedy as its reference), and farthest-point greedy
+for dispersion, seeded with the exact maximum-distance pair at every
+ground-set size. Ties always break toward the lowest index, so every
+optimizer is deterministic.
 
 ``select_subset`` pairs each objective name, fl or dm, with its kernel
 and optimizer; no other module makes that choice. Dense fl holds one
@@ -93,8 +95,8 @@ def padded_order(sel: Selection, n: int, b: int) -> np.ndarray:
 
 def _refresh(obj, ub: np.ndarray, fresh: np.ndarray) -> int:
     """Rescore stale bounds, in batched gains_of calls, until the argmax of
-    ub is fresh; returns the number of gains scored. Called after a pick,
-    when every unpicked bound is stale and every picked one reads -inf.
+    ub is fresh; returns the number of gains scored. Called when the argmax
+    of ub is stale; every picked bound reads -inf and is marked fresh.
 
     The first batch is the _REFRESH_FIRST highest bounds. Each later one is
     the _REFRESH_CHUNK highest of the stale bounds ahead of the best fresh
@@ -124,12 +126,19 @@ def greedy_lazy(obj: FacilityLocation, b: int) -> Selection:
     (the tests' reference) picks, with fewer gain evaluations.
 
     ub holds each candidate's last exact gain, an upper bound on its current
-    gain by submodularity, and -inf once picked; fresh marks the bounds
-    scored since the last pick (and the picked). When the argmax of ub is
-    stale, _refresh rescores stale bounds in batched gains_of calls until it
-    is fresh. A fresh argmax is then an exact gain no other gain exceeds,
-    and the lowest index of any that equal it, as in the naive scan. Each
-    candidate is scored at most once per step.
+    gain by submodularity, and -inf once picked; fresh marks the bounds that
+    equal the current gain (and the picked). A pick on a symmetric dense
+    kernel that raises at most _REFRESH_FIRST rows' maxima leaves candidate
+    j fresh unless s_ij exceeds the old maximum of a raised row i. Each of
+    j's terms max(s_ij - best_i, 0) then keeps its value, 0 on every raised
+    row, so gains_of would sum the same gain. Row i is read as the
+    contiguous column i, hence the symmetry, and the check reads no more
+    entries than the first refresh batch would read. Any other pick leaves
+    every unpicked bound stale. When the argmax of ub is stale, _refresh
+    rescores stale bounds in batched gains_of calls until it is fresh. A
+    fresh argmax is then an exact gain no other gain exceeds, and the
+    lowest index of any that equal it, as in the naive scan. Each candidate
+    is scored at most once per step.
     """
     if not isinstance(obj, FacilityLocation):
         raise UnsupportedObjectiveError("lazy greedy requires a facility-location objective")
@@ -138,6 +147,9 @@ def greedy_lazy(obj: FacilityLocation, b: int) -> Selection:
     fresh = np.ones(obj.n, dtype=bool)
     evals = obj.n
     steps: list[float] = []
+    k = obj.kernel
+    # row i of an exactly symmetric dense kernel is its contiguous column i
+    rows_of = k.dense.T if k.symmetric and not k.is_sparse else None
     while len(obj.selected) < b:
         e = int(ub.argmax())  # first max, hence lowest index on ties
         if not fresh[e]:
@@ -145,10 +157,15 @@ def greedy_lazy(obj: FacilityLocation, b: int) -> Selection:
             e = int(ub.argmax())
         if ub[e] <= 0.0:
             break
-        obj.add(e)
+        raised = obj.add(e)
         steps.append(obj.value)
         ub[e] = -np.inf
-        np.copyto(fresh, obj.selected_mask)
+        if rows_of is not None and raised[0].size <= _REFRESH_FIRST:
+            for i, old in zip(*(a.tolist() for a in raised)):
+                np.logical_and(fresh, rows_of[i] <= old, out=fresh)
+            fresh |= obj.selected_mask  # the pick's own row cleared it; keep picks fresh
+        else:
+            np.copyto(fresh, obj.selected_mask)
     return Selection(list(obj.selected), steps, obj.value if steps else 0.0,
                      gain_evals=evals)
 

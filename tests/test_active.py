@@ -335,3 +335,6 @@ class TestRunAl:
             ALConfig(B_percent=10, beta_percent=10, rounds=0)
         with pytest.raises(ValidationError):
             ALConfig(B_percent=10, beta_percent=10, rounds=1, method="committee")
+        for size in (0, -5, 2.5):
+            with pytest.raises(ValidationError, match="initial seed size"):
+                ALConfig(B_percent=10, beta_percent=10, rounds=1, initial_seed_size=size)

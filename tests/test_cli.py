@@ -366,9 +366,12 @@ class TestFlagChecks:
         ("al", ["--holdout-frac", "0"], "--holdout-frac must be in (0, 1], got 0.0"),
         ("sweep", ["--holdout-frac", "1.5"], "--holdout-frac must be in (0, 1], got 1.5"),
         ("sweep", ["--holdout-frac", "nan"], "--holdout-frac must be a finite number, got nan"),
+        ("al", ["--seed-size", "0"], "--seed-size must be >= 1, got 0"),
+        ("al", ["--seed-size", "-5"], "--seed-size must be >= 1, got -5"),
         ("sweep", ["--k", "0"], "--k must be >= 1, got 0"),
     ], ids=["al batch-pct", "al beta-pct", "al rounds", "al holdout-frac",
-            "sweep holdout-frac", "sweep holdout-frac nan", "sweep k"])
+            "sweep holdout-frac", "sweep holdout-frac nan", "al seed-size 0",
+            "al seed-size -5", "sweep k"])
     def test_bad_flag_fails_naming_it(self, tmp_path, capsys, command, flags, message):
         defaults = {"--holdout-frac": "0.3", "--batch-pct": "10", "--beta-pct": "40",
                     "--rounds": "2"} if command == "al" else {"--holdout-frac": "0.3"}

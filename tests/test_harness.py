@@ -119,6 +119,14 @@ class TestSweep:
         with pytest.raises(ValidationError, match="k must be >= 1, got 0"):
             sweep_goal1(train, hold, k=0)
 
+    def test_seeds_are_read_before_repeats_are_rejected(self, problem):
+        train, hold = problem
+        with pytest.raises(ValidationError, match=r"^sweep seed 2 given more than once$"):
+            sweep_goal1(train, hold, methods=("random",), seeds=(2, np.int64(2)))
+        with pytest.raises(ValidationError,
+                           match=r"^sweep seed must be an integer, got 1\.5$"):
+            sweep_goal1(train, hold, methods=("random",), seeds=(1.5, 1.5))
+
     def test_every_fraction_below_k_is_an_error(self, problem):
         train, hold = problem
         with pytest.raises(ValidationError, match=f"k=20 for training size {train.n}"):

@@ -117,6 +117,18 @@ class TestFacilityLocationState:
                 expected = facility_location_value(kernel, state.selected)
                 assert abs(state.value - expected) <= 1e-9
 
+    def test_dense_add_reports_the_rows_it_raised(self):
+        rng = np.random.default_rng(24)
+        kernel = random_similarity_kernel(rng, 40)
+        dense, sparse = FacilityLocation(kernel), FacilityLocation(sparsify_knn(kernel, 5))
+        for e in (3, 17, 29):
+            before = dense.best.copy()
+            rows, old = dense.add(e)
+            assert np.array_equal(rows, np.flatnonzero(kernel.dense[:, e] > before))
+            assert old.tobytes() == before[rows].tobytes()
+            assert dense.best.tobytes() == np.maximum(before, kernel.dense[:, e]).tobytes()
+            assert sparse.add(e) is None
+
     def test_gains_never_negative(self):
         rng = np.random.default_rng(22)
         for _ in range(30):

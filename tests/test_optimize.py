@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -19,7 +20,7 @@ from conftest import (
     rounded_to_float32,
 )
 from subsel import kernels, optimize
-from subsel.dataset import FeatureMatrix
+from subsel.dataset import FeatureMatrix, gen_synthetic, split
 from subsel.errors import UnsupportedObjectiveError, ValidationError
 from subsel.kernels import (
     SimilarityKernel,
@@ -93,10 +94,10 @@ def test_every_optimizer_rejects_budgets_outside_one_to_n(hand_similarity, line_
 
 @st.composite
 def tie_dense_kernels(draw):
-    """Symmetric kernels over a 3-value alphabet, unit diagonal, dense or
-    kept to the top kappa per row, and a budget: many equal gains, whose
-    sums differ in the last bits if two code paths add the same terms in
-    different orders."""
+    """Symmetric kernels over a 3-value alphabet, unit diagonal, dense (said
+    to be symmetric or not) or kept to the top kappa per row, and a budget:
+    many equal gains, whose sums differ in the last bits if two code paths
+    add the same terms in different orders."""
     n = draw(st.integers(9, 120))  # stale runs span several refresh blocks
     alphabet = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 0.9]),
                              min_size=3, max_size=3, unique=True))
@@ -104,7 +105,7 @@ def tie_dense_kernels(draw):
     upper = np.triu(rng.choice(alphabet, size=(n, n)), 1)
     dense = upper + upper.T
     np.fill_diagonal(dense, 1.0)
-    kernel = SimilarityKernel(n=n, dense=dense)
+    kernel = SimilarityKernel(n=n, dense=dense, symmetric=draw(st.booleans()))
     kappa = draw(st.none() | st.integers(1, n - 1))
     if kappa is not None:
         kernel = sparsify_knn(kernel, kappa)
@@ -186,6 +187,111 @@ class TestLazyGreedy:
             greedy_lazy(DisparityMin(line_distance), 2)
 
 
+def lazy_matching_naive(kernel: SimilarityKernel, b: int):
+    """Lazy greedy on kernel, checked against naive greedy: the same picks,
+    the same step-value bytes and never more gain evaluations."""
+    naive = greedy_naive(FacilityLocation(kernel), b)
+    lazy = greedy_lazy(FacilityLocation(kernel), b)
+    assert lazy.indices == naive.indices
+    assert np.array(lazy.step_values).tobytes() == np.array(naive.step_values).tobytes()
+    assert lazy.gain_evals <= naive.gain_evals
+    return lazy
+
+
+def all_stale(kernel: SimilarityKernel):
+    """Lazy greedy's picks and evaluations on kernel when every pick leaves
+    every unpicked bound stale, as on a kernel not said to be symmetric."""
+    sel = greedy_lazy(FacilityLocation(dataclasses.replace(kernel, symmetric=False)), kernel.n)
+    return sel.indices, sel.gain_evals
+
+
+class TestFreshAcrossPicks:
+    """On a symmetric dense kernel a pick that raises few rows' maxima keeps
+    every bound whose terms it leaves unchanged fresh; lazy greedy still
+    matches naive greedy byte for byte."""
+
+    @pytest.mark.parametrize("dtype,order", [(np.float32, "F"), (np.float64, "C")])
+    def test_identity_kernel_scores_each_gain_once(self, dtype, order):
+        # each pick raises only its own row, where no other candidate has an entry
+        n = 150
+        kernel = SimilarityKernel(n=n, dense=np.eye(n, dtype=dtype, order=order),
+                                  symmetric=True)
+        lazy = lazy_matching_naive(kernel, n)
+        assert lazy.indices == list(range(n))
+        assert lazy.gain_evals == n
+
+    def test_block_diagonal_kernel_rescores_only_the_picked_block(self):
+        # blocks of 6 rows: a pick raises rows of its own block only, so at
+        # most the 5 other candidates of that block go stale
+        rng = np.random.default_rng(41)
+        size, blocks = 6, 20
+        n = size * blocks
+        dense = np.zeros((n, n), dtype=np.float32, order="F")
+        for lo in range(0, n, size):
+            block = cosine_similarity(random_features(rng, size, 3))
+            dense[lo:lo + size, lo:lo + size] = block.dense
+        kernel = SimilarityKernel(n=n, dense=dense, symmetric=True)
+        lazy = lazy_matching_naive(kernel, n)
+        assert lazy.gain_evals <= n + (size - 1) * len(lazy.indices)
+        indices, evals = all_stale(kernel)
+        assert indices == lazy.indices and lazy.gain_evals < evals
+
+    def test_full_budget_order_at_the_sweep_benchmark_shape(self):
+        ds = gen_synthetic(800, 32, 10, 0.5, 1)
+        train, _ = split(ds, 0.33, 0, stratified=True)
+        kernel = cosine_similarity(train.features)
+        assert kernel.symmetric and train.n == 536
+        lazy = lazy_matching_naive(kernel, train.n)
+        indices, evals = all_stale(kernel)
+        assert indices == lazy.indices and lazy.gain_evals < evals
+        # a picked bound stays -inf and fresh, so no refresh rescores it
+        scores_a_pick = []
+        gains_of = FacilityLocation.gains_of
+
+        def spy(state, idx):
+            scores_a_pick.append(bool(state.selected_mask[idx].any()))
+            return gains_of(state, idx)
+
+        with mock.patch.object(FacilityLocation, "gains_of", spy):
+            assert greedy_lazy(FacilityLocation(kernel), train.n).indices == lazy.indices
+        assert scores_a_pick and not any(scores_a_pick)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_signed_zeros_and_ties(self, dtype, order):
+        # -0.0, +0.0 and negative entries, on a 6-value alphabet so that many
+        # gains tie, mostly zeros so that most picks raise few rows, mirrored
+        # so that the kernel is exactly symmetric
+        rng = np.random.default_rng(42)
+        n = 120
+        raw = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0],
+                         p=[0.1, 0.4, 0.4, 0.04, 0.04, 0.02], size=(n, n))
+        dense = np.where(np.triu(np.ones((n, n), dtype=bool)), raw, raw.T)
+        dense = np.asarray(dense, dtype=dtype, order=order)
+        assert dense.tobytes() == np.ascontiguousarray(dense.T).tobytes()
+        kernel = SimilarityKernel(n=n, dense=dense, symmetric=True)
+        lazy = lazy_matching_naive(kernel, n)
+        indices, evals = all_stale(kernel)
+        assert indices == lazy.indices and lazy.gain_evals < evals
+
+    def test_an_asymmetric_kernel_keeps_every_bound_stale(self):
+        # candidate 0 covers rows 0, 3 and 4 at 1; candidate 1 has 1 at rows 3
+        # and 4 (under 0's) and 0.5 at row 1, and candidate 2 0.6 at rows 2 and
+        # 5. Picking 0 drops 1's gain from 2.5 to 0.5, below 2's 1.2, but row
+        # 1 is 0 on columns 0, 3 and 4: reading column i as row i would keep
+        # 1's bound of 2.5 fresh and pick it next
+        n = 6
+        dense = np.diag([1.0, 0.5, 0.6, 0.1, 0.1, 0.1])
+        dense[[3, 4], 0] = 1.0
+        dense[[3, 4], 1] = 1.0
+        dense[5, 2] = 0.6
+        kernel = SimilarityKernel(n=n, dense=dense)
+        lazy = lazy_matching_naive(kernel, n)
+        assert lazy.indices[:3] == [0, 2, 1]
+        wrong = greedy_lazy(FacilityLocation(dataclasses.replace(kernel, symmetric=True)), n)
+        assert wrong.indices[:2] == [0, 1]
+
+
 def tied_top_kernel() -> np.ndarray:
     """A 400-point unit-diagonal kernel of 0s and 1s built so that, after
     the first pick (399), 8 stale bounds above the rest (300-307) refresh
@@ -218,14 +324,6 @@ class TestLazyRefresh:
     """The batched refresh against naive greedy where bounds tie: same picks
     and step values, never more gain evaluations."""
 
-    def check(self, kernel, b):
-        naive = greedy_naive(FacilityLocation(kernel), b)
-        lazy = greedy_lazy(FacilityLocation(kernel), b)
-        assert lazy.indices == naive.indices
-        assert lazy.step_values == naive.step_values
-        assert lazy.gain_evals <= naive.gain_evals
-        return lazy
-
     @pytest.mark.parametrize("off_diagonal", [0.0, 0.5])
     def test_all_equal_gains(self, kind, off_diagonal):
         # every gain ties at every step, so the picks run 0, 1, 2, ...; past
@@ -234,14 +332,14 @@ class TestLazyRefresh:
         n = 150
         dense = np.full((n, n), off_diagonal)
         np.fill_diagonal(dense, 1.0)
-        lazy = self.check(as_kernel(kind, dense), n)
+        lazy = lazy_matching_naive(as_kernel(kind, dense), n)
         assert lazy.indices == list(range(n))
         assert lazy.gain_evals <= 2 * n + optimize._REFRESH_FIRST * (n - 2)
 
     def test_more_than_a_chunk_of_stale_bounds_tie_the_top(self, kind):
         dense = tied_top_kernel()
         n = dense.shape[0]
-        lazy = self.check(as_kernel(kind, dense), n)
+        lazy = lazy_matching_naive(as_kernel(kind, dense), n)
         assert lazy.indices[:102] == [399, *range(100), 300]
         # b = n stops at the tail: rows 200-299, 308-315 and 350-390 are
         # covered by other picks
