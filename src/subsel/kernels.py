@@ -17,11 +17,18 @@ dense or sparse:
   similarities, regrouped by column; dropped entries read as similarity 0
   and the diagonal as an implicit 1. ``cosine_similarity(..., kappa=)``
   builds it straight from the features, one row block ``x[lo:hi] @ x.T``
-  at a time, in O(n * kappa + block * n) memory; ``sparsify_knn`` cuts a
-  dense kernel.
-  Both feed the same per-block top-kappa and column regroup. Which entries
-  are kept is decided by ``first_k``, the package's one top-k rule (the
-  first k of a stable sort), which the kNN vote in ``models`` shares.
+  at a time, in O(n * kappa + block * n) memory. Each row is screened by
+  one multiply, and only the columns within a proven rounding margin of
+  its kappa-th screen value are finished, by the operations that would
+  finish the whole block, so which entries are kept and their bytes do
+  not depend on the screen (the proof is in ``cosine_similarity``).
+  ``sparsify_knn`` cuts a dense kernel, reading a symmetric one's rows as
+  its contiguous columns. Both go through ``_top_kappa`` (sparsify_knn
+  with a zero margin), which regroups the kept entries once by column
+  with a stable radix sort of their columns as small unsigned integers.
+  Which entries are kept is decided by ``first_k``, the package's one
+  top-k rule (the first k of a stable sort), which the kNN vote in
+  ``models`` shares.
 
 Distances are euclidean and never stored: ``euclidean_distance`` keeps
 the rows, their squared norms and a group label per row (rows with equal
@@ -166,14 +173,14 @@ def cosine_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _shifted_cosine(block: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray,
-                    sign: float) -> np.ndarray:
-    """sign * (1 + cos) / 2, clipped, in place over a block of row products
-    given both sides' inverse norms; sign flips are exact."""
-    block *= np.outer(inv_a, inv_b)
-    block += 1.0
-    block *= 0.5 * sign
-    np.clip(block, min(0.0, sign), max(0.0, sign), out=block)
+def _shifted_cosine(block: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray) -> np.ndarray:
+    """(1 + cos) / 2, clipped to [0, 1], in place over a block of row products
+    given both sides' inverse norms. Halving the outer product and adding
+    0.5 gives the bytes of scaling, adding 1 and halving: a power of two
+    commutes with rounding, and cos = -1 gives +0.0 either way."""
+    block *= np.outer(0.5 * inv_a, inv_b)
+    block += 0.5
+    np.clip(block, 0.0, 1.0, out=block)
     return block
 
 
@@ -187,18 +194,70 @@ def cosine_similarity(m: FeatureMatrix, kappa: Optional[int] = None) -> Similari
     its own block's product, so a value can differ from that finish in its
     last bit, and a row whose kappa-th and next candidates differ only there
     can keep the other one.
+
+    Each row block's product q = x[lo:hi] @ x.T, in the blocks of the
+    dense finish, is screened: sigma = q * inv_norms, one multiply, orders
+    row i's columns as its similarities do, up to a margin Delta_i. Only
+    the candidates, the columns whose sigma is at least the row's kappa-th
+    largest off-diagonal sigma tau less Delta_i, are finished, by the
+    operations that finish a whole block: fl(q * fl(inv_i * inv_j)), + 1,
+    * -0.5, clipped to [-1, 0]. So the kept entries, their tie order and
+    their value bytes are those of finishing every entry (_top_kappa).
+
+    Proof that Delta_i = (2d + 40) u n_i suffices, n_i the computed norm
+    (u = 2^-53, gamma_m = m u / (1 - m u); Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 3). Float32 features leave no
+    product to under- or overflow, and second-order terms in u, below
+    0.1 u |x_i| for d up to a million, go to the slack in the constants.
+
+    1. With a = inv_i > 0, the finish w_j = fl(q_j fl(a inv_j)) and the
+       screen sigma_j = fl(q_j inv_j) are three roundings apart: w_j =
+       a sigma_j (1 + eta_j), |eta_j| <= gamma_3.
+    2. q_j is within gamma_d |x_i| |x_j| of x_i . x_j (Cauchy-Schwarz),
+       inv_j |x_j| within gamma_d / 2 + 2u of 1 (a sum of squares, a root
+       and a reciprocal), and fl(a inv_j) |x_i| |x_j| within gamma_d + 5u.
+       So |sigma_j| <= 1.01 |x_i|, and a computed cosine passes +-1 by at
+       most beta = 2 gamma_d + 6u.
+    3. If w_c - w_j > beta + 4u, c's similarity is strictly the larger.
+       fl(w + 1) is within 2u of w + 1 on [-1, 4), so fl(w_c + 1) >
+       fl(w_j + 1), and halving is exact. The clip ties them at 1 only if
+       fl(w_j + 1) >= 2, so w_j >= 1 - u and w_c - w_j <= beta + u, and at
+       0 only if w_c <= -1, so w_j < -1 - beta: neither can happen.
+    4. At least kappa columns c have sigma_c >= tau, all candidates. A
+       column j left out has sigma_j < fl(tau - Delta_i), so sigma_c -
+       sigma_j > Delta_i - u (|tau| + Delta_i) >= (2d + 38.8) u |x_i|
+       (n_i >= (1 - gamma_d) |x_i|), and by 1 and 2 w_c - w_j >
+       (2d + 38.8 - 6.1) u a |x_i| > 2d u + 32u > beta + 4u (a |x_i| >=
+       1 - gamma_d). By 3, each such c is strictly more similar than j.
+    5. So a column left out follows at least kappa others in the row's
+       stable sort and is not kept: the row keeps the first kappa of its
+       candidates in that sort, which first_k finds in column order.
     """
     x = m.values.astype(np.float64)
-    n = x.shape[0]
-    inv_norms = 1.0 / cosine_norms(x)
+    n, d = x.shape
+    norms = cosine_norms(x)
+    inv_norms = 1.0 / norms
     if kappa is not None:
-        return _top_kappa(n, kappa, lambda lo, hi: _shifted_cosine(
-            x[lo:hi] @ x.T, inv_norms[lo:hi], inv_norms, -1.0))
+        margin = (2 * d + 40) * 2.0 ** -53 * norms
+
+        def screened(lo, hi):
+            q = x[lo:hi] @ x.T
+
+            def finish(r, c):
+                w = q[r, c]
+                w *= inv_norms[lo + r] * inv_norms[c]
+                w += 1.0
+                w *= -0.5
+                return np.clip(w, -1.0, 0.0, out=w)
+
+            return q * inv_norms, margin[lo:hi], finish
+
+        return _top_kappa(n, kappa, screened)
     sim = _dense_array(n)
     triu = {}  # block height -> its tile's upper-triangle indices
     for lo, hi in _gemm_blocks(n):
-        upper = _shifted_cosine(x[lo:hi] @ x[lo:].T, inv_norms[lo:hi], inv_norms[lo:],
-                                1.0).astype(np.float32)
+        upper = _shifted_cosine(x[lo:hi] @ x[lo:].T, inv_norms[lo:hi],
+                                inv_norms[lo:]).astype(np.float32)
         tile = upper[:, :hi - lo]  # the diagonal tile: mirror its upper triangle
         if hi - lo not in triu:
             triu[hi - lo] = np.triu_indices(hi - lo, 1)
@@ -244,27 +303,48 @@ def first_k(a: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
-def _top_kappa(n: int, kappa: int,
-               negated_rows: Callable[[int, int], np.ndarray]) -> SimilarityKernel:
+def _top_kappa(n: int, kappa: int, screened: Callable) -> SimilarityKernel:
     """Each row's kappa largest off-diagonal similarities, stored by column.
 
-    negated_rows(lo, hi) returns rows lo:hi of the negated similarities as a
-    fresh array. Boundary ties go to the lower column index (``first_k``,
-    with a NaN diagonal that is never kept). The kept entries are found row
-    block by row block, then regrouped once by column (rows ascending within
-    a column), the only layout the kernel stores.
+    screened(lo, hi) returns, for rows lo:hi, a fresh array of screen scores,
+    each row's margin (an array, or 0.0 where the scores are the
+    similarities), and finish(r, c), the exact negated similarities at rows
+    lo + r and columns c. The screen must order each row's columns as its
+    similarities do, except within the margin: a column that scores more
+    than the margin below the row's kappa-th largest score must be strictly
+    less similar than every column that scores at least that.
+
+    The candidates are the columns within the margin of the kappa-th score,
+    with the diagonal excluded (a NaN, which no entry ties); only they are
+    finished. A row with more candidates than kappa keeps the first kappa
+    of a stable sort of their negated similarities (first_k, lower column
+    first among ties), NaN-padded in ascending column order. The kept
+    entries are regrouped once by column (rows ascending within a column),
+    the only layout the kernel stores, by a stable sort of columns in the
+    smallest unsigned type that holds n - 1: numpy's radix sort when n <=
+    65,536, and the same permutation as any other stable sort.
     """
     kappa = require_int(kappa, "kappa", 1, n - 1)
     # entry i * kappa + t is row i's t-th kept column, ascending, and its value
-    cols = np.empty(n * kappa, dtype=np.int64)
+    cols = np.empty(n * kappa, dtype=np.min_scalar_type(n - 1))
     kept = np.empty(n * kappa)
     for lo, hi in _gemm_blocks(n):
-        block = negated_rows(lo, hi)
-        # not +inf: a -inf similarity negates to +inf and would tie it
-        block[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
-        flat = np.flatnonzero(first_k(block, kappa))  # columns ascend within a row
-        cols[lo * kappa:hi * kappa] = flat % n
-        kept[lo * kappa:hi * kappa] = block.ravel()[flat]
+        scores, margin, finish = screened(lo, hi)
+        scores[np.arange(hi - lo), np.arange(lo, hi)] = np.nan  # sorts last
+        tau = np.partition(scores, n - 1 - kappa, axis=1)[:, n - 1 - kappa]
+        r, c = np.divmod(np.flatnonzero(scores >= (tau - margin)[:, None]), n)
+        v = finish(r, c)
+        if c.size > (hi - lo) * kappa:
+            # a row with more candidates than kappa (ties or near-ties): first_k
+            # over each row's candidates, in column order, NaN-padded
+            count = np.bincount(r, minlength=hi - lo)
+            at = np.arange(c.size) - (np.cumsum(count) - count)[r]  # place in its row
+            padded = np.full((hi - lo, count.max()), np.nan)
+            padded[r, at] = v
+            keep = first_k(padded, kappa)[r, at]
+            c, v = c[keep], v[keep]
+        cols[lo * kappa:hi * kappa] = c
+        kept[lo * kappa:hi * kappa] = v
     # regroup by column; the stable sort keeps rows ascending within each
     order = np.argsort(cols, kind="stable")
     col_ptr = np.zeros(n + 1, dtype=np.int64)
@@ -278,8 +358,16 @@ def _top_kappa(n: int, kappa: int,
 
 def sparsify_knn(kernel: SimilarityKernel, kappa: int) -> SimilarityKernel:
     """Keep each row's kappa largest off-diagonal similarities of a dense
-    kernel (see _top_kappa); the diagonal stays implicit and dropped entries
-    read as 0."""
+    kernel (see _top_kappa, with a zero margin); the diagonal stays implicit
+    and dropped entries read as 0. Row i of a symmetric kernel is read as
+    column i, contiguous in the column-major kernels cosine_similarity
+    builds."""
     if kernel.is_sparse:
         raise ValidationError("sparsify_knn requires a dense kernel")
-    return _top_kappa(kernel.n, kappa, lambda lo, hi: np.negative(kernel.dense[lo:hi]))
+    dense = kernel.dense.T if kernel.symmetric else kernel.dense
+
+    def screened(lo, hi):
+        block = np.array(dense[lo:hi])
+        return block, 0.0, lambda r, c: np.negative(block[r, c])
+
+    return _top_kappa(kernel.n, kappa, screened)

@@ -95,6 +95,33 @@ def reference_farthest_point(dist, b):
     return picks, steps
 
 
+def full_finish_kappa(m, kappa):
+    """cosine_similarity(m, kappa=) built as before the screen: every entry
+    of each row block x[lo:hi] @ x.T finished (scale, + 1, * -0.5, clip),
+    first_k of the block with a NaN diagonal, and the kept entries regrouped
+    by a stable sort of their int64 columns. Returns (col_ptr, rows, values);
+    the screened build must give the same bytes."""
+    x = m.values.astype(np.float64)
+    n = x.shape[0]
+    inv_norms = 1.0 / kernels.cosine_norms(x)
+    cols = np.empty(n * kappa, dtype=np.int64)
+    kept = np.empty(n * kappa)
+    for lo, hi in kernels._gemm_blocks(n):
+        block = x[lo:hi] @ x.T
+        block *= np.outer(inv_norms[lo:hi], inv_norms)
+        block += 1.0
+        block *= -0.5
+        np.clip(block, -1.0, 0.0, out=block)
+        block[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
+        flat = np.flatnonzero(kernels.first_k(block, kappa))
+        cols[lo * kappa:hi * kappa] = flat % n
+        kept[lo * kappa:hi * kappa] = block.ravel()[flat]
+    order = np.argsort(cols, kind="stable")
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=col_ptr[1:])
+    return col_ptr, order // kappa, np.negative(kept[order])
+
+
 def to_dense(kernel: SimilarityKernel) -> np.ndarray:
     """The similarities a consumer reads, as a dense matrix: a sparse
     kernel's dropped entries read 0 and its diagonal 1."""

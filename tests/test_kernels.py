@@ -3,11 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     distances_among,
+    full_finish_kappa,
     greedy_naive,
     no_room_for_dense_kernels,
     peak_bytes,
@@ -78,6 +79,12 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_entries(kernel, reference):
+    """A sparse kernel's col_ptr, rows and values have the dtypes and bytes
+    of reference's three arrays."""
+    return all(map(same_bytes, (kernel.col_ptr, kernel.rows, kernel.values), reference))
+
+
 def assert_rounds_the_reference(built, m):
     """built is a float32, column-major, exactly symmetric kernel with a
     unit diagonal, and each entry is reference_cosine(m)'s, rounded to the
@@ -145,6 +152,26 @@ def tied_rows(draw):
     values = st.sampled_from([-np.inf, -1.0, 0.0, 1.0, 2.0, np.inf])
     flat = draw(st.lists(values, min_size=rows * m, max_size=rows * m))
     return np.array(flat).reshape(rows, m)
+
+
+@st.composite
+def near_tie_features(draw):
+    """Features whose similarities tie, exactly or to the last bit: a small
+    integer grid, or dyadic rows (few mantissa bits) and one-hot rows with
+    exact duplicates, power-of-two scaled copies, copies scaled by 3, 5, 7
+    or 40 (the same cosine, rounded another way) and antipodal copies."""
+    d = draw(st.integers(1, 8) | st.integers(9, 512))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        rows = rng.integers(-2, 3, size=(draw(st.integers(2, 30)), d)).astype(np.float64)
+    else:
+        rows = np.vstack([(64.0 * rng.standard_normal((draw(st.integers(2, 10)), d))).round() / 64,
+                          np.eye(d)[rng.integers(0, d, size=draw(st.integers(0, 4)))]])
+        factors = st.sampled_from([1.0, 0.25, 2.0, 8.0, 3.0, 5.0, 7.0, 40.0, -1.0, -2.0, -3.0])
+        copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), factors), max_size=20))
+        rows = np.vstack([rows] + [f * rows[i] for i, f in copies])
+    rows[~rows.any(axis=1), 0] = 1.0  # no all-zero row
+    return FeatureMatrix(rows)
 
 
 class TestFirstK:
@@ -360,6 +387,36 @@ class TestSparsify:
         assert np.array_equal(to_dense(kernel), rebuilt)
         assert (np.diff(kernel.col_ptr) == np.bincount(col_idx, minlength=8)).all()
 
+    def test_a_symmetric_kernel_is_read_by_column(self):
+        kernel = cosine_similarity(random_features(np.random.default_rng(15), 300, 8))
+        assert kernel.symmetric and kernel.dense.flags.f_contiguous
+        by_row = SimilarityKernel(n=300, dense=kernel.dense)  # not marked symmetric
+        reference = reference_csc(kernel.dense, 25)
+        for built in (sparsify_knn(kernel, 25), sparsify_knn(by_row, 25)):
+            assert same_entries(built, reference)
+
+    def test_only_a_kernel_marked_symmetric_is_read_by_column(self):
+        dense = np.random.default_rng(16).uniform(size=(12, 12))  # not symmetric
+        for symmetric, read in ((False, dense), (True, dense.T)):
+            built = sparsify_knn(SimilarityKernel(n=12, dense=dense, symmetric=symmetric), 3)
+            reference = reference_csc(read, 3)
+            assert same_entries(built, reference)
+        assert not same_bytes(reference_csc(dense, 3)[1], reference_csc(dense.T, 3)[1])
+
+    def test_ties_and_minus_inf_never_keep_the_diagonal(self):
+        # each diagonal entry is at least its row's best, and row 2 is -inf
+        # throughout, so only the exclusion keeps the diagonal out
+        dense = np.array([[1.0, -np.inf, -np.inf, -np.inf],
+                          [0.5, 0.5, 0.5, 0.5],
+                          [-np.inf, -np.inf, -np.inf, -np.inf],
+                          [0.25, -np.inf, 0.25, 0.25]])
+        for kappa in (1, 2, 3):
+            built = sparsify_knn(SimilarityKernel(n=4, dense=dense), kappa)
+            cols = np.repeat(np.arange(4), np.diff(built.col_ptr))
+            assert not (built.rows == cols).any()
+            reference = reference_csc(dense, kappa)
+            assert same_entries(built, reference)
+
 
 class TestBlockedBuildsMatchReference:
     @PROPERTY
@@ -379,6 +436,19 @@ class TestBlockedBuildsMatchReference:
             assert same_bytes(sparse.col_ptr, col_ptr)
             assert same_bytes(sparse.rows, rows)
             assert same_bytes(sparse.values, values)
+
+    @PROPERTY
+    @given(near_tie_features())
+    def test_dense_finish_is_the_three_pass_finish(self, m):
+        # scale, + 1, * 0.5, clip: the bytes the halved outer product must keep
+        x = m.values.astype(np.float64)
+        inv_norms = 1.0 / kernels.cosine_norms(x)
+        three_pass = x @ x.T
+        three_pass *= np.outer(inv_norms, inv_norms)
+        three_pass += 1.0
+        three_pass *= 0.5
+        np.clip(three_pass, 0.0, 1.0, out=three_pass)
+        assert same_bytes(kernels._shifted_cosine(x @ x.T, inv_norms, inv_norms), three_pass)
 
     def test_sparsify_matches_reference_at_benchmark_scale(self):
         m = random_features(np.random.default_rng(11), 700, 16)
@@ -481,3 +551,40 @@ class TestStreamedTopKappa:
         n = 1000
         m = random_features(np.random.default_rng(42), n, 16)
         assert peak_bytes(lambda: cosine_similarity(m, kappa=10)) <= 0.25 * 8 * n * n
+
+    @PROPERTY
+    @given(near_tie_features(), BLOCK_ELEMS)
+    # an exactly antipodal pair, cos = -1: its similarity is +0.0, not -0.0
+    @example(FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])), kernels._BLOCK_ELEMS)
+    def test_is_the_full_finish_byte_for_byte(self, m, block_elems):
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", block_elems):
+            for kappa in sorted({1, 2, m.n - 1} & set(range(1, m.n))):
+                built = cosine_similarity(m, kappa=kappa)
+                reference = full_finish_kappa(m, kappa)
+                assert same_entries(built, reference)
+
+    def test_is_the_full_finish_byte_for_byte_at_benchmark_scale(self):
+        m = random_features(np.random.default_rng(44), 2100, 64)
+        built = cosine_similarity(m, kappa=25)
+        reference = full_finish_kappa(m, 25)
+        assert same_entries(built, reference)
+
+    @pytest.mark.parametrize("rows, row, screened_first, kept", [
+        # every cosine is 1; the finish rounds columns 0 and 1 of row 2 to 1
+        # or above, and the clip ties them, so the lower column is kept
+        ([[1, 1], [3, 3], [5, 5]], 2, 1, 0),
+        # columns 1 and 2 of row 0 have one cosine, which the finish rounds
+        # to one value and the screen to two
+        ([[1, 1], [5, 15], [6, 18]], 0, 2, 1),
+    ])
+    def test_keeps_a_near_tie_that_the_screen_orders_the_other_way(self, rows, row,
+                                                                   screened_first, kept):
+        m = FeatureMatrix(np.array(rows))
+        x = m.values.astype(np.float64)
+        sigma = (x @ x.T) * (1.0 / kernels.cosine_norms(x))
+        # a screen without its margin would keep screened_first
+        assert sigma[row, screened_first] > sigma[row, kept]
+        built = cosine_similarity(m, kappa=1)
+        assert row in built.rows[built.col_ptr[kept]:built.col_ptr[kept + 1]]
+        reference = full_finish_kappa(m, 1)
+        assert same_entries(built, reference)
